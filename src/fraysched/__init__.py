@@ -11,7 +11,7 @@ from .core import (
     load_instance,
     round_time_constraints,
 )
-from .exclusion import ExclusionMatrices, compute_mems
+from .exclusion import ConflictModel, compute_mems
 from .multischedule import (
     Multischedule,
     Placement,
@@ -27,8 +27,8 @@ from .validator import Violation, validate_multischedule
 __version__ = "0.1.0"
 
 __all__ = [
+    "ConflictModel",
     "CycleWindow",
-    "ExclusionMatrices",
     "FlexRayConfig",
     "InfeasibleSignalError",
     "Instance",

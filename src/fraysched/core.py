@@ -202,7 +202,9 @@ def load_instance(doc: dict) -> Instance:
                 period_us=period,
                 length_bits=int(raw["length_bits"]),
                 release_us=int(raw.get("release_us", 0)),
-                deadline_us=int(raw.get("deadline_us") or period),
+                # only a missing deadline means "the period"; an explicit
+                # 0 is rejected by Signal like any other non-positive value
+                deadline_us=int(raw["deadline_us"]) if "deadline_us" in raw else period,
             )
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"malformed signal record: {exc}") from None
@@ -246,6 +248,16 @@ def load_instance(doc: dict) -> Instance:
     return Instance(config, tuple(signals), variants)
 
 
+def config_to_dict(config: FlexRayConfig) -> dict:
+    return {
+        "cycle_us": config.cycle_us,
+        "hyperperiod_cycles": config.hyperperiod_cycles,
+        "payload_bits": config.payload_bits,
+        "static_slots": config.static_slots,
+        "slot_us": config.slot_us,
+    }
+
+
 def instance_to_dict(instance: Instance) -> dict:
     """Serialize an Instance back to the document format.
 
@@ -254,13 +266,7 @@ def instance_to_dict(instance: Instance) -> dict:
     """
     order = {s.id: i for i, s in enumerate(instance.signals)}
     return {
-        "config": {
-            "cycle_us": instance.config.cycle_us,
-            "hyperperiod_cycles": instance.config.hyperperiod_cycles,
-            "payload_bits": instance.config.payload_bits,
-            "static_slots": instance.config.static_slots,
-            "slot_us": instance.config.slot_us,
-        },
+        "config": config_to_dict(instance.config),
         "signals": [
             {
                 "id": s.id,

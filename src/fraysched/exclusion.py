@@ -1,15 +1,18 @@
-"""Signal and node mutual exclusion matrices.
+"""Signal and node mutual exclusion, as variant bitsets.
 
-Both matrices are computed once per instance and answer the only two
-questions the placement loop asks, in constant time:
+Two signals must never overlap in a multiframe exactly when some variant
+uses both of them, and two different nodes must never share a static slot
+exactly when some variant carries signals from both.  Both questions are
+answered from variant membership alone: every signal and every node gets
+one int whose bit j is set iff variant j uses it (for a node: uses any of
+its signals), and two of them conflict iff their masks intersect.  The
+model costs O(n * V) for n signals and V variants.
 
-* may two signals overlap in a multiframe?   (yes iff smem == 0)
-* may two nodes share a static slot?         (yes iff nmem == 0)
-
-smem[a][b] is 1 iff some variant uses both signals; the diagonal is forced
-to 1 (a signal never overlaps itself).  nmem[p][q] is 1 iff p != q and some
-variant carries signals from both nodes; the diagonal is 0 because one node
-sharing a slot with itself is the normal frame-packing case.
+The dense n x n signal matrix (SMEM) and m x m node matrix (NMEM) are a
+derived view built only on request by `dense_matrices`, for `--mems-dump`
+and for tests: smem[a][b] is 1 iff some variant uses both signals, with
+the diagonal forced to 1 (a signal never overlaps itself); nmem[p][q] is 1
+iff p != q and some variant carries signals from both nodes.
 """
 
 from __future__ import annotations
@@ -23,90 +26,84 @@ import numpy as np
 from .core import NodeId, Signal, VariantMatrix
 
 
-class ExclusionMatrices:
+class ConflictModel:
+    """Variant membership of every signal and node.
+
+    `variants_of[sid]` lists the variants using a signal in ascending
+    order; `signal_mask[sid]` and `node_mask[node]` hold the same sets as
+    ints.  `nodes` keeps first-appearance order of the signal list.
+    """
+
     def __init__(
-        self,
-        signal_ids: Sequence[str],
-        nodes: Sequence[NodeId],
-        smem: np.ndarray,
-        nmem: np.ndarray,
+        self, signals: Sequence[Signal], variants_of: dict[str, Sequence[int]]
     ):
-        self.signal_ids = tuple(signal_ids)
-        self.nodes = tuple(nodes)
-        self.signal_index = {sid: i for i, sid in enumerate(self.signal_ids)}
-        self.node_index = {n: i for i, n in enumerate(self.nodes)}
-        self.smem = smem
-        self.nmem = nmem
-        self._smem_rows: dict[int, bytes] = {}
+        self.signal_ids = tuple(s.id for s in signals)
+        self.variants_of = {sid: tuple(vs) for sid, vs in variants_of.items()}
+        self.signal_mask = {
+            sid: sum(1 << j for j in vs) for sid, vs in self.variants_of.items()
+        }
+        self.node_mask: dict[NodeId, int] = {}
+        for s in signals:
+            self.node_mask[s.node] = (
+                self.node_mask.get(s.node, 0) | self.signal_mask[s.id]
+            )
+        self.nodes = tuple(self.node_mask)
 
     def signals_conflict(self, a: str, b: str) -> bool:
         """True iff the two signals must never overlap (co-used somewhere)."""
-        return bool(self.smem[self.signal_index[a], self.signal_index[b]])
+        shared = self.signal_mask[a] & self.signal_mask[b]
+        return a == b or bool(shared)
 
     def nodes_conflict(self, p: NodeId, q: NodeId) -> bool:
         """True iff the two nodes must not share a slot."""
-        return bool(self.nmem[self.node_index[p], self.node_index[q]])
-
-    def smem_row(self, index: int) -> bytes:
-        """Conflict row of one signal as bytes, cached for hot loops."""
-        row = self._smem_rows.get(index)
-        if row is None:
-            row = self.smem[index].astype(np.uint8).tobytes()
-            self._smem_rows[index] = row
-        return row
+        shared = self.node_mask[p] & self.node_mask[q]
+        return p != q and bool(shared)
 
 
 def compute_mems(
     signals: Sequence[Signal], variants: VariantMatrix
-) -> ExclusionMatrices:
-    """Precompute both exclusion matrices from the variant membership."""
-    signal_ids = [s.id for s in signals]
-    nodes = []
-    node_of = []
-    for s in signals:
-        if s.node not in nodes:
-            nodes.append(s.node)
-        node_of.append(nodes.index(s.node))
-
-    n = len(signals)
-    m = len(nodes)
-    v = variants.count
-
-    member = np.zeros((n, v), dtype=np.float32)
+) -> ConflictModel:
+    """Variant sets of every signal and node, from the membership lists."""
+    variants_of: dict[str, list[int]] = {s.id: [] for s in signals}
     for j, group in enumerate(variants.members):
-        for i, sid in enumerate(signal_ids):
-            if sid in group:
-                member[i, j] = 1.0
-
-    if n:
-        smem = (member @ member.T) > 0.5
-        np.fill_diagonal(smem, True)
-    else:
-        smem = np.zeros((0, 0), dtype=bool)
-
-    node_member = np.zeros((m, v), dtype=np.float32)
-    for i in range(n):
-        node_member[node_of[i]] = np.maximum(node_member[node_of[i]], member[i])
-    if m:
-        nmem = (node_member @ node_member.T) > 0.5
-        np.fill_diagonal(nmem, False)
-    else:
-        nmem = np.zeros((0, 0), dtype=bool)
-
-    return ExclusionMatrices(signal_ids, nodes, smem, nmem)
+        for sid in group:
+            if sid in variants_of:
+                variants_of[sid].append(j)
+    return ConflictModel(signals, variants_of)
 
 
-def dump_mems_csv(mems: ExclusionMatrices, out_dir: Union[str, Path]) -> None:
+def dense_matrices(mems: ConflictModel) -> tuple[np.ndarray, np.ndarray]:
+    """(SMEM, NMEM) as bool arrays in `signal_ids` / `nodes` order.
+
+    O(n^2) memory; the scheduler never calls this.
+    """
+
+    def co_used(masks: list[int]) -> np.ndarray:
+        width = max((m.bit_length() for m in masks), default=0)
+        member = np.array(
+            [[(m >> j) & 1 for j in range(width)] for m in masks], dtype=np.float32
+        ).reshape(len(masks), width)
+        return (member @ member.T) > 0.5
+
+    smem = co_used([mems.signal_mask[sid] for sid in mems.signal_ids])
+    np.fill_diagonal(smem, True)
+    nmem = co_used([mems.node_mask[nd] for nd in mems.nodes])
+    np.fill_diagonal(nmem, False)
+    return smem, nmem
+
+
+def dump_mems_csv(mems: ConflictModel, out_dir: Union[str, Path]) -> None:
     """Write both matrices as 0/1 CSV grids with id headers (debug aid)."""
+    smem, nmem = dense_matrices(mems)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "smem.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([""] + list(mems.signal_ids))
         for i, sid in enumerate(mems.signal_ids):
-            w.writerow([sid] + [int(x) for x in mems.smem[i]])
+            w.writerow([sid] + [int(x) for x in smem[i]])
     with open(out / "nmem.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([""] + [str(nd) for nd in mems.nodes])
         for i, nd in enumerate(mems.nodes):
-            w.writerow([str(nd)] + [int(x) for x in mems.nmem[i]])
+            w.writerow([str(nd)] + [int(x) for x in nmem[i]])

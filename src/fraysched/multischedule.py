@@ -1,17 +1,22 @@
 """Shared schedule structure and the first-fit placement primitives.
 
-The multischedule holds one frame table per allocated slot, covering every
-cycle of the hyperperiod.  Signals used by several vehicle variants are
-stored once; two stored signals may occupy overlapping bit ranges of the
-same multiframe when no variant uses both of them.  Per-variant (native)
-schedules fall out by dropping foreign signals.
+The multischedule stores every signal once.  A signal used by several
+vehicle variants keeps one (slot, cycle, offset) in all of them; two stored
+signals may occupy overlapping bit ranges of the same multiframe when no
+variant uses both of them.  Per-variant (native) schedules fall out by
+dropping foreign signals.
 
-Placement works position by position: `find_position_for_signal` walks
-slots in allocation order and cycles inside the signal's admissible window,
-returning the lowest feasible in-frame offset of the first frame that fits.
-`place_signal_to_schedule` then re-checks that same offset for every
-periodic job of the signal before committing, resuming the search behind
-the failed candidate otherwise.
+Occupancy is kept per slot and per variant: `Slot.occ[v]` is one int of
+H * W bits (H cycles of the hyperperiod, W payload bits) where cycle c owns
+bits [c * W, (c + 1) * W).  Residents conflict with a signal exactly when
+they share a variant with it, so the signal's conflict mask over a whole
+slot is the OR of occ[v] over its own variants.
+
+`find_position_for_signal` walks slots in allocation order and finds, in
+one pass over the packed window, the earliest cycle of the signal's window
+that has room and the lowest free offset inside it.
+`place_signal_to_schedule` then checks that offset in every periodic job's
+frame before committing, resuming the search at the next cycle otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import CycleWindow, FlexRayConfig, Instance, Signal, round_time_constraints
-from .exclusion import ExclusionMatrices
+from .core import (
+    CycleWindow,
+    FlexRayConfig,
+    Instance,
+    Signal,
+    config_to_dict,
+    round_time_constraints,
+)
+from .exclusion import ConflictModel
 
 
 class ScheduleError(ValueError):
@@ -44,78 +56,26 @@ class Entry(NamedTuple):
 
 
 class Multiframe:
-    """One (cycle, slot) cell: resident entries plus cached occupancy.
+    """Entries of one (slot, cycle) cell, as listed by `frame_view`."""
 
-    `occupancy` is the OR of all resident bit ranges regardless of
-    conflicts and `max_run` caches its longest free gap.  A signal in
-    conflict with every resident fits iff max_run >= its length, so the
-    cache doubles as an exact fast path; frames holding residents the
-    queried signal may overlap still go through `find_suitable_offset`.
-    `packed` mirrors `entries` as (signal index, range mask) pairs for the
-    hot conflict-mask loops.
-    """
-
-    __slots__ = ("payload_bits", "entries", "packed", "occupancy", "max_run")
+    __slots__ = ("payload_bits", "entries")
 
     def __init__(self, payload_bits: int):
         self.payload_bits = payload_bits
         self.entries: list[Entry] = []
-        self.packed: list[tuple[Optional[int], int]] = []
-        self.occupancy = 0
-        self.max_run = payload_bits
 
-    def add_entry(
-        self,
-        signal_id: str,
-        offset_bits: int,
-        length_bits: int,
-        signal_index: Optional[int] = None,
-    ) -> None:
+    def add_entry(self, signal_id: str, offset_bits: int, length_bits: int) -> None:
         self.entries.append(Entry(signal_id, offset_bits, length_bits))
-        mask = ((1 << length_bits) - 1) << offset_bits
-        self.packed.append((signal_index, mask))
-        self.occupancy |= mask
-        self.max_run = _longest_zero_run(self.occupancy, self.payload_bits)
-
-
-def _longest_zero_run(mask: int, width: int) -> int:
-    """Length of the longest gap of zero bits in mask[0:width].
-
-    Collapses runs exponentially (a run of 2k is two adjacent runs of k),
-    then refines with descending power-of-two steps: O(log width) big-int
-    operations.
-    """
-    free = ~mask & ((1 << width) - 1)
-    if not free:
-        return 0
-    length = 1
-    while True:
-        collapsed = free & (free >> length)
-        if not collapsed:
-            break
-        free = collapsed
-        length *= 2
-    step = length >> 1
-    while step:
-        collapsed = free & (free >> step)
-        if collapsed:
-            free = collapsed
-            length += step
-        step >>= 1
-    return length
 
 
 class Slot:
-    __slots__ = ("index", "nodes", "frames", "residents")
+    __slots__ = ("index", "nodes", "occ")
 
-    def __init__(self, index: int, hyperperiod_cycles: int, payload_bits: int):
+    def __init__(self, index: int):
         self.index = index
         self.nodes: set = set()
-        self.frames = [Multiframe(payload_bits) for _ in range(hyperperiod_cycles)]
-        # (signal matrix index, first cycle, period in cycles) per placed
-        # signal; lets the search find frames whose residents the queried
-        # signal may overlap even when the frame looks full.
-        self.residents: list[tuple[int, int, int]] = []
+        # variant -> occupied bits over the whole hyperperiod, cycle-major
+        self.occ: dict[int, int] = {}
 
 
 class Multischedule:
@@ -126,17 +86,17 @@ class Multischedule:
         # every committed (signal, placement) pair in commit order; unlike
         # `placements` this keeps duplicates, which the validator must see
         self.placement_records: list[tuple[str, Placement]] = []
-        self.signal_nodes: dict[str, object] = {}
+        self.signals: dict[str, Signal] = {}
         self._windows: dict[str, CycleWindow] = {}
+        self._job_starts: dict[int, int] = {}
+        self._fit_starts: dict[int, int] = {}
 
     @property
     def slot_count(self) -> int:
         return len(self.slots)
 
     def allocate_slot(self) -> Slot:
-        slot = Slot(
-            len(self.slots), self.config.hyperperiod_cycles, self.config.payload_bits
-        )
+        slot = Slot(len(self.slots))
         self.slots.append(slot)
         return slot
 
@@ -147,64 +107,92 @@ class Multischedule:
             self._windows[signal.id] = win
         return win
 
+    def job_starts(self, period_cycles: int) -> int:
+        """Bit c * W of every cycle c = 0, period, 2 * period, ..."""
+        bits = self._job_starts.get(period_cycles)
+        if bits is None:
+            width = self.config.payload_bits
+            hyper = self.config.hyperperiod_cycles
+            bits = sum(1 << (c * width) for c in range(0, hyper, period_cycles))
+            self._job_starts[period_cycles] = bits
+        return bits
+
+    def fit_starts(self, length: int) -> int:
+        """Bits at which a `length`-bit range starts without leaving its
+        frame: offsets 0 .. W - length of every cycle."""
+        bits = self._fit_starts.get(length)
+        if bits is None:
+            per_frame = (1 << max(self.config.payload_bits - length + 1, 0)) - 1
+            bits = per_frame * self.job_starts(1)
+            self._fit_starts[length] = bits
+        return bits
+
 
 def slot_count(ms: Multischedule) -> int:
     """Number of allocated static slots -- the minimization objective."""
     return len(ms.slots)
 
 
+def _run_starts(free: int, length: int) -> int:
+    """Bits b of `free` with free[b : b + length] all set.
+
+    Run doubling: while bit b stands for a run of `run` set bits, ANDing
+    with a copy shifted by step <= run makes it stand for run + step bits,
+    so about log2(length) big-int steps suffice.
+    """
+    run = 1
+    while run < length:
+        step = min(run, length - run)
+        free &= free >> step
+        run += step
+    return free
+
+
+def _window_first_fit(
+    mask: int, length: int, width: int, lo: int, hi: int, fits: int
+) -> Optional[tuple[int, int]]:
+    """Lowest (cycle, offset) with cycle in lo..hi whose `length` bits are
+    clear in the packed `mask`, or None; `fits` is `fit_starts(length)`."""
+    # frames lo..hi moved down to bit 0; frame alignment is kept, so `fits`
+    # still marks the in-frame start offsets
+    free = ((1 << ((hi + 1 - lo) * width)) - 1) & ~(mask >> (lo * width))
+    hits = _run_starts(free, length) & fits
+    if not hits:
+        return None
+    cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
+    return lo + cycle, offset
+
+
+def _first_fit_offset(mask: int, length: int, width: int) -> Optional[int]:
+    """First offset with `length` clear bits in mask[0:width], or None:
+    the one-frame case of `_window_first_fit`."""
+    if length > width:
+        return None
+    fits = (1 << (width - length + 1)) - 1
+    found = _window_first_fit(mask, length, width, 0, 0, fits)
+    return None if found is None else found[1]
+
+
 def find_suitable_offset(
-    frame: Multiframe, signal: Signal, mems: ExclusionMatrices
+    frame: Multiframe, signal: Signal, mems: ConflictModel
 ) -> Optional[int]:
     """Smallest in-frame offset where the signal fits, or None.
 
     A resident blocks the bits of its range only when it conflicts with the
     queried signal; residents never co-used in any variant are transparent.
     """
-    length = signal.length_bits
-    width = frame.payload_bits
-    if length > width:
-        return None
-    sidx = mems.signal_index[signal.id]
-    row = mems.smem_row(sidx)
-    index = mems.signal_index
     mask = 0
     for entry in frame.entries:
-        if row[index[entry.signal]]:
+        if mems.signals_conflict(signal.id, entry.signal):
             mask |= ((1 << entry.length_bits) - 1) << entry.offset_bits
-    return _first_fit_offset(mask, length, width)
+    return _first_fit_offset(mask, signal.length_bits, frame.payload_bits)
 
 
-def _first_fit_offset(mask: int, length: int, width: int) -> Optional[int]:
-    """First offset with `length` clear bits in `mask`, or None.
-
-    On a collision the scan jumps past the highest blocking bit: every
-    offset in between would contain that bit as well.
-    """
-    want = (1 << length) - 1
-    offset = 0
-    limit = width - length
-    while offset <= limit:
-        hit = mask & (want << offset)
-        if not hit:
-            return offset
-        offset = hit.bit_length()
-    return None
-
-
-def _conflict_mask(frame: Multiframe, row: bytes) -> int:
-    # entries without a matrix index (frames assembled by hand) count as
-    # conflicting, the conservative reading
-    mask = 0
-    for idx, entry_mask in frame.packed:
-        if idx is None or row[idx]:
-            mask |= entry_mask
-    return mask
-
-
-def _node_admissible(slot: Slot, node, mems: ExclusionMatrices) -> bool:
+def _node_admissible(slot: Slot, node, mems: ConflictModel) -> bool:
+    node_mask = mems.node_mask
+    own = node_mask[node]
     for other in slot.nodes:
-        if other != node and mems.nodes_conflict(node, other):
+        if other != node and node_mask[other] & own:
             return False
     return True
 
@@ -212,7 +200,7 @@ def _node_admissible(slot: Slot, node, mems: ExclusionMatrices) -> bool:
 def find_position_for_signal(
     ms: Multischedule,
     signal: Signal,
-    mems: ExclusionMatrices,
+    mems: ConflictModel,
     resume_from: Optional[Placement] = None,
 ) -> Optional[Placement]:
     """Next candidate position strictly after `resume_from`.
@@ -225,9 +213,10 @@ def find_position_for_signal(
     cursor.
     """
     window = ms.window_for(signal)
+    width = ms.config.payload_bits
     length = signal.length_bits
-    sidx = mems.signal_index[signal.id]
-    row = mems.smem_row(sidx)
+    variants = mems.variants_of[signal.id]
+    fits = ms.fit_starts(length)
     hi = window.deadline_cycle
 
     start_slot = 0
@@ -243,73 +232,64 @@ def find_position_for_signal(
             continue
         if not _node_admissible(slot, signal.node, mems):
             continue
-
-        frames = slot.frames
-        # a frame whose residents all conflict with the signal admits it
-        # exactly when the occupancy gap is long enough
-        candidates = {c for c in range(lo, hi + 1) if frames[c].max_run >= length}
-        # frames that look full may still admit the signal on top of a
-        # resident it never shares a variant with
-        for ridx, first, period in slot.residents:
-            if not row[ridx]:
-                c = first
-                if c < lo:
-                    c += -((first - lo) // period) * period
-                while c <= hi:
-                    candidates.add(c)
-                    c += period
-        for c in sorted(candidates):
-            frame = frames[c]
-            mask = _conflict_mask(frame, row)
-            offset = _first_fit_offset(mask, length, frame.payload_bits)
-            if offset is not None:
-                return Placement(si, c, offset)
+        occ = slot.occ
+        mask = 0
+        for v in variants:
+            mask |= occ.get(v, 0)
+        found = _window_first_fit(mask, length, width, lo, hi, fits)
+        if found is not None:
+            return Placement(si, *found)
     return None
+
+
+def _job_bits(
+    ms: Multischedule, signal: Signal, pos: Placement, window: CycleWindow,
+    later_only: bool = False,
+) -> int:
+    """The signal's bit range at `pos` in the frame of each of its jobs
+    (without the first job when `later_only`).  Windows keep first_cycle
+    below the period, so every job lies inside the hyperperiod."""
+    starts = ms.job_starts(window.period_cycles) - (1 if later_only else 0)
+    span = ((1 << signal.length_bits) - 1) << pos.offset_bits
+    return (starts << (pos.first_cycle * ms.config.payload_bits)) * span
 
 
 def _jobs_fit(
     ms: Multischedule,
     signal: Signal,
-    mems: ExclusionMatrices,
+    mems: ConflictModel,
     pos: Placement,
     window: CycleWindow,
 ) -> bool:
     """Check the fixed offset range in every later job's multiframe."""
-    period = window.period_cycles
-    hyper = ms.config.hyperperiod_cycles
-    slot = ms.slots[pos.slot]
-    row = mems.smem_row(mems.signal_index[signal.id])
-    want = ((1 << signal.length_bits) - 1) << pos.offset_bits
-    for cycle in range(pos.first_cycle + period, hyper, period):
-        for idx, entry_mask in slot.frames[cycle].packed:
-            if entry_mask & want and (idx is None or row[idx]):
-                return False
-    return True
+    bits = _job_bits(ms, signal, pos, window, later_only=True)
+    occ = ms.slots[pos.slot].occ
+    return not any(occ.get(v, 0) & bits for v in mems.variants_of[signal.id])
+
+
+def _record(ms: Multischedule, signal: Signal, pos: Placement) -> None:
+    ms.slots[pos.slot].nodes.add(signal.node)
+    ms.placements[signal.id] = pos
+    ms.placement_records.append((signal.id, pos))
+    ms.signals[signal.id] = signal
 
 
 def _commit(
     ms: Multischedule,
     signal: Signal,
-    mems: ExclusionMatrices,
+    mems: ConflictModel,
     pos: Placement,
     window: CycleWindow,
 ) -> None:
-    slot = ms.slots[pos.slot]
-    slot.nodes.add(signal.node)
-    hyper = ms.config.hyperperiod_cycles
-    sidx = mems.signal_index[signal.id]
-    for cycle in range(pos.first_cycle, hyper, window.period_cycles):
-        slot.frames[cycle].add_entry(
-            signal.id, pos.offset_bits, signal.length_bits, sidx
-        )
-    slot.residents.append((sidx, pos.first_cycle, window.period_cycles))
-    ms.placements[signal.id] = pos
-    ms.placement_records.append((signal.id, pos))
-    ms.signal_nodes[signal.id] = signal.node
+    bits = _job_bits(ms, signal, pos, window)
+    occ = ms.slots[pos.slot].occ
+    for v in mems.variants_of[signal.id]:
+        occ[v] = occ.get(v, 0) | bits
+    _record(ms, signal, pos)
 
 
 def place_signal_to_schedule(
-    ms: Multischedule, signal: Signal, mems: ExclusionMatrices
+    ms: Multischedule, signal: Signal, mems: ConflictModel
 ) -> Placement:
     """Place one signal and all of its periodic jobs, first fit.
 
@@ -336,108 +316,89 @@ def place_signal_to_schedule(
     return pos
 
 
-def extract_native_schedule(
-    ms: Multischedule, variant: int, variants
-) -> dict:
+def frame_view(ms: Multischedule) -> list[list[Multiframe]]:
+    """Resident entries per slot and cycle, in commit order.
+
+    Derived from the placement records on request (tests, debugging); the
+    engine itself keeps only the packed occupancy.
+    """
+    cfg = ms.config
+    hyper = cfg.hyperperiod_cycles
+    frames = [[Multiframe(cfg.payload_bits) for _ in range(hyper)] for _ in ms.slots]
+    for sid, pos in ms.placement_records:
+        sig = ms.signals[sid]
+        period = sig.period_us // cfg.cycle_us
+        for cycle in range(max(pos.first_cycle, 0), hyper, period):
+            frames[pos.slot][cycle].add_entry(sid, pos.offset_bits, sig.length_bits)
+    return frames
+
+
+def _slots_doc(ms: Multischedule, keep=None) -> list[dict]:
+    """Slot list of a schedule document, in one pass over the placement
+    records; `keep` restricts it to a set of signal ids, and each slot's
+    nodes are those of the signals it keeps."""
+    placements: list[list[dict]] = [[] for _ in ms.slots]
+    nodes: list[set] = [set() for _ in ms.slots]
+    for sid, pos in ms.placement_records:
+        if keep is None or sid in keep:
+            placements[pos.slot].append(
+                {
+                    "signal": sid,
+                    "first_cycle": pos.first_cycle,
+                    "offset_bits": pos.offset_bits,
+                }
+            )
+            nodes[pos.slot].add(ms.signals[sid].node)
+    return [
+        {
+            "index": slot.index,
+            "nodes": sorted(nodes[i], key=str),
+            "placements": placements[i],
+        }
+        for i, slot in enumerate(ms.slots)
+    ]
+
+
+def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:
     """Single-variant schedule: same slot grid, foreign signals dropped.
 
     Slots hosting none of the variant's signals stay in the output (empty),
     so slot indices line up across all variants.
     """
-    group = variants.members[variant]
-    slots_doc = []
-    for slot in ms.slots:
-        placements = [
-            {
-                "signal": sid,
-                "first_cycle": pos.first_cycle,
-                "offset_bits": pos.offset_bits,
-            }
-            for sid, pos in ms.placement_records
-            if pos.slot == slot.index and sid in group
-        ]
-        nodes = sorted({ms.signal_nodes[e["signal"]] for e in placements}, key=str)
-        slots_doc.append(
-            {
-                "index": slot.index,
-                "nodes": nodes,
-                "placements": placements,
-            }
-        )
     return {
         "variant": variant,
-        "config": _config_dict(ms.config),
-        "slots": slots_doc,
-    }
-
-
-def _config_dict(config: FlexRayConfig) -> dict:
-    return {
-        "cycle_us": config.cycle_us,
-        "hyperperiod_cycles": config.hyperperiod_cycles,
-        "payload_bits": config.payload_bits,
-        "static_slots": config.static_slots,
-        "slot_us": config.slot_us,
+        "config": config_to_dict(ms.config),
+        "slots": _slots_doc(ms, variants.members[variant]),
     }
 
 
 def schedule_to_dict(ms: Multischedule) -> dict:
     """Serialize to the schedule document shape (deterministic)."""
-    slots_doc = []
-    for slot in ms.slots:
-        placements = [
-            {
-                "signal": sid,
-                "first_cycle": pos.first_cycle,
-                "offset_bits": pos.offset_bits,
-            }
-            for sid, pos in ms.placement_records
-            if pos.slot == slot.index
-        ]
-        slots_doc.append(
-            {
-                "index": slot.index,
-                "nodes": sorted(slot.nodes, key=str),
-                "placements": placements,
-            }
-        )
-    return {"config": _config_dict(ms.config), "slots": slots_doc}
+    return {"config": config_to_dict(ms.config), "slots": _slots_doc(ms)}
 
 
 def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
-    """Rebuild a Multischedule from its document form.
+    """Rebuild a Multischedule's placement records from its document form.
 
     Tolerates infeasible placements (the validator needs to see them) but
     rejects documents referencing unknown signals or lacking structure.
+    No occupancy is built: the validator works from the records alone.
     """
     if not isinstance(doc, dict) or "slots" not in doc:
         raise ScheduleError("schedule document must be an object with 'slots'")
     by_id = {s.id: s for s in instance.signals}
-    indexes = {s.id: i for i, s in enumerate(instance.signals)}
     ms = Multischedule(instance.config)
-    hyper = instance.config.hyperperiod_cycles
     for raw_slot in doc["slots"]:
         slot = ms.allocate_slot()
         for raw in raw_slot.get("placements", ()):
             sid = raw.get("signal")
             if sid not in by_id:
                 raise ScheduleError(f"schedule references unknown signal {sid!r}")
-            sig = by_id[sid]
             try:
                 pos = Placement(
                     slot.index, int(raw["first_cycle"]), int(raw["offset_bits"])
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
-            period = max(1, sig.period_us // instance.config.cycle_us)
-            slot.nodes.add(sig.node)
-            if 0 <= pos.first_cycle < hyper:
-                for cycle in range(pos.first_cycle, hyper, period):
-                    slot.frames[cycle].add_entry(
-                        sid, pos.offset_bits, sig.length_bits, indexes[sid]
-                    )
-                slot.residents.append((indexes[sid], pos.first_cycle, period))
-            ms.placements[sid] = pos
-            ms.placement_records.append((sid, pos))
-            ms.signal_nodes[sid] = sig.node
+            _record(ms, by_id[sid], pos)
     return ms

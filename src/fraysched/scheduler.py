@@ -77,14 +77,15 @@ def sort_signals(
     sl.sort(key=lambda s: s.length_bits, reverse=True)
     sl.sort(key=lambda s: windows[s.id].span)
     sl.sort(key=lambda s: s.period_us)
-    sl.sort(key=lambda s: s.node)
+    # int and str node ids may mix; ints sort first, in their own order
+    sl.sort(key=lambda s: (isinstance(s.node, str), s.node))
     return sl
 
 
 def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
     """Run the first-fit heuristic over the whole instance.
 
-    The wall time covers the algorithm only (exclusion matrices, sorting,
+    The wall time covers the algorithm only (conflict model, sorting,
     placement); parsing and serialization are measured elsewhere.
     Propagates InfeasibleSignalError when a signal's window is empty.
     """

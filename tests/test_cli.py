@@ -68,6 +68,41 @@ class TestScheduleCommand:
         assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
 
 
+    def test_zero_deadline_exits_2_with_one_line(self, tmp_path, capsys):
+        doc = {
+            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+            "signals": [{"id": "x", "node": 1, "period_us": 1000, "length_bits": 2,
+                         "deadline_us": 0}],
+            "variants": [["x"]],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "deadline must be positive" in err[0]
+        assert not (tmp_path / "s.json").exists()
+
+    def test_mixed_int_and_str_nodes_schedule_and_validate(self, tmp_path):
+        doc = {
+            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+            "signals": [
+                {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
+                {"id": "b", "node": "gw", "period_us": 2000, "length_bits": 4},
+            ],
+            "variants": [["a", "b"]],
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        for strategy in ("ff", "ffp", "ffw", "ffl", "ffc"):
+            assert run(["schedule", path, "--strategy", strategy, "--out", out,
+                        "--native-dir", tmp_path / "nat"]) == 0
+            assert run(["validate", path, out]) == 0
+        slots = json.loads(out.read_text())["slots"]
+        assert [s["nodes"] for s in slots] == [[1], ["gw"]]
+
+
 class TestValidateCommand:
     def test_reference_schedule_ok(self, ex1, example1_schedule_path):
         assert run(["validate", ex1, example1_schedule_path]) == 0

@@ -104,6 +104,13 @@ class TestLoadInstance:
         assert inst.signals[0].deadline_us == inst.signals[0].period_us
         assert inst.signals[0].release_us == 0
 
+    def test_explicit_zero_deadline_rejected(self):
+        # only a missing deadline defaults to the period
+        doc = make_doc()
+        doc["signals"][0]["deadline_us"] = 0
+        with pytest.raises(InstanceError, match="deadline must be positive"):
+            load_instance(doc)
+
     def test_meta_keys_ignored(self):
         doc = make_doc()
         doc["meta"] = {"profile": "x", "seed": 1}

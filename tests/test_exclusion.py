@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraysched.core import load_instance
-from fraysched.exclusion import compute_mems, dump_mems_csv
+from fraysched.exclusion import compute_mems, dense_matrices, dump_mems_csv
 
 from oracles import make_random_instance
 
@@ -15,11 +15,12 @@ EX1_ZERO_PAIRS = {
 
 def zero_pairs(mems):
     ids = mems.signal_ids
+    smem, _ = dense_matrices(mems)
     return {
         tuple(sorted((ids[i], ids[j])))
         for i in range(len(ids))
         for j in range(i + 1, len(ids))
-        if not mems.smem[i, j]
+        if not smem[i, j]
     }
 
 
@@ -60,9 +61,10 @@ def test_single_variant_all_conflict():
     }
     inst = load_instance(doc)
     mems = compute_mems(inst.signals, inst.variants)
-    assert mems.smem.all()
+    smem, nmem = dense_matrices(mems)
+    assert smem.all()
     expected_nmem = ~np.eye(3, dtype=bool)
-    assert (mems.nmem == expected_nmem).all()
+    assert (nmem == expected_nmem).all()
 
 
 def brute_force_mems(instance):
@@ -93,8 +95,9 @@ def test_matches_brute_force_on_random_instances():
         inst = make_random_instance(rng, max_signals=30, max_nodes=3, max_variants=8)
         mems = compute_mems(inst.signals, inst.variants)
         smem, nmem, nodes = brute_force_mems(inst)
-        assert (mems.smem == smem).all()
-        assert (mems.nmem == nmem).all()
+        got_smem, got_nmem = dense_matrices(mems)
+        assert (got_smem == smem).all()
+        assert (got_nmem == nmem).all()
         assert mems.nodes == nodes
 
 
@@ -102,11 +105,11 @@ def test_symmetry_and_diagonal_invariants():
     rng = random.Random(99)
     for _ in range(40):
         inst = make_random_instance(rng)
-        mems = compute_mems(inst.signals, inst.variants)
-        assert (mems.smem == mems.smem.T).all()
-        assert (mems.nmem == mems.nmem.T).all()
-        assert mems.smem.diagonal().all()
-        assert not mems.nmem.diagonal().any()
+        smem, nmem = dense_matrices(compute_mems(inst.signals, inst.variants))
+        assert (smem == smem.T).all()
+        assert (nmem == nmem.T).all()
+        assert smem.diagonal().all()
+        assert not nmem.diagonal().any()
 
 
 def test_adding_a_variant_is_monotone():
@@ -123,9 +126,42 @@ def test_adding_a_variant_is_monotone():
             inst.config, inst.signals, VariantMatrix(inst.variants.members + (extra,))
         )
         mems_after = compute_mems(grown.signals, grown.variants)
+        smem_before, nmem_before = dense_matrices(mems_before)
+        smem_after, nmem_after = dense_matrices(mems_after)
         # entries may flip 0 -> 1, never 1 -> 0
-        assert (mems_before.smem <= mems_after.smem).all()
-        assert (mems_before.nmem <= mems_after.nmem).all()
+        assert (smem_before <= smem_after).all()
+        assert (nmem_before <= nmem_after).all()
+
+
+def test_mixed_node_ids():
+    doc = {
+        "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+        "signals": [
+            {"id": "a", "node": 1, "period_us": 1000, "length_bits": 2},
+            {"id": "b", "node": "gw", "period_us": 1000, "length_bits": 2},
+            {"id": "c", "node": "1", "period_us": 1000, "length_bits": 2},
+        ],
+        "variants": [["a", "b"], ["c"]],
+    }
+    inst = load_instance(doc)
+    mems = compute_mems(inst.signals, inst.variants)
+    assert mems.nodes == (1, "gw", "1")
+    assert mems.nodes_conflict(1, "gw")
+    assert not mems.nodes_conflict(1, "1")
+    assert not mems.nodes_conflict("gw", "1")
+    _, nmem = dense_matrices(mems)
+    assert nmem.tolist() == [[False, True, False], [True, False, False],
+                             [False, False, False]]
+
+
+def test_model_holds_no_dense_matrix():
+    # the scheduler's conflict model is O(n * V); the n x n view is built
+    # only by an explicit dense_matrices call
+    rng = random.Random(3)
+    inst = make_random_instance(rng, max_signals=30)
+    mems = compute_mems(inst.signals, inst.variants)
+    assert not hasattr(mems, "smem") and not hasattr(mems, "nmem")
+    assert not any(isinstance(v, np.ndarray) for v in vars(mems).values())
 
 
 def test_csv_dump(tmp_path, example1):

@@ -4,15 +4,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraysched.core import load_instance, round_time_constraints
+from fraysched.core import FlexRayConfig, load_instance, round_time_constraints
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multiframe,
     Multischedule,
     Placement,
     _first_fit_offset,
-    _longest_zero_run,
+    _window_first_fit,
     extract_native_schedule,
+    frame_view,
     find_position_for_signal,
     find_suitable_offset,
     place_signal_to_schedule,
@@ -98,7 +99,7 @@ class TestFindPosition:
             place_signal_to_schedule(ms, sig[sid], mems)
         pos = find_position_for_signal(ms, sig["E"], mems)
         assert pos == Placement(slot=1, first_cycle=2, offset_bits=0)
-        resident = {e.signal for e in ms.slots[1].frames[2].entries}
+        resident = {e.signal for e in frame_view(ms)[1][2].entries}
         assert resident == {"D"}
         assert not mems.signals_conflict("D", "E")
 
@@ -117,7 +118,7 @@ class TestPlaceSignal:
         pos = place_signal_to_schedule(ms, sig["A"], mems)
         assert pos == Placement(0, 0, 0)
         assert ms.slot_count == 1
-        for frame in ms.slots[0].frames:
+        for frame in frame_view(ms)[0]:
             assert [e.signal for e in frame.entries] == ["A"]
 
     def test_nodes_may_share_slot_when_never_covariant(self, example1):
@@ -169,11 +170,37 @@ class TestPlaceSignal:
                 expected = set(range(pos.first_cycle, H, period))
                 actual = {
                     c
-                    for c, frame in enumerate(ms.slots[pos.slot].frames)
+                    for c, frame in enumerate(frame_view(ms)[pos.slot])
                     if any(e.signal == s.id for e in frame.entries)
                 }
                 assert actual == expected
                 assert len(actual) == H // period
+
+    def test_occupancy_is_the_union_of_job_ranges_per_variant(self):
+        # the packed per-variant occupancy against a rebuild from the
+        # placements: every job's bit range, in each of its signal's variants
+        rng = random.Random(4242)
+        for _ in range(40):
+            inst = make_random_instance(rng)
+            res = schedule(inst, OrderingStrategy.FFC)
+            H = inst.config.hyperperiod_cycles
+            W = inst.config.payload_bits
+            want = [{} for _ in res.multischedule.slots]
+            for s in inst.signals:
+                pos = res.placements[s.id]
+                period = s.period_us // inst.config.cycle_us
+                for j, group in enumerate(inst.variants.members):
+                    if s.id not in group:
+                        continue
+                    for c in range(pos.first_cycle, H, period):
+                        for b in range(s.length_bits):
+                            bit = 1 << (c * W + pos.offset_bits + b)
+                            want[pos.slot][j] = want[pos.slot].get(j, 0) | bit
+            got = [
+                {j: bits for j, bits in slot.occ.items() if bits}
+                for slot in res.multischedule.slots
+            ]
+            assert got == want
 
 
 class TestExtraction:
@@ -244,19 +271,40 @@ class TestExtraction:
 
 
 class TestBitPrimitives:
-    @given(mask=st.integers(min_value=0, max_value=(1 << 128) - 1),
-           width=st.sampled_from([8, 16, 32, 64, 128]))
+    @given(data=st.data())
     @settings(max_examples=400)
-    def test_longest_zero_run_matches_naive(self, mask, width):
-        mask &= (1 << width) - 1
-        best = cur = 0
-        for i in range(width):
-            if mask & (1 << i):
-                cur = 0
-            else:
-                cur += 1
-                best = max(best, cur)
-        assert _longest_zero_run(mask, width) == best
+    def test_window_first_fit_matches_frame_scan(self, data):
+        # the packed whole-window search against a per-frame, per-offset
+        # scan: random occupancy, lengths 1..W and random windows
+        width = data.draw(st.sampled_from([1, 3, 8, 16, 32, 64, 128]))
+        hyper = data.draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
+        full = (1 << width) - 1
+        frame = st.one_of(
+            st.just(0),
+            st.just(full),
+            st.integers(0, full),
+            st.tuples(st.integers(0, full), st.integers(0, full)).map(
+                lambda ab: ab[0] & ab[1]
+            ),
+        )
+        frames = data.draw(st.lists(frame, min_size=hyper, max_size=hyper))
+        length = data.draw(st.integers(1, width))
+        lo = data.draw(st.integers(0, hyper - 1))
+        hi = data.draw(st.integers(lo, hyper - 1))
+        mask = sum(f << (c * width) for c, f in enumerate(frames))
+        ms = Multischedule(FlexRayConfig(1000, hyper, width))
+        want = (1 << length) - 1
+        expected = next(
+            (
+                (c, o)
+                for c in range(lo, hi + 1)
+                for o in range(width - length + 1)
+                if not frames[c] & (want << o)
+            ),
+            None,
+        )
+        got = _window_first_fit(mask, length, width, lo, hi, ms.fit_starts(length))
+        assert got == expected
 
     @given(mask=st.integers(min_value=0, max_value=(1 << 32) - 1),
            length=st.integers(min_value=1, max_value=32))

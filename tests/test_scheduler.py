@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -13,6 +14,15 @@ from oracles import (
     make_random_instance,
     reference_schedule,
 )
+
+
+def with_mixed_nodes(instance):
+    """The instance with every even node id turned into a string."""
+    rename = lambda n: f"n{n}" if n % 2 == 0 else n
+    signals = tuple(
+        dataclasses.replace(s, node=rename(s.node)) for s in instance.signals
+    )
+    return dataclasses.replace(instance, signals=signals)
 
 
 def windows_of(instance):
@@ -62,6 +72,14 @@ class TestSortSignals:
                 ),
             )
             assert [s.id for s in got] == [s.id for s in want]
+
+    def test_ffc_orders_mixed_node_ids(self):
+        # ints first in their own order, then strings; no TypeError
+        rng = random.Random(12)
+        inst = with_mixed_nodes(make_random_instance(rng, max_signals=12, max_nodes=4))
+        got = sort_signals(inst.signals, OrderingStrategy.FFC, windows_of(inst))
+        keys = [(isinstance(s.node, str), s.node) for s in got]
+        assert keys == sorted(keys)
 
     def test_ffw_requires_windows(self, example1):
         with pytest.raises(ValueError, match="windows"):
@@ -137,6 +155,23 @@ class TestSchedule:
         rng = random.Random(1234)
         for _ in range(60):
             inst = make_random_instance(rng)
+            wins = windows_of(inst)
+            for strat in OrderingStrategy:
+                res = schedule(inst, strat)
+                assert validate_multischedule(res.multischedule, inst) == []
+                order = sort_signals(inst.signals, strat, wins)
+                ref_placements, ref_slots = reference_schedule(inst, order)
+                got = {
+                    sid: (p.slot, p.first_cycle, p.offset_bits)
+                    for sid, p in res.placements.items()
+                }
+                assert got == ref_placements
+                assert res.slot_count == ref_slots
+
+    def test_matches_reference_with_mixed_node_types(self):
+        rng = random.Random(4321)
+        for _ in range(60):
+            inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4))
             wins = windows_of(inst)
             for strat in OrderingStrategy:
                 res = schedule(inst, strat)
