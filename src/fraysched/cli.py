@@ -55,20 +55,16 @@ def cmd_schedule(args) -> int:
     except core.InfeasibleSignalError as exc:
         return _fail(f"infeasible instance: {exc}")
 
-    ms = result.multischedule
-    doc = multischedule.schedule_to_dict(ms)
-    Path(args.out).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    # the multischedule text first, then one native text at a time
+    documents = multischedule.render_documents(
+        result.multischedule, instance.variants if args.native_dir else None
     )
-
+    Path(args.out).write_text(next(documents), encoding="utf-8")
     if args.native_dir:
         out_dir = Path(args.native_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for j in range(instance.variants.count):
-            native = multischedule.extract_native_schedule(ms, j, instance.variants)
-            (out_dir / f"variant{j:02d}.json").write_text(
-                json.dumps(native, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+        for j, text in enumerate(documents):
+            (out_dir / f"variant{j:02d}.json").write_text(text, encoding="utf-8")
 
     if args.mems_dump:
         mems = exclusion.compute_mems(instance.signals, instance.variants)

@@ -71,6 +71,14 @@ class Signal:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InstanceError("signal id must be a non-empty string")
+        # bool is an int subclass, and True would alias node 1
+        if isinstance(self.node, bool) or not (
+            isinstance(self.node, int) or (isinstance(self.node, str) and self.node)
+        ):
+            raise InstanceError(
+                f"signal {self.id}: node must be an integer or a non-empty "
+                f"string, not {self.node!r}"
+            )
         if self.period_us <= 0:
             raise InstanceError(f"signal {self.id}: period must be positive")
         if self.length_bits < 1:

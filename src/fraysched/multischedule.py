@@ -21,8 +21,11 @@ frame before committing, resuming the search at the next cycle otherwise.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     CycleWindow,
@@ -333,48 +336,118 @@ def frame_view(ms: Multischedule) -> list[list[Multiframe]]:
     return frames
 
 
-def _slots_doc(ms: Multischedule, keep=None) -> list[dict]:
-    """Slot list of a schedule document, in one pass over the placement
-    records; `keep` restricts it to a set of signal ids, and each slot's
-    nodes are those of the signals it keeps."""
-    placements: list[list[dict]] = [[] for _ in ms.slots]
-    nodes: list[set] = [set() for _ in ms.slots]
-    for sid, pos in ms.placement_records:
-        if keep is None or sid in keep:
-            placements[pos.slot].append(
-                {
-                    "signal": sid,
-                    "first_cycle": pos.first_cycle,
-                    "offset_bits": pos.offset_bits,
-                }
-            )
-            nodes[pos.slot].add(ms.signals[sid].node)
+# Schedule documents are JSON text with sorted keys, a 2-space indent and
+# ASCII escapes, plus a trailing newline: the bytes that
+# json.dumps(doc, indent=2, sort_keys=True) + "\n" gives.  The text is
+# rendered here directly, because that call runs the pure-Python encoder
+# (the C one serves only indent=None) and would re-encode a shared
+# placement in every native that holds it.  Each placement is rendered
+# once, at its fixed depth, and every document joins those fragments
+# inside fixed slot and document templates.
+
+_PLACEMENT = (
+    "        {\n"
+    '          "first_cycle": %d,\n'
+    '          "offset_bits": %d,\n'
+    '          "signal": %s\n'
+    "        }"
+)
+_SLOT = '    {\n      "index": %d,\n      "nodes": %s,\n      "placements": %s\n    }'
+_DOCUMENT = '{\n  "config": {\n%s\n  },\n  "slots": %s%s\n}\n'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """JSON array of already rendered items, closed at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _node_key(node) -> tuple:
+    # nodes are listed by str(); on a tie such as 1 and "1" the int comes
+    # first, so that the order never depends on set iteration
+    return str(node), isinstance(node, str)
+
+
+def _node_text(node) -> str:
+    return encode_basestring_ascii(node) if isinstance(node, str) else "%d" % node
+
+
+def _items(ms: Multischedule) -> list[tuple]:
+    """(slot, rendered placement, node) per placement record, in commit
+    order."""
+    signals = ms.signals
     return [
-        {
-            "index": slot.index,
-            "nodes": sorted(nodes[i], key=str),
-            "placements": placements[i],
-        }
-        for i, slot in enumerate(ms.slots)
+        (
+            pos.slot,
+            _PLACEMENT % (pos.first_cycle, pos.offset_bits, encode_basestring_ascii(sid)),
+            signals[sid].node,
+        )
+        for sid, pos in ms.placement_records
     ]
 
 
-def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:
-    """Single-variant schedule: same slot grid, foreign signals dropped.
+def _document(ms: Multischedule, items, tail: str = "") -> str:
+    """Document text over (slot, fragment, node) items in commit order.
+    Every slot of the grid is listed, so slot indices line up across all
+    documents of one multischedule; a slot's nodes are those of its items."""
+    rows: list[list[str]] = [[] for _ in ms.slots]
+    nodes: list[set] = [set() for _ in ms.slots]
+    for slot, fragment, node in items:
+        rows[slot].append(fragment)
+        nodes[slot].add(node)
+    slots = [
+        _SLOT
+        % (
+            i,
+            _json_list(
+                ["        " + _node_text(n) for n in sorted(nodes[i], key=_node_key)],
+                "      ",
+            ),
+            _json_list(rows[i], "      "),
+        )
+        for i in range(len(rows))
+    ]
+    config = ",\n".join(
+        '    "%s": %d' % item for item in sorted(config_to_dict(ms.config).items())
+    )
+    return _DOCUMENT % (config, _json_list(slots, "  "), tail)
 
-    Slots hosting none of the variant's signals stay in the output (empty),
-    so slot indices line up across all variants.
+
+def render_documents(ms: Multischedule, variants=None) -> Iterator[str]:
+    """Text of the multischedule document, then, when `variants` is given,
+    of each variant's native schedule in variant order.
+
+    A native is the multischedule with foreign signals dropped; slots
+    hosting none of the variant's signals stay in it, empty.  Placements
+    are rendered once for all documents, the records are grouped by
+    variant in one pass, and each text is built only when it is asked for.
     """
-    return {
-        "variant": variant,
-        "config": config_to_dict(ms.config),
-        "slots": _slots_doc(ms, variants.members[variant]),
-    }
+    items = _items(ms)
+    yield _document(ms, items)
+    if variants is None:
+        return
+    variants_of: dict[str, list[int]] = {}
+    for j, group in enumerate(variants.members):
+        for sid in group:
+            variants_of.setdefault(sid, []).append(j)
+    picked: list[list[tuple]] = [[] for _ in variants.members]
+    for (sid, _pos), item in zip(ms.placement_records, items):
+        for j in variants_of.get(sid, ()):
+            picked[j].append(item)
+    for j, native in enumerate(picked):
+        yield _document(ms, native, ',\n  "variant": %d' % j)
+
+
+def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:
+    """Single-variant schedule document, parsed from its rendered text."""
+    documents = render_documents(ms, variants)
+    return json.loads(next(islice(documents, variant + 1, None)))
 
 
 def schedule_to_dict(ms: Multischedule) -> dict:
-    """Serialize to the schedule document shape (deterministic)."""
-    return {"config": config_to_dict(ms.config), "slots": _slots_doc(ms)}
+    """The multischedule document, parsed from its rendered text."""
+    return json.loads(next(render_documents(ms)))
 
 
 def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
@@ -384,15 +457,22 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
     rejects documents referencing unknown signals or lacking structure.
     No occupancy is built: the validator works from the records alone.
     """
-    if not isinstance(doc, dict) or "slots" not in doc:
-        raise ScheduleError("schedule document must be an object with 'slots'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
+        raise ScheduleError("schedule document must be an object with a 'slots' list")
     by_id = {s.id: s for s in instance.signals}
     ms = Multischedule(instance.config)
     for raw_slot in doc["slots"]:
         slot = ms.allocate_slot()
-        for raw in raw_slot.get("placements", ()):
+        placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
+        if not isinstance(placements, list):
+            raise ScheduleError(
+                f"slot {slot.index}: a slot must be an object with a 'placements' list"
+            )
+        for raw in placements:
+            if not isinstance(raw, dict):
+                raise ScheduleError(f"slot {slot.index}: a placement must be an object")
             sid = raw.get("signal")
-            if sid not in by_id:
+            if not isinstance(sid, str) or sid not in by_id:
                 raise ScheduleError(f"schedule references unknown signal {sid!r}")
             try:
                 pos = Placement(

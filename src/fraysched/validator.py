@@ -47,6 +47,27 @@ class Violation:
         return out
 
 
+def _overlapping_pairs(entries: list[tuple]) -> list[tuple[int, int]]:
+    """Index pairs (i, k), i < k, of entries (id, offset, length, ...)
+    whose bit ranges intersect, in no particular order.
+
+    Sweep in offset order: an entry overlaps exactly the entries that
+    start at or after its own start and before its end, so the work is a
+    sort plus the number of overlapping pairs, not every pair of the frame.
+    """
+    ranked = sorted((e[1], i, e[1] + e[2]) for i, e in enumerate(entries))
+    pairs = []
+    n = len(ranked)
+    for p in range(n - 1):
+        _, i, end = ranked[p]
+        q = p + 1
+        while q < n and ranked[q][0] < end:
+            k = ranked[q][1]
+            pairs.append((i, k) if i < k else (k, i))
+            q += 1
+    return pairs
+
+
 def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violation]:
     """All rule violations of the schedule; an empty list means feasible."""
     cfg = instance.config
@@ -55,12 +76,10 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     width = cfg.payload_bits
 
     by_id = {s.id: s for s in instance.signals}
-    var_sets = {
-        s.id: frozenset(
-            j for j, group in enumerate(instance.variants.members) if s.id in group
-        )
-        for s in instance.signals
-    }
+    var_sets: dict[str, set[int]] = {s.id: set() for s in instance.signals}
+    for j, group in enumerate(instance.variants.members):
+        for sid in group:
+            var_sets.setdefault(sid, set()).add(j)
 
     violations: list[Violation] = []
     out = violations.append
@@ -144,27 +163,27 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             )
 
     # overlapping bit ranges are only allowed between signals that never
-    # ride in the same variant
+    # ride in the same variant; reported in entry order per frame
     for (slot, c), entries in grid.items():
-        for i in range(len(entries)):
-            sid_a, off_a, len_a, _ = entries[i]
-            for k in range(i + 1, len(entries)):
-                sid_b, off_b, len_b, _ = entries[k]
-                if off_a < off_b + len_b and off_b < off_a + len_a:
-                    shared = var_sets[sid_a] & var_sets[sid_b]
-                    if shared:
-                        out(
-                            Violation(
-                                "frame-overlap",
-                                f"signals {sid_a} and {sid_b} overlap in slot "
-                                f"{slot} cycle {c} but share variant "
-                                f"{min(shared)}",
-                                signal=sid_a,
-                                slot=slot,
-                                variant=min(shared),
-                                cycle=c,
-                            )
-                        )
+        clashes = sorted(
+            (i, k)
+            for i, k in _overlapping_pairs(entries)
+            if not var_sets[entries[i][0]].isdisjoint(var_sets[entries[k][0]])
+        )
+        for i, k in clashes:
+            sid_a, sid_b = entries[i][0], entries[k][0]
+            shared = min(var_sets[sid_a] & var_sets[sid_b])
+            out(
+                Violation(
+                    "frame-overlap",
+                    f"signals {sid_a} and {sid_b} overlap in slot "
+                    f"{slot} cycle {c} but share variant {shared}",
+                    signal=sid_a,
+                    slot=slot,
+                    variant=shared,
+                    cycle=c,
+                )
+            )
 
     # one node per slot, judged per variant
     for slot, members in slot_members.items():

@@ -1,10 +1,13 @@
 """Golden sha256 digests of schedule documents on the benchmark profiles.
 
-A cell is (profile, strategy, seed).  Its digests cover the bytes the CLI
-writes: the multischedule document and, concatenated in variant order, all
-native schedules.  The fixture `golden_digests.json` next to this file was
-recorded before the conflict model moved to variant bitsets; any change of
-a digest is a change of schedule output.
+A cell is (profile, strategy, seed).  Its digests cover the bytes that
+`fraysched schedule --native-dir` writes: the multischedule document and,
+concatenated in variant order, all native schedules.  The fixture
+`golden_digests.json` next to this file was recorded from
+`json.dumps(doc, indent=2, sort_keys=True) + "\n"` of the dict documents,
+before the conflict model moved to variant bitsets and before the text
+renderer replaced that call; any change of a digest is a change of
+schedule output.
 
 Regenerate (only when an output change is intended and stated):
 
@@ -14,14 +17,15 @@ Regenerate (only when an output change is intended and stated):
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from fraysched.benchgen import PROFILES, generate_instance
-from fraysched.core import load_instance
-from fraysched.multischedule import extract_native_schedule, schedule_to_dict
-from fraysched.scheduler import OrderingStrategy, schedule
+from fraysched.benchgen import PROFILES
+from fraysched import cli
 
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
 STRATEGIES = ("ff", "ffp", "ffw", "ffl", "ffc")
@@ -32,20 +36,26 @@ def cell_key(profile: str, strategy: str, seed: int) -> str:
     return f"{profile}/{strategy}/{seed}"
 
 
-def _text(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def digest_cell(profile: str, strategy: str, seed: int) -> dict:
-    inst = load_instance(generate_instance(PROFILES[profile], seed))
-    ms = schedule(inst, OrderingStrategy.from_name(strategy)).multischedule
-    natives = hashlib.sha256()
-    for j in range(inst.variants.count):
-        natives.update(_text(extract_native_schedule(ms, j, inst.variants)))
-    return {
-        "schedule": hashlib.sha256(_text(schedule_to_dict(ms))).hexdigest(),
-        "natives": natives.hexdigest(),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        instance, out, natives = work / "instance.json", work / "schedule.json", work / "natives"
+        argvs = (
+            ["generate", "--profile", profile, "--seed", str(seed), "--out", str(instance)],
+            ["schedule", str(instance), "--strategy", strategy, "--out", str(out),
+             "--native-dir", str(natives)],
+        )
+        with redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"fraysched {argv[0]} failed for {profile}")
+        digest = hashlib.sha256()
+        for path in sorted(natives.iterdir()):
+            digest.update(path.read_bytes())
+        return {
+            "schedule": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "natives": digest.hexdigest(),
+        }
 
 
 def main() -> int:

@@ -3,7 +3,8 @@
 Nothing here reuses the placement engine's data structures or search code:
 conflicts are recomputed from the variant matrix, occupancy is kept as
 plain per-frame entry lists, and offsets are found by scanning every
-position.  Slow on purpose.
+position.  The document and frame-overlap references read only a
+schedule's placement records.  Slow on purpose.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from fraysched.core import Instance, load_instance
+from fraysched.core import Instance, config_to_dict, load_instance
 
 
 def recompute_windows(instance: Instance) -> dict:
@@ -251,3 +252,70 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
         "variants": members,
     }
     return load_instance(doc)
+
+
+def _node_order(node):
+    return str(node), isinstance(node, str)
+
+
+def slots_doc(ms, keep=None) -> list:
+    """Slot list of a schedule document as plain dicts, in one pass over
+    the placement records; `keep` restricts it to a set of signal ids, and
+    each slot's nodes are those of the signals it keeps.  The reference
+    that the rendered schedule text is compared against."""
+    placements = [[] for _ in ms.slots]
+    nodes = [set() for _ in ms.slots]
+    for sid, pos in ms.placement_records:
+        if keep is None or sid in keep:
+            placements[pos.slot].append(
+                {
+                    "signal": sid,
+                    "first_cycle": pos.first_cycle,
+                    "offset_bits": pos.offset_bits,
+                }
+            )
+            nodes[pos.slot].add(ms.signals[sid].node)
+    return [
+        {
+            "index": slot.index,
+            "nodes": sorted(nodes[i], key=_node_order),
+            "placements": placements[i],
+        }
+        for i, slot in enumerate(ms.slots)
+    ]
+
+
+def schedule_doc(ms) -> dict:
+    return {"config": config_to_dict(ms.config), "slots": slots_doc(ms)}
+
+
+def native_doc(ms, variant: int, variants) -> dict:
+    return {
+        "variant": variant,
+        "config": config_to_dict(ms.config),
+        "slots": slots_doc(ms, variants.members[variant]),
+    }
+
+
+def frame_overlaps(ms, instance: Instance) -> list:
+    """Every pair of co-used signals whose bit ranges intersect in a frame,
+    as (signal a, signal b, slot, cycle, lowest shared variant), frames in
+    first-use order and pairs in record order inside a frame.  Compares
+    all pairs of each frame."""
+    H = instance.config.hyperperiod_cycles
+    windows = recompute_windows(instance)
+    varsets, _, _, _ = conflict_tables(instance)
+    length = {s.id: s.length_bits for s in instance.signals}
+    frames: dict[tuple[int, int], list] = {}
+    for sid, pos in ms.placement_records:
+        period = windows[sid][2]
+        for c in range(max(pos.first_cycle, 0), H, period):
+            frames.setdefault((pos.slot, c), []).append((sid, pos.offset_bits))
+    found = []
+    for (slot, c), entries in frames.items():
+        for i, (a, off_a) in enumerate(entries):
+            for b, off_b in entries[i + 1:]:
+                shared = varsets[a] & varsets[b]
+                if shared and off_a < off_b + length[b] and off_b < off_a + length[a]:
+                    found.append((a, b, slot, c, min(shared)))
+    return found

@@ -103,6 +103,25 @@ class TestScheduleCommand:
         assert [s["nodes"] for s in slots] == [[1], ["gw"]]
 
 
+    @pytest.mark.parametrize("node", [[1], True], ids=["list", "bool"])
+    def test_non_int_str_node_exits_2_with_one_line(self, tmp_path, capsys, node):
+        doc = {
+            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+            "signals": [
+                {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
+                {"id": "b", "node": node, "period_us": 1000, "length_bits": 4},
+            ],
+            "variants": [["a", "b"]],
+        }
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "node must be an integer or a non-empty string" in err[0]
+        assert not (tmp_path / "s.json").exists()
+
+
 class TestValidateCommand:
     def test_reference_schedule_ok(self, ex1, example1_schedule_path):
         assert run(["validate", ex1, example1_schedule_path]) == 0
@@ -130,6 +149,21 @@ class TestValidateCommand:
 
     def test_missing_files_exit_2(self, tmp_path, ex1):
         assert run(["validate", tmp_path / "no.json", tmp_path / "rly.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"slots": [[1, 2]]}, {"slots": [{"placements": [5]}]}, {"slots": 5}],
+        ids=["slot-not-object", "placement-not-object", "slots-not-list"],
+    )
+    def test_malformed_schedule_shape_exits_2_with_one_line(
+        self, tmp_path, ex1, capsys, doc
+    ):
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["validate", ex1, bad]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestGenerateCommand:

@@ -51,6 +51,22 @@ class TestLoadInstance:
         assert example1.variants.members[0] == frozenset("ABCDFG")
         assert example1.variants.members[1] == frozenset("BCEFH")
 
+    @pytest.mark.parametrize(
+        "node", [[1], True, False, "", 1.5, None, {"id": 1}],
+        ids=["list", "true", "false", "empty-str", "float", "null", "object"],
+    )
+    def test_node_must_be_int_or_nonempty_str(self, node):
+        doc = make_doc()
+        doc["signals"][0]["node"] = node
+        with pytest.raises(InstanceError, match="node must be"):
+            load_instance(doc)
+
+    @pytest.mark.parametrize("node", [0, -3, 7, "gw", "1"])
+    def test_int_and_str_nodes_load(self, node):
+        doc = make_doc()
+        doc["signals"][0]["node"] = node
+        assert load_instance(doc).signals[0].node == node
+
     def test_empty_signal_list_is_valid(self):
         inst = load_instance(make_doc(signals=[], variants=[]))
         assert inst.signals == ()

@@ -8,7 +8,7 @@ from fraysched.multischedule import ScheduleError, schedule_from_dict, schedule_
 from fraysched.scheduler import OrderingStrategy, schedule
 from fraysched.validator import validate_multischedule
 
-from oracles import make_random_instance
+from oracles import frame_overlaps, make_random_instance
 
 
 def ffp_doc(example1):
@@ -159,3 +159,43 @@ def test_random_mutations_of_valid_schedules_are_flagged():
             flagged += 1
     # most random perturbations break something; a few may stay feasible
     assert flagged > 60
+
+
+def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
+    # scramble placements (cycle, offset, slot, duplicates) and crowd the
+    # moved ones into the first two slots, then compare the frame-overlap
+    # violations, in order, with an all-pairs scan
+    rng = random.Random(4242)
+    total = 0
+    for _ in range(150):
+        inst = make_random_instance(rng, max_signals=20)
+        W = inst.config.payload_bits
+        H = inst.config.hyperperiod_cycles
+        doc = schedule_to_dict(schedule(inst, OrderingStrategy.FF).multischedule)
+        slots = doc["slots"]
+        slots.append({"index": len(slots), "nodes": [], "placements": []})
+        moved = []
+        for slot in slots:
+            for p in list(slot["placements"]):
+                if rng.random() < 0.6:
+                    p["offset_bits"] = rng.randint(-2, W)
+                    p["first_cycle"] = rng.randint(-1, H)
+                    if rng.random() < 0.5:
+                        slot["placements"].remove(p)
+                        moved.append(p)
+                    if rng.random() < 0.15:
+                        moved.append(dict(p))
+        for p in moved:
+            slots[rng.randrange(min(2, len(slots)))]["placements"].append(p)
+        ms = schedule_from_dict(doc, inst)
+        got = [v for v in validate_multischedule(ms, inst) if v.rule == "frame-overlap"]
+        want = frame_overlaps(ms, inst)
+        assert [(v.signal, v.slot, v.cycle, v.variant) for v in got] == [
+            (a, slot, c, j) for a, _b, slot, c, j in want
+        ]
+        assert all(
+            v.message.startswith(f"signals {a} and {b} overlap")
+            for v, (a, b, *_rest) in zip(got, want)
+        )
+        total += len(want)
+    assert total > 500
