@@ -16,6 +16,9 @@ NodeId = Union[int, str]
 
 ALLOWED_HYPERPERIODS = (1, 2, 4, 8, 16, 32, 64)
 
+# a FlexRay frame carries at most 254 payload bytes
+MAX_PAYLOAD_BITS = 254 * 8
+
 
 class InstanceError(ValueError):
     """Raised when an instance document violates the model invariants."""
@@ -27,6 +30,15 @@ class InfeasibleSignalError(ValueError):
     def __init__(self, signal_id: str, message: str):
         super().__init__(message)
         self.signal_id = signal_id
+
+
+def _first_non_int(fields: dict):
+    """(name, value) of the first field that is not an int, or None.
+    bool is an int subclass, so JSON true/false are not ints here."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            return name, value
+    return None
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,10 @@ class FlexRayConfig:
     slot_us: int = 0
 
     def __post_init__(self):
+        bad = _first_non_int(self.__dict__)
+        if bad:
+            name, value = bad
+            raise InstanceError(f"config: {name} must be an integer, not {value!r}")
         if self.cycle_us <= 0:
             raise InstanceError("config: cycle_us must be positive")
         if self.hyperperiod_cycles not in ALLOWED_HYPERPERIODS:
@@ -52,8 +68,15 @@ class FlexRayConfig:
                 "config: hyperperiod_cycles must be one of %s"
                 % (ALLOWED_HYPERPERIODS,)
             )
-        if self.payload_bits < 1:
-            raise InstanceError("config: payload_bits must be >= 1")
+        if not 1 <= self.payload_bits <= MAX_PAYLOAD_BITS:
+            raise InstanceError(
+                f"config: payload_bits must be between 1 and {MAX_PAYLOAD_BITS} "
+                f"(254 bytes), not {self.payload_bits}"
+            )
+        if self.static_slots < 0:
+            raise InstanceError("config: static_slots must be >= 0")
+        if self.slot_us < 0:
+            raise InstanceError("config: slot_us must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,21 @@ class Signal:
                 f"signal {self.id}: node must be an integer or a non-empty "
                 f"string, not {self.node!r}"
             )
+        if not (
+            type(self.period_us) is type(self.length_bits) is type(self.release_us)
+            is type(self.deadline_us) is int
+        ):
+            name, value = _first_non_int(
+                {
+                    "period_us": self.period_us,
+                    "length_bits": self.length_bits,
+                    "release_us": self.release_us,
+                    "deadline_us": self.deadline_us,
+                }
+            )
+            raise InstanceError(
+                f"signal {self.id}: {name} must be an integer, not {value!r}"
+            )
         if self.period_us <= 0:
             raise InstanceError(f"signal {self.id}: period must be positive")
         if self.length_bits < 1:
@@ -99,14 +137,6 @@ class VariantMatrix:
     @property
     def count(self) -> int:
         return len(self.members)
-
-    def uses(self, signal_id: str, variant: int) -> bool:
-        return signal_id in self.members[variant]
-
-    def variants_of(self, signal_id: str) -> frozenset[int]:
-        return frozenset(
-            j for j, group in enumerate(self.members) if signal_id in group
-        )
 
 
 @dataclass(frozen=True)
@@ -131,12 +161,6 @@ class Instance:
     config: FlexRayConfig
     signals: tuple[Signal, ...]
     variants: VariantMatrix
-
-    def signal_by_id(self, signal_id: str) -> Signal:
-        for s in self.signals:
-            if s.id == signal_id:
-                return s
-        raise KeyError(signal_id)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -172,6 +196,15 @@ def round_time_constraints(signal: Signal, config: FlexRayConfig) -> CycleWindow
     return CycleWindow(release_cycle, deadline_cycle, period_cycles)
 
 
+def _bad_variant_member(j: int, group: list, seen: set) -> InstanceError:
+    """The error for the first entry of variant j that is not a known
+    signal id; looked up only once the set test has failed."""
+    sid = next(s for s in group if not isinstance(s, str) or s not in seen)
+    if isinstance(sid, str):
+        return InstanceError(f"variant {j} references unknown signal {sid!r}")
+    return InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
+
+
 def load_instance(doc: dict) -> Instance:
     """Build a validated Instance from a parsed instance document.
 
@@ -186,33 +219,38 @@ def load_instance(doc: dict) -> Instance:
     except KeyError as exc:
         raise InstanceError(f"instance document missing key {exc}") from None
 
+    if not isinstance(raw_cfg, dict):
+        raise InstanceError("config must be a JSON object")
+    if not isinstance(raw_signals, list):
+        raise InstanceError("signals must be a list of signal records")
+    if not isinstance(raw_variants, list):
+        raise InstanceError("variants must be a list of signal-id lists")
+
     try:
         config = FlexRayConfig(
-            cycle_us=int(raw_cfg["cycle_us"]),
-            hyperperiod_cycles=int(raw_cfg["hyperperiod_cycles"]),
-            payload_bits=int(raw_cfg["payload_bits"]),
-            static_slots=int(raw_cfg.get("static_slots", 0)),
-            slot_us=int(raw_cfg.get("slot_us", 0)),
+            cycle_us=raw_cfg["cycle_us"],
+            hyperperiod_cycles=raw_cfg["hyperperiod_cycles"],
+            payload_bits=raw_cfg["payload_bits"],
+            static_slots=raw_cfg.get("static_slots", 0),
+            slot_us=raw_cfg.get("slot_us", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
+    except KeyError as exc:
         raise InstanceError(f"malformed config section: {exc}") from None
 
     signals = []
     seen = set()
     for raw in raw_signals:
         try:
-            period = int(raw["period_us"])
+            period = raw["period_us"]
             sig = Signal(
                 id=raw["id"],
                 node=raw["node"],
                 period_us=period,
-                length_bits=int(raw["length_bits"]),
-                release_us=int(raw.get("release_us", 0)),
+                length_bits=raw["length_bits"],
+                release_us=raw.get("release_us", 0),
                 # only a missing deadline means "the period"; an explicit
                 # 0 is rejected by Signal like any other non-positive value
-                deadline_us=int(raw["deadline_us"]) if "deadline_us" in raw else period,
+                deadline_us=raw["deadline_us"] if "deadline_us" in raw else period,
             )
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"malformed signal record: {exc}") from None
@@ -240,12 +278,18 @@ def load_instance(doc: dict) -> Instance:
 
     members = []
     for j, group in enumerate(raw_variants):
-        member_set = set()
-        for sid in group:
-            if sid not in seen:
-                raise InstanceError(f"variant {j} references unknown signal {sid!r}")
-            member_set.add(sid)
-        members.append(frozenset(member_set))
+        if not isinstance(group, list):
+            raise InstanceError(
+                f"variant {j} must be a list of signal ids, not {group!r}"
+            )
+        try:
+            member_set = frozenset(group)
+            known = member_set <= seen
+        except TypeError:  # an unhashable entry
+            known = False
+        if not known:
+            raise _bad_variant_member(j, group, seen)
+        members.append(member_set)
     variants = VariantMatrix(tuple(members))
 
     covered = set().union(*members) if members else set()

@@ -475,10 +475,15 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
             if not isinstance(sid, str) or sid not in by_id:
                 raise ScheduleError(f"schedule references unknown signal {sid!r}")
             try:
-                pos = Placement(
-                    slot.index, int(raw["first_cycle"]), int(raw["offset_bits"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                first, offset = raw["first_cycle"], raw["offset_bits"]
+            except KeyError as exc:
                 raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
+            # bool is an int subclass: JSON true/false are not cycles or offsets
+            if type(first) is not int or type(offset) is not int:
+                raise ScheduleError(
+                    f"malformed placement for {sid}: first_cycle and offset_bits "
+                    f"must be integers, not {first!r} and {offset!r}"
+                )
+            pos = Placement(slot.index, first, offset)
             _record(ms, by_id[sid], pos)
     return ms

@@ -2,9 +2,10 @@
 
 Deliberately shares no code with the placement engine: variant
 co-occurrence and node conflicts are recomputed here from the raw variant
-matrix, occupancy is rebuilt per frame from the placement records, and the
-admissible cycle windows are re-derived with plain arithmetic.  Violations
-carry machine-readable coordinates so tests can assert on rule identity.
+matrix, occupancy is rebuilt from the placement records with this module's
+own bit packing, and the admissible cycle windows are re-derived with plain
+arithmetic.  Violations carry machine-readable coordinates so tests can
+assert on rule identity.
 
 Rule ids:
 
@@ -18,6 +19,28 @@ Rule ids:
 The first two rules are evaluated from the multischedule itself (two nodes
 sharing a slot or two signals overlapping is fine exactly when no variant
 combines them), which makes them equivalent to per-variant native checks.
+
+Both are pairwise, and a feasible schedule has no pair to report, so each
+is first screened per slot and checked exactly only on the slots the
+screen flags:
+
+  frame-overlap     one pass over the records keeps, per (slot, variant),
+                    one int of H * W bits where cycle c owns bits
+                    [c * W, (c + 1) * W).  A record's bits are its range
+                    repeated at each of its jobs.  The slot is flagged when
+                    those bits hit a bit already set for one of the
+                    record's variants, or when the record lies outside its
+                    frame (negative offset or first cycle, or past W), so
+                    that no int grows past H * W bits.  Two co-used
+                    signals that overlap in a frame share a variant, so
+                    the later of them is flagged; a false flag only costs
+                    the exact path.  Flagged slots get the per-frame
+                    sweep, over their records in record order, which
+                    reports frames and pairs in the order a sweep over
+                    all frames would.
+  node-exclusivity  per slot, the variant sets of each node's signals are
+                    united; only a slot where two nodes' unions meet is
+                    expanded per variant.
 """
 
 from __future__ import annotations
@@ -25,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, NodeId
+from .core import Instance
 from .multischedule import Multischedule
 
 
@@ -76,10 +99,15 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     width = cfg.payload_bits
 
     by_id = {s.id: s for s in instance.signals}
-    var_sets: dict[str, set[int]] = {s.id: set() for s in instance.signals}
+    # variants of each signal, ascending, and the same set as a bit mask
+    var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
     for j, group in enumerate(instance.variants.members):
         for sid in group:
-            var_sets.setdefault(sid, set()).add(j)
+            var_lists.setdefault(sid, []).append(j)
+    variant_bits = [1 << j for j in range(len(instance.variants.members))]
+    var_masks = {
+        sid: sum(map(variant_bits.__getitem__, js)) for sid, js in var_lists.items()
+    }
 
     violations: list[Violation] = []
     out = violations.append
@@ -99,22 +127,29 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
 
     # signals required by some variant but absent from the schedule
     for s in instance.signals:
-        if s.id not in counts and var_sets[s.id]:
+        if s.id not in counts and var_lists[s.id]:
             out(
                 Violation(
                     "coverage",
                     f"signal {s.id} required by variant "
-                    f"{min(var_sets[s.id])} has no placement",
+                    f"{var_lists[s.id][0]} has no placement",
                     signal=s.id,
-                    variant=min(var_sets[s.id]),
+                    variant=var_lists[s.id][0],
                 )
             )
 
-    # per-placement checks and frame grid reconstruction
-    grid: dict[tuple[int, int], list[tuple[str, int, int, NodeId]]] = {}
-    slot_members: dict[int, list[str]] = {}
+    # per-placement checks and both screens, in one pass over the records
+    starts: dict[tuple[int, int], int] = {}  # (first cycle, period) -> job bits
+    occ: dict[int, list[int]] = {}  # slot -> per variant, H * W occupied bits
+    no_bits = [0] * len(variant_bits)
+    overlap_slots: set[int] = set()
+    slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant masks
     for sid, pos in ms.placement_records:
         sig = by_id[sid]
+        slot = pos.slot
+        first = pos.first_cycle
+        offset = pos.offset_bits
+        length = sig.length_bits
         period = sig.period_us // cycle_us
 
         release_cycle = -(-sig.release_us // cycle_us)
@@ -124,43 +159,96 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             period - 1,
             hyper - 1,
         )
-        if not (release_cycle <= pos.first_cycle <= deadline_cycle):
+        if not (release_cycle <= first <= deadline_cycle):
             out(
                 Violation(
                     "time-window",
-                    f"signal {sid} first job at cycle {pos.first_cycle} outside "
+                    f"signal {sid} first job at cycle {first} outside "
                     f"[{release_cycle}, {deadline_cycle}]",
                     signal=sid,
-                    slot=pos.slot,
-                    cycle=pos.first_cycle,
+                    slot=slot,
+                    cycle=first,
                 )
             )
-        if pos.first_cycle < 0 or pos.first_cycle + (hyper // period - 1) * period >= hyper:
+        if first < 0 or first + (hyper // period - 1) * period >= hyper:
             out(
                 Violation(
                     "periodicity",
-                    f"signal {sid} jobs from cycle {pos.first_cycle} every "
+                    f"signal {sid} jobs from cycle {first} every "
                     f"{period} cycles do not all fit the hyperperiod",
                     signal=sid,
-                    slot=pos.slot,
-                    cycle=pos.first_cycle,
+                    slot=slot,
+                    cycle=first,
                 )
             )
-        if pos.offset_bits < 0 or pos.offset_bits + sig.length_bits > width:
+        in_frame = offset >= 0 and offset + length <= width
+        if not in_frame:
             out(
                 Violation(
                     "payload-bound",
-                    f"signal {sid} at offset {pos.offset_bits} with "
-                    f"{sig.length_bits} bits exceeds the {width}-bit payload",
+                    f"signal {sid} at offset {offset} with "
+                    f"{length} bits exceeds the {width}-bit payload",
                     signal=sid,
-                    slot=pos.slot,
+                    slot=slot,
                 )
             )
-        slot_members.setdefault(pos.slot, []).append(sid)
-        for c in range(max(pos.first_cycle, 0), hyper, period):
-            grid.setdefault((pos.slot, c), []).append(
-                (sid, pos.offset_bits, sig.length_bits, sig.node)
+
+        nodes = slot_nodes.get(slot)
+        if nodes is None:
+            nodes = slot_nodes[slot] = {}
+        nodes[sig.node] = nodes.get(sig.node, 0) | var_masks[sid]
+
+        if slot in overlap_slots:
+            continue
+        if not in_frame or first < 0:
+            # not packed: the range would leave its cycle's W bits (or, for
+            # a huge offset, make an int that long); the exact sweep judges it
+            overlap_slots.add(slot)
+            continue
+        key = (first, period)
+        job_starts = starts.get(key)
+        if job_starts is None:
+            job_starts = starts[key] = sum(
+                1 << (c * width) for c in range(first, hyper, period)
             )
+        bits = job_starts * ((1 << length) - 1) << offset
+        row = occ.get(slot)
+        if row is None:
+            row = occ[slot] = no_bits.copy()
+        for j in var_lists[sid]:
+            held = row[j]
+            if held & bits:
+                overlap_slots.add(slot)
+                break
+            row[j] = held | bits
+
+    node_slots: set[int] = set()
+    for slot, nodes in slot_nodes.items():
+        if len(nodes) > 1:
+            seen = 0
+            for mask in nodes.values():
+                if seen & mask:
+                    node_slots.add(slot)
+                    break
+                seen |= mask
+
+    # exact checks on the flagged slots only, over their records in record
+    # order, so frames and pairs come out as an all-slots sweep orders them
+    grid: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
+    slot_members: dict[int, list[str]] = {
+        slot: [] for slot in slot_nodes if slot in node_slots
+    }
+    if overlap_slots or node_slots:
+        for sid, pos in ms.placement_records:
+            slot = pos.slot
+            if slot in node_slots:
+                slot_members[slot].append(sid)
+            if slot in overlap_slots:
+                sig = by_id[sid]
+                entry = (sid, pos.offset_bits, sig.length_bits)
+                period = sig.period_us // cycle_us
+                for c in range(max(pos.first_cycle, 0), hyper, period):
+                    grid.setdefault((slot, c), []).append(entry)
 
     # overlapping bit ranges are only allowed between signals that never
     # ride in the same variant; reported in entry order per frame
@@ -168,11 +256,12 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
         clashes = sorted(
             (i, k)
             for i, k in _overlapping_pairs(entries)
-            if not var_sets[entries[i][0]].isdisjoint(var_sets[entries[k][0]])
+            if var_masks[entries[i][0]] & var_masks[entries[k][0]]
         )
         for i, k in clashes:
             sid_a, sid_b = entries[i][0], entries[k][0]
-            shared = min(var_sets[sid_a] & var_sets[sid_b])
+            common = var_masks[sid_a] & var_masks[sid_b]
+            shared = (common & -common).bit_length() - 1
             out(
                 Violation(
                     "frame-overlap",
@@ -190,7 +279,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
         per_variant: dict[int, set] = {}
         for sid in members:
             node = by_id[sid].node
-            for j in var_sets[sid]:
+            for j in var_lists[sid]:
                 per_variant.setdefault(j, set()).add(node)
         for j, nodes in sorted(per_variant.items()):
             if len(nodes) > 1:

@@ -122,6 +122,64 @@ class TestScheduleCommand:
         assert not (tmp_path / "s.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(signals=5), "signals must be a list"),
+            (lambda d: d.update(variants=5), "variants must be a list"),
+            (lambda d: d["variants"].append("ABCDFG"), "variant 2 must be a list"),
+            (lambda d: d["variants"][0].append(["A"]), "signal ids must be strings"),
+            (lambda d: d["variants"][1].insert(0, 7), "signal ids must be strings"),
+            (lambda d: d.update(config=[5000]), "config must be a JSON object"),
+        ],
+        ids=["signals-int", "variants-int", "variant-str", "variant-holds-list",
+             "variant-holds-int", "config-list"],
+    )
+    def test_malformed_instance_shape_exits_2_with_one_line(
+        self, tmp_path, example1_instance_path, capsys, mutate, message
+    ):
+        doc = json.loads(example1_instance_path.read_text())
+        mutate(doc)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("signal", "period_us", 5000.9, "period_us must be an integer"),
+            ("signal", "length_bits", True, "length_bits must be an integer"),
+            ("signal", "release_us", False, "release_us must be an integer"),
+            ("signal", "deadline_us", "5000", "deadline_us must be an integer"),
+            ("config", "cycle_us", 5000.0, "cycle_us must be an integer"),
+            ("config", "hyperperiod_cycles", True, "hyperperiod_cycles must be an integer"),
+            ("config", "payload_bits", 2040, "payload_bits must be between 1 and 2032"),
+            ("config", "static_slots", -1, "static_slots must be >= 0"),
+            ("config", "slot_us", -40, "slot_us must be >= 0"),
+            ("config", "static_slots", False, "static_slots must be an integer"),
+        ],
+        ids=["float-period", "bool-length", "bool-release", "str-deadline",
+             "float-cycle", "bool-hyperperiod", "payload-over-254-bytes",
+             "negative-static-slots", "negative-slot-time", "bool-static-slots"],
+    )
+    def test_non_integer_or_out_of_range_number_exits_2_with_one_line(
+        self, tmp_path, example1_instance_path, capsys, section, key, value, message
+    ):
+        doc = json.loads(example1_instance_path.read_text())
+        (doc["signals"][0] if section == "signal" else doc["config"])[key] = value
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "s.json").exists()
+
+
 class TestValidateCommand:
     def test_reference_schedule_ok(self, ex1, example1_schedule_path):
         assert run(["validate", ex1, example1_schedule_path]) == 0
@@ -164,6 +222,25 @@ class TestValidateCommand:
         assert run(["validate", ex1, bad]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("first_cycle", True), ("offset_bits", False), ("offset_bits", 0.0),
+         ("first_cycle", "0")],
+        ids=["bool-cycle", "bool-offset", "float-offset", "str-cycle"],
+    )
+    def test_non_integer_placement_exits_2_with_one_line(
+        self, tmp_path, ex1, example1_schedule_doc, capsys, key, value
+    ):
+        doc = json.loads(json.dumps(example1_schedule_doc))
+        doc["slots"][0]["placements"][0][key] = value
+        bad = tmp_path / "number.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["validate", ex1, bad]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must be integers" in err[0]
 
 
 class TestGenerateCommand:

@@ -139,11 +139,13 @@ class TestLoadInstance:
 
 class TestRounding:
     def test_signal_a(self, example1):
-        win = round_time_constraints(example1.signal_by_id("A"), example1.config)
+        by_id = {s.id: s for s in example1.signals}
+        win = round_time_constraints(by_id["A"], example1.config)
         assert (win.release_cycle, win.deadline_cycle, win.period_cycles) == (0, 0, 1)
 
     def test_signal_e_clipped_to_hyperperiod(self, example1):
-        win = round_time_constraints(example1.signal_by_id("E"), example1.config)
+        by_id = {s.id: s for s in example1.signals}
+        win = round_time_constraints(by_id["E"], example1.config)
         assert (win.release_cycle, win.deadline_cycle, win.period_cycles) == (2, 3, 4)
 
     def test_deadline_inside_first_cycle_is_infeasible(self):
@@ -209,3 +211,9 @@ class TestRounding:
             FlexRayConfig(cycle_us=5000, hyperperiod_cycles=3, payload_bits=16)
         with pytest.raises(InstanceError):
             FlexRayConfig(cycle_us=5000, hyperperiod_cycles=4, payload_bits=0)
+
+    def test_payload_is_at_most_254_bytes(self):
+        assert FlexRayConfig(5000, 4, 2032).payload_bits == 2032
+        with pytest.raises(InstanceError, match="between 1 and 2032"):
+            FlexRayConfig(5000, 4, 2033)
+

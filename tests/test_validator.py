@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from fraysched.benchgen import PROFILES, generate_instance
+from fraysched.core import load_instance
 from fraysched.multischedule import ScheduleError, schedule_from_dict, schedule_to_dict
 from fraysched.scheduler import OrderingStrategy, schedule
 from fraysched.validator import validate_multischedule
 
-from oracles import frame_overlaps, make_random_instance
+from oracles import frame_overlaps, make_random_instance, reference_violations
 
 
 def ffp_doc(example1):
@@ -21,6 +23,14 @@ def find_placement(doc, signal):
             if p["signal"] == signal:
                 return slot, p
     raise AssertionError(f"{signal} not placed")
+
+
+def matches_reference(ms, instance) -> list[dict]:
+    """The validator's violations, checked against the unscreened
+    all-frames reference: same rules, messages, coordinates and order."""
+    got = [v.to_dict() for v in validate_multischedule(ms, instance)]
+    assert got == reference_violations(ms, instance)
+    return got
 
 
 def rules_of(doc, instance):
@@ -155,7 +165,7 @@ def test_random_mutations_of_valid_schedules_are_flagged():
         else:
             victim["offset_bits"] += rng.choice([1, 3, inst.config.payload_bits])
         ms_mut = schedule_from_dict(mutated, inst)
-        if validate_multischedule(ms_mut, inst):
+        if matches_reference(ms_mut, inst):
             flagged += 1
     # most random perturbations break something; a few may stay feasible
     assert flagged > 60
@@ -188,6 +198,7 @@ def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
         for p in moved:
             slots[rng.randrange(min(2, len(slots)))]["placements"].append(p)
         ms = schedule_from_dict(doc, inst)
+        matches_reference(ms, inst)
         got = [v for v in validate_multischedule(ms, inst) if v.rule == "frame-overlap"]
         want = frame_overlaps(ms, inst)
         assert [(v.signal, v.slot, v.cycle, v.variant) for v in got] == [
@@ -199,3 +210,105 @@ def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
         )
         total += len(want)
     assert total > 500
+
+
+# Hand-made frame edge cases on a 4-cycle, 8-bit bus.  a, b and d share
+# variant 0, c alone rides in variant 1; d sits on a third node.
+EDGE_INSTANCE = {
+    "config": {"cycle_us": 1000, "hyperperiod_cycles": 4, "payload_bits": 8},
+    "signals": [
+        {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
+        {"id": "b", "node": 1, "period_us": 2000, "length_bits": 4},
+        {"id": "c", "node": 2, "period_us": 1000, "length_bits": 4},
+        {"id": "d", "node": 3, "period_us": 2000, "length_bits": 4},
+    ],
+    "variants": [["a", "b", "d"], ["c"]],
+}
+
+EDGE_CASES = {
+    # (signal, first_cycle, offset_bits) in one slot -> rules reported
+    "touching ranges": ([("a", 0, 0), ("b", 0, 4)], set()),
+    "overlap only in a later job": ([("a", 0, 0), ("b", 1, 2)], {"frame-overlap"}),
+    "negative offset": ([("b", 0, 0), ("a", 0, -2)], {"payload-bound", "frame-overlap"}),
+    "negative first cycle": (
+        [("a", 0, 0), ("b", -1, 0)],
+        {"time-window", "periodicity", "frame-overlap"},
+    ),
+    # a spills past the payload into the bits of the next cycle, where b
+    # starts: not an overlap inside any frame
+    "past the payload": ([("a", 0, 6), ("b", 1, 0)], {"payload-bound"}),
+    # the screen flags it instead of building a bit mask that long
+    "offset far past the payload": ([("a", 0, 0), ("b", 0, 10**12)], {"payload-bound"}),
+    "first cycle past the hyperperiod": (
+        [("a", 0, 0), ("b", 4, 0)], {"time-window", "periodicity"}
+    ),
+    "same signal twice in one slot": (
+        [("a", 0, 0), ("b", 0, 4), ("a", 0, 0)], {"periodicity", "frame-overlap"}
+    ),
+    "two nodes without a shared variant": ([("a", 0, 0), ("c", 0, 0)], set()),
+    "two nodes sharing a variant": ([("a", 0, 0), ("d", 0, 4)], {"node-exclusivity"}),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_cases_match_reference(case):
+    inst = load_instance(EDGE_INSTANCE)
+    crowded, rules = EDGE_CASES[case]
+    # every signal not in the crowded slot gets a clean slot of its own
+    placed = {sid for sid, _, _ in crowded}
+    slots = [crowded] + [[(s.id, 0, 0)] for s in inst.signals if s.id not in placed]
+    doc = {
+        "slots": [
+            {"placements": [
+                {"signal": sid, "first_cycle": c, "offset_bits": off}
+                for sid, c, off in slot
+            ]}
+            for slot in slots
+        ]
+    }
+    got = matches_reference(schedule_from_dict(doc, inst), inst)
+    assert {v["rule"] for v in got} == rules
+    assert all(v.get("slot", 0) == 0 for v in got)
+
+
+def _plant_fault(rng, doc):
+    """Break one placement of the document: stack it on another placement,
+    nudge its offset or first cycle, or record it twice."""
+    slots = doc["slots"]
+    slot = rng.choice([s for s in slots if s["placements"]])
+    victim = rng.choice(slot["placements"])
+    kind = rng.randrange(4)
+    if kind == 0:
+        target = rng.choice([s for s in slots if s["placements"]])
+        model = rng.choice(target["placements"])
+        slot["placements"].remove(victim)
+        victim["first_cycle"] = model["first_cycle"]
+        victim["offset_bits"] = model["offset_bits"] + rng.randint(-2, 2)
+        target["placements"].append(victim)
+    elif kind == 1:
+        victim["offset_bits"] += rng.choice([-3, -1, 1, 5])
+    elif kind == 2:
+        victim["first_cycle"] += rng.choice([-1, 1, 2])
+    else:
+        slot["placements"].append(dict(victim))
+
+
+@pytest.mark.parametrize("profile", ["set1", "set7"])
+def test_planted_faults_match_reference_on_benchmark_sized_schedules(profile):
+    # one to three faults among ~1000 clean placements, so that a few
+    # dirty slots sit among many clean ones
+    inst = load_instance(generate_instance(PROFILES[profile], 0))
+    doc = schedule_to_dict(schedule(inst, OrderingStrategy.FFC).multischedule)
+    assert matches_reference(schedule_from_dict(doc, inst), inst) == []
+    rng = random.Random(profile)
+    rules = set()
+    for _ in range(12):
+        mutated = copy.deepcopy(doc)
+        for _ in range(rng.randint(1, 3)):
+            _plant_fault(rng, mutated)
+        got = matches_reference(schedule_from_dict(mutated, inst), inst)
+        assert got
+        rules.update(v["rule"] for v in got)
+    assert rules == {
+        "frame-overlap", "node-exclusivity", "payload-bound", "periodicity", "time-window"
+    }
