@@ -7,10 +7,8 @@ violations, 2 unreadable/malformed input or infeasible instance.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import benchgen, core, exclusion, multischedule, validator
@@ -32,7 +30,10 @@ def cmd_generate(args) -> int:
     doc = benchgen.generate_instance(profile, args.seed)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0
@@ -43,6 +44,8 @@ def cmd_schedule(args) -> int:
         instance = core.read_instance(args.instance)
     except FileNotFoundError:
         return _fail(f"instance file not found: {args.instance}")
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(f"cannot read {args.instance}: {exc}")
     except core.InstanceError as exc:
         return _fail(str(exc))
     try:
@@ -55,21 +58,6 @@ def cmd_schedule(args) -> int:
     except core.InfeasibleSignalError as exc:
         return _fail(f"infeasible instance: {exc}")
 
-    # the multischedule text first, then one native text at a time
-    documents = multischedule.render_documents(
-        result.multischedule, instance.variants if args.native_dir else None
-    )
-    Path(args.out).write_text(next(documents), encoding="utf-8")
-    if args.native_dir:
-        out_dir = Path(args.native_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for j, text in enumerate(documents):
-            (out_dir / f"variant{j:02d}.json").write_text(text, encoding="utf-8")
-
-    if args.mems_dump:
-        mems = exclusion.compute_mems(instance.signals, instance.variants)
-        exclusion.dump_mems_csv(mems, args.mems_dump)
-
     stats = {
         "strategy": strategy.value,
         "slot_count": result.slot_count,
@@ -77,10 +65,28 @@ def cmd_schedule(args) -> int:
         "signal_count": len(instance.signals),
         "variant_count": instance.variants.count,
     }
-    if args.stats:
-        Path(args.stats).write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    try:
+        # the multischedule text first, then one native text at a time
+        documents = multischedule.render_documents(
+            result.multischedule, instance.variants if args.native_dir else None
         )
+        Path(args.out).write_text(next(documents), encoding="utf-8")
+        if args.native_dir:
+            out_dir = Path(args.native_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for j, text in enumerate(documents):
+                (out_dir / f"variant{j:02d}.json").write_text(text, encoding="utf-8")
+
+        if args.mems_dump:
+            mems = exclusion.compute_mems(instance.signals, instance.variants)
+            exclusion.dump_mems_csv(mems, args.mems_dump)
+
+        if args.stats:
+            Path(args.stats).write_text(
+                json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
     print(
         "scheduled {signal_count} signals / {variant_count} variants with "
         "{strategy}: {slot_count} slots in {wall_time_s:.3f} s".format(**stats)
@@ -95,11 +101,15 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    path = args.instance
     try:
-        instance = core.read_instance(args.instance)
-        sched_doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
+        instance = core.read_instance(path)
+        path = args.schedule
+        sched_doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(f"cannot read {path}: {exc}")
     except (core.InstanceError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     try:
@@ -144,6 +154,9 @@ def _bench_cell(profile_name: str, seed: int, strategy_name: str) -> dict:
 
 
 def cmd_bench(args) -> int:
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     profiles = [p.strip().lower() for p in args.profiles.split(",") if p.strip()]
     strategies = [s.strip().lower() for s in args.strategies.split(",") if s.strip()]
     for p in profiles:

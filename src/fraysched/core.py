@@ -41,6 +41,14 @@ def _first_non_int(fields: dict):
     return None
 
 
+def is_node_id(value) -> bool:
+    """An int or a non-empty string.  bool is an int subclass, and True
+    would alias node 1."""
+    if isinstance(value, str):
+        return value != ""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FlexRayConfig:
     """Bus parameters that are fixed before scheduling starts.
@@ -94,10 +102,7 @@ class Signal:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InstanceError("signal id must be a non-empty string")
-        # bool is an int subclass, and True would alias node 1
-        if isinstance(self.node, bool) or not (
-            isinstance(self.node, int) or (isinstance(self.node, str) and self.node)
-        ):
+        if not is_node_id(self.node):
             raise InstanceError(
                 f"signal {self.id}: node must be an integer or a non-empty "
                 f"string, not {self.node!r}"

@@ -17,11 +17,8 @@ iff p != q and some variant carries signals from both nodes.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Sequence, Union
-
-import numpy as np
 
 from .core import NodeId, Signal, VariantMatrix
 
@@ -72,28 +69,30 @@ def compute_mems(
     return ConflictModel(signals, variants_of)
 
 
-def dense_matrices(mems: ConflictModel) -> tuple[np.ndarray, np.ndarray]:
-    """(SMEM, NMEM) as bool arrays in `signal_ids` / `nodes` order.
+Matrix = list[list[bool]]
+
+
+def dense_matrices(mems: ConflictModel) -> tuple[Matrix, Matrix]:
+    """(SMEM, NMEM) as lists of bool rows in `signal_ids` / `nodes` order.
 
     O(n^2) memory; the scheduler never calls this.
     """
 
-    def co_used(masks: list[int]) -> np.ndarray:
-        width = max((m.bit_length() for m in masks), default=0)
-        member = np.array(
-            [[(m >> j) & 1 for j in range(width)] for m in masks], dtype=np.float32
-        ).reshape(len(masks), width)
-        return (member @ member.T) > 0.5
+    def co_used(masks: list[int], diagonal: bool) -> Matrix:
+        return [
+            [diagonal if i == k else bool(a & b) for k, b in enumerate(masks)]
+            for i, a in enumerate(masks)
+        ]
 
-    smem = co_used([mems.signal_mask[sid] for sid in mems.signal_ids])
-    np.fill_diagonal(smem, True)
-    nmem = co_used([mems.node_mask[nd] for nd in mems.nodes])
-    np.fill_diagonal(nmem, False)
+    smem = co_used([mems.signal_mask[sid] for sid in mems.signal_ids], True)
+    nmem = co_used([mems.node_mask[nd] for nd in mems.nodes], False)
     return smem, nmem
 
 
 def dump_mems_csv(mems: ConflictModel, out_dir: Union[str, Path]) -> None:
     """Write both matrices as 0/1 CSV grids with id headers (debug aid)."""
+    import csv
+
     smem, nmem = dense_matrices(mems)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

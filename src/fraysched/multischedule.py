@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .core import (
     CycleWindow,
@@ -33,7 +33,7 @@ from .core import (
     Instance,
     Signal,
     config_to_dict,
-    round_time_constraints,
+    is_node_id,
 )
 from .exclusion import ConflictModel
 
@@ -52,25 +52,6 @@ class Placement:
     offset_bits: int
 
 
-class Entry(NamedTuple):
-    signal: str
-    offset_bits: int
-    length_bits: int
-
-
-class Multiframe:
-    """Entries of one (slot, cycle) cell, as listed by `frame_view`."""
-
-    __slots__ = ("payload_bits", "entries")
-
-    def __init__(self, payload_bits: int):
-        self.payload_bits = payload_bits
-        self.entries: list[Entry] = []
-
-    def add_entry(self, signal_id: str, offset_bits: int, length_bits: int) -> None:
-        self.entries.append(Entry(signal_id, offset_bits, length_bits))
-
-
 class Slot:
     __slots__ = ("index", "nodes", "occ")
 
@@ -82,33 +63,27 @@ class Slot:
 
 
 class Multischedule:
-    def __init__(self, config: FlexRayConfig):
+    """Slots and the placement records of one multischedule.
+
+    `windows` maps each signal id to its admissible cycle window; a
+    schedule rebuilt from its document is never placed into and gets an
+    empty table.
+    """
+
+    def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
         self.config = config
+        self.windows = windows
         self.slots: list[Slot] = []
-        self.placements: dict[str, Placement] = {}
-        # every committed (signal, placement) pair in commit order; unlike
-        # `placements` this keeps duplicates, which the validator must see
-        self.placement_records: list[tuple[str, Placement]] = []
-        self.signals: dict[str, Signal] = {}
-        self._windows: dict[str, CycleWindow] = {}
+        # every committed (signal, placement) pair in commit order; a
+        # document may list a signal twice, which the validator must see
+        self.placement_records: list[tuple[Signal, Placement]] = []
         self._job_starts: dict[int, int] = {}
         self._fit_starts: dict[int, int] = {}
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.slots)
 
     def allocate_slot(self) -> Slot:
         slot = Slot(len(self.slots))
         self.slots.append(slot)
         return slot
-
-    def window_for(self, signal: Signal) -> CycleWindow:
-        win = self._windows.get(signal.id)
-        if win is None:
-            win = round_time_constraints(signal, self.config)
-            self._windows[signal.id] = win
-        return win
 
     def job_starts(self, period_cycles: int) -> int:
         """Bit c * W of every cycle c = 0, period, 2 * period, ..."""
@@ -129,11 +104,6 @@ class Multischedule:
             bits = per_frame * self.job_starts(1)
             self._fit_starts[length] = bits
         return bits
-
-
-def slot_count(ms: Multischedule) -> int:
-    """Number of allocated static slots -- the minimization objective."""
-    return len(ms.slots)
 
 
 def _run_starts(free: int, length: int) -> int:
@@ -166,31 +136,6 @@ def _window_first_fit(
     return lo + cycle, offset
 
 
-def _first_fit_offset(mask: int, length: int, width: int) -> Optional[int]:
-    """First offset with `length` clear bits in mask[0:width], or None:
-    the one-frame case of `_window_first_fit`."""
-    if length > width:
-        return None
-    fits = (1 << (width - length + 1)) - 1
-    found = _window_first_fit(mask, length, width, 0, 0, fits)
-    return None if found is None else found[1]
-
-
-def find_suitable_offset(
-    frame: Multiframe, signal: Signal, mems: ConflictModel
-) -> Optional[int]:
-    """Smallest in-frame offset where the signal fits, or None.
-
-    A resident blocks the bits of its range only when it conflicts with the
-    queried signal; residents never co-used in any variant are transparent.
-    """
-    mask = 0
-    for entry in frame.entries:
-        if mems.signals_conflict(signal.id, entry.signal):
-            mask |= ((1 << entry.length_bits) - 1) << entry.offset_bits
-    return _first_fit_offset(mask, signal.length_bits, frame.payload_bits)
-
-
 def _node_admissible(slot: Slot, node, mems: ConflictModel) -> bool:
     node_mask = mems.node_mask
     own = node_mask[node]
@@ -215,7 +160,7 @@ def find_position_for_signal(
     release_cycle; otherwise the scan continues at the next cycle after the
     cursor.
     """
-    window = ms.window_for(signal)
+    window = ms.windows[signal.id]
     width = ms.config.payload_bits
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
@@ -270,13 +215,6 @@ def _jobs_fit(
     return not any(occ.get(v, 0) & bits for v in mems.variants_of[signal.id])
 
 
-def _record(ms: Multischedule, signal: Signal, pos: Placement) -> None:
-    ms.slots[pos.slot].nodes.add(signal.node)
-    ms.placements[signal.id] = pos
-    ms.placement_records.append((signal.id, pos))
-    ms.signals[signal.id] = signal
-
-
 def _commit(
     ms: Multischedule,
     signal: Signal,
@@ -288,7 +226,8 @@ def _commit(
     occ = ms.slots[pos.slot].occ
     for v in mems.variants_of[signal.id]:
         occ[v] = occ.get(v, 0) | bits
-    _record(ms, signal, pos)
+    ms.slots[pos.slot].nodes.add(signal.node)
+    ms.placement_records.append((signal, pos))
 
 
 def place_signal_to_schedule(
@@ -302,7 +241,7 @@ def place_signal_to_schedule(
     exhausted a fresh slot is opened, which always admits the signal at
     (release_cycle, offset 0).
     """
-    window = ms.window_for(signal)
+    window = ms.windows[signal.id]
     cursor = None
     while True:
         pos = find_position_for_signal(ms, signal, mems, cursor)
@@ -317,23 +256,6 @@ def place_signal_to_schedule(
     pos = Placement(slot.index, window.release_cycle, 0)
     _commit(ms, signal, mems, pos, window)
     return pos
-
-
-def frame_view(ms: Multischedule) -> list[list[Multiframe]]:
-    """Resident entries per slot and cycle, in commit order.
-
-    Derived from the placement records on request (tests, debugging); the
-    engine itself keeps only the packed occupancy.
-    """
-    cfg = ms.config
-    hyper = cfg.hyperperiod_cycles
-    frames = [[Multiframe(cfg.payload_bits) for _ in range(hyper)] for _ in ms.slots]
-    for sid, pos in ms.placement_records:
-        sig = ms.signals[sid]
-        period = sig.period_us // cfg.cycle_us
-        for cycle in range(max(pos.first_cycle, 0), hyper, period):
-            frames[pos.slot][cycle].add_entry(sid, pos.offset_bits, sig.length_bits)
-    return frames
 
 
 # Schedule documents are JSON text with sorted keys, a 2-space indent and
@@ -376,14 +298,13 @@ def _node_text(node) -> str:
 def _items(ms: Multischedule) -> list[tuple]:
     """(slot, rendered placement, node) per placement record, in commit
     order."""
-    signals = ms.signals
     return [
         (
             pos.slot,
-            _PLACEMENT % (pos.first_cycle, pos.offset_bits, encode_basestring_ascii(sid)),
-            signals[sid].node,
+            _PLACEMENT % (pos.first_cycle, pos.offset_bits, encode_basestring_ascii(sig.id)),
+            sig.node,
         )
-        for sid, pos in ms.placement_records
+        for sig, pos in ms.placement_records
     ]
 
 
@@ -432,8 +353,8 @@ def render_documents(ms: Multischedule, variants=None) -> Iterator[str]:
         for sid in group:
             variants_of.setdefault(sid, []).append(j)
     picked: list[list[tuple]] = [[] for _ in variants.members]
-    for (sid, _pos), item in zip(ms.placement_records, items):
-        for j in variants_of.get(sid, ()):
+    for (sig, _pos), item in zip(ms.placement_records, items):
+        for j in variants_of.get(sig.id, ()):
             picked[j].append(item)
     for j, native in enumerate(picked):
         yield _document(ms, native, ',\n  "variant": %d' % j)
@@ -454,13 +375,24 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
     """Rebuild a Multischedule's placement records from its document form.
 
     Tolerates infeasible placements (the validator needs to see them) but
-    rejects documents referencing unknown signals or lacking structure.
-    No occupancy is built: the validator works from the records alone.
+    rejects documents referencing unknown signals or lacking structure,
+    and a stated `config` or slot `index` that differs from the instance
+    or the slot's position.  A slot's stated `nodes` become `Slot.nodes`,
+    for the validator to compare with its placements' nodes; a slot that
+    states none takes those nodes.  No occupancy is built: the validator
+    works from the records alone.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")
+    config = config_to_dict(instance.config)
+    stated = doc.get("config", config)
+    # bool is an int subclass and 16.0 == 16: neither is the instance's value
+    if stated != config or any(type(v) is not int for v in stated.values()):
+        raise ScheduleError(
+            f"schedule config {stated!r} differs from the instance config {config!r}"
+        )
     by_id = {s.id: s for s in instance.signals}
-    ms = Multischedule(instance.config)
+    ms = Multischedule(instance.config, {})
     for raw_slot in doc["slots"]:
         slot = ms.allocate_slot()
         placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
@@ -468,6 +400,17 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
             raise ScheduleError(
                 f"slot {slot.index}: a slot must be an object with a 'placements' list"
             )
+        index = raw_slot.get("index", slot.index)
+        if type(index) is not int or index != slot.index:
+            raise ScheduleError(f"slot {slot.index}: index is {index!r}, expected {slot.index}")
+        nodes_stated = "nodes" in raw_slot
+        if nodes_stated:
+            nodes = raw_slot["nodes"]
+            if not isinstance(nodes, list) or not all(map(is_node_id, nodes)):
+                raise ScheduleError(
+                    f"slot {slot.index}: nodes must be a list of node ids, not {nodes!r}"
+                )
+            slot.nodes = set(nodes)
         for raw in placements:
             if not isinstance(raw, dict):
                 raise ScheduleError(f"slot {slot.index}: a placement must be an object")
@@ -484,6 +427,8 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
                     f"malformed placement for {sid}: first_cycle and offset_bits "
                     f"must be integers, not {first!r} and {offset!r}"
                 )
-            pos = Placement(slot.index, first, offset)
-            _record(ms, by_id[sid], pos)
+            signal = by_id[sid]
+            ms.placement_records.append((signal, Placement(slot.index, first, offset)))
+            if not nodes_stated:
+                slot.nodes.add(signal.node)
     return ms

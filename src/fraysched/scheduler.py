@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
 from .exclusion import compute_mems
-from .multischedule import Multischedule, Placement, place_signal_to_schedule
+from .multischedule import Multischedule, place_signal_to_schedule
 
 
 class OrderingStrategy(Enum):
@@ -43,10 +43,10 @@ class OrderingStrategy(Enum):
 @dataclass
 class ScheduleResult:
     multischedule: Multischedule
-    strategy: OrderingStrategy
-    slot_count: int
     wall_time_s: float
-    placements: dict[str, Placement]
+
+    # the minimization objective: static slots allocated
+    slot_count = property(lambda self: len(self.multischedule.slots))
 
 
 def sort_signals(
@@ -95,16 +95,7 @@ def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
         s.id: round_time_constraints(s, instance.config) for s in instance.signals
     }
     ordered = sort_signals(instance.signals, strategy, windows)
-    ms = Multischedule(instance.config)
-    ms._windows.update(windows)
-    placements = {}
+    ms = Multischedule(instance.config, windows)
     for sig in ordered:
-        placements[sig.id] = place_signal_to_schedule(ms, sig, mems)
-    wall = time.perf_counter() - t0
-    return ScheduleResult(
-        multischedule=ms,
-        strategy=strategy,
-        slot_count=len(ms.slots),
-        wall_time_s=wall,
-        placements=placements,
-    )
+        place_signal_to_schedule(ms, sig, mems)
+    return ScheduleResult(ms, time.perf_counter() - t0)

@@ -15,6 +15,7 @@ Rule ids:
   periodicity       duplicate placement, or jobs leave the hyperperiod
   time-window       first job outside [release_cycle, deadline_cycle]
   coverage          a variant's signal has no placement at all
+  slot-nodes        a slot's stated nodes differ from its signals' nodes
 
 The first two rules are evaluated from the multischedule itself (two nodes
 sharing a slot or two signals overlapping is fine exactly when no variant
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance
+from .core import Instance, Signal
 from .multischedule import Multischedule
 
 
@@ -98,7 +99,6 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     hyper = cfg.hyperperiod_cycles
     width = cfg.payload_bits
 
-    by_id = {s.id: s for s in instance.signals}
     # variants of each signal, ascending, and the same set as a bit mask
     var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
     for j, group in enumerate(instance.variants.members):
@@ -113,8 +113,8 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     out = violations.append
 
     counts: dict[str, int] = {}
-    for sid, _pos in ms.placement_records:
-        counts[sid] = counts.get(sid, 0) + 1
+    for sig, _pos in ms.placement_records:
+        counts[sig.id] = counts.get(sig.id, 0) + 1
     for sid, n in counts.items():
         if n > 1:
             out(
@@ -144,8 +144,8 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     no_bits = [0] * len(variant_bits)
     overlap_slots: set[int] = set()
     slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant masks
-    for sid, pos in ms.placement_records:
-        sig = by_id[sid]
+    for sig, pos in ms.placement_records:
+        sid = sig.id
         slot = pos.slot
         first = pos.first_cycle
         offset = pos.offset_bits
@@ -235,17 +235,16 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     # exact checks on the flagged slots only, over their records in record
     # order, so frames and pairs come out as an all-slots sweep orders them
     grid: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
-    slot_members: dict[int, list[str]] = {
+    slot_members: dict[int, list[Signal]] = {
         slot: [] for slot in slot_nodes if slot in node_slots
     }
     if overlap_slots or node_slots:
-        for sid, pos in ms.placement_records:
+        for sig, pos in ms.placement_records:
             slot = pos.slot
             if slot in node_slots:
-                slot_members[slot].append(sid)
+                slot_members[slot].append(sig)
             if slot in overlap_slots:
-                sig = by_id[sid]
-                entry = (sid, pos.offset_bits, sig.length_bits)
+                entry = (sig.id, pos.offset_bits, sig.length_bits)
                 period = sig.period_us // cycle_us
                 for c in range(max(pos.first_cycle, 0), hyper, period):
                     grid.setdefault((slot, c), []).append(entry)
@@ -277,10 +276,9 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     # one node per slot, judged per variant
     for slot, members in slot_members.items():
         per_variant: dict[int, set] = {}
-        for sid in members:
-            node = by_id[sid].node
-            for j in var_lists[sid]:
-                per_variant.setdefault(j, set()).add(node)
+        for sig in members:
+            for j in var_lists[sig.id]:
+                per_variant.setdefault(j, set()).add(sig.node)
         for j, nodes in sorted(per_variant.items()):
             if len(nodes) > 1:
                 out(
@@ -292,4 +290,17 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
                         variant=j,
                     )
                 )
+
+    # the nodes a slot states (a document's `nodes`) are its signals' nodes
+    for slot in ms.slots:
+        carried = set(slot_nodes.get(slot.index, ()))
+        if slot.nodes != carried:
+            out(
+                Violation(
+                    "slot-nodes",
+                    f"slot {slot.index} states nodes {sorted(map(str, slot.nodes))} "
+                    f"but carries {sorted(map(str, carried))}",
+                    slot=slot.index,
+                )
+            )
     return violations

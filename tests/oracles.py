@@ -3,14 +3,16 @@
 Nothing here reuses the placement engine's data structures or search code:
 conflicts are recomputed from the variant matrix, occupancy is kept as
 plain per-frame entry lists, and offsets are found by scanning every
-position.  The document and frame-overlap references read only a
-schedule's placement records.  Slow on purpose.
+position.  The document and frame-overlap references and the per-frame
+entry view (`frame_view`) read only a schedule's placement records.  Slow
+on purpose.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 from fraysched.core import Instance, config_to_dict, load_instance
 
@@ -65,6 +67,39 @@ def naive_first_fit_offset(entries, sig_id, length, width, sig_conflict):
         if ok:
             return off
     return None
+
+
+class Entry(NamedTuple):
+    signal: str
+    offset_bits: int
+    length_bits: int
+
+
+def frame_view(ms) -> list:
+    """Entries of every (slot, cycle) frame, `frame_view(ms)[slot][cycle]`,
+    in record order: one per job of each placement record."""
+    cfg = ms.config
+    hyper = cfg.hyperperiod_cycles
+    frames = [[[] for _ in range(hyper)] for _ in ms.slots]
+    for sig, pos in ms.placement_records:
+        period = sig.period_us // cfg.cycle_us
+        for cycle in range(max(pos.first_cycle, 0), hyper, period):
+            frames[pos.slot][cycle].append(Entry(sig.id, pos.offset_bits, sig.length_bits))
+    return frames
+
+
+def frame_mask(entries, variants_of, sig_id) -> int:
+    """Bits of one frame that block a signal, built the way a slot keeps
+    its occupancy: per variant, the OR of its residents' ranges, then the
+    OR over the signal's own variants.  `entries` are (id, offset, length)."""
+    occ: dict[int, int] = {}
+    for other, offset, length in entries:
+        for v in variants_of[other]:
+            occ[v] = occ.get(v, 0) | ((1 << length) - 1) << offset
+    mask = 0
+    for v in variants_of[sig_id]:
+        mask |= occ.get(v, 0)
+    return mask
 
 
 def reference_schedule(instance: Instance, order):
@@ -265,16 +300,16 @@ def slots_doc(ms, keep=None) -> list:
     that the rendered schedule text is compared against."""
     placements = [[] for _ in ms.slots]
     nodes = [set() for _ in ms.slots]
-    for sid, pos in ms.placement_records:
-        if keep is None or sid in keep:
+    for sig, pos in ms.placement_records:
+        if keep is None or sig.id in keep:
             placements[pos.slot].append(
                 {
-                    "signal": sid,
+                    "signal": sig.id,
                     "first_cycle": pos.first_cycle,
                     "offset_bits": pos.offset_bits,
                 }
             )
-            nodes[pos.slot].add(ms.signals[sid].node)
+            nodes[pos.slot].add(sig.node)
     return [
         {
             "index": slot.index,
@@ -307,10 +342,10 @@ def frame_overlaps(ms, instance: Instance) -> list:
     varsets, _, _, _ = conflict_tables(instance)
     length = {s.id: s.length_bits for s in instance.signals}
     frames: dict[tuple[int, int], list] = {}
-    for sid, pos in ms.placement_records:
-        period = windows[sid][2]
+    for sig, pos in ms.placement_records:
+        period = windows[sig.id][2]
         for c in range(max(pos.first_cycle, 0), H, period):
-            frames.setdefault((pos.slot, c), []).append((sid, pos.offset_bits))
+            frames.setdefault((pos.slot, c), []).append((sig.id, pos.offset_bits))
     found = []
     for (slot, c), entries in frames.items():
         for i, (a, off_a) in enumerate(entries):
@@ -368,8 +403,8 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
     out = violations.append
 
     counts: dict[str, int] = {}
-    for sid, _pos in ms.placement_records:
-        counts[sid] = counts.get(sid, 0) + 1
+    for sig, _pos in ms.placement_records:
+        counts[sig.id] = counts.get(sig.id, 0) + 1
     for sid, n in counts.items():
         if n > 1:
             out(
@@ -396,8 +431,8 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
     # per-placement checks and frame grid reconstruction
     grid: dict[tuple[int, int], list[tuple]] = {}
     slot_members: dict[int, list[str]] = {}
-    for sid, pos in ms.placement_records:
-        sig = by_id[sid]
+    for sig, pos in ms.placement_records:
+        sid = sig.id
         period = sig.period_us // cycle_us
 
         release_cycle = -(-sig.release_us // cycle_us)
@@ -486,4 +521,17 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
                         variant=j,
                     )
                 )
+
+    # a slot's stated nodes against the nodes of the signals it carries
+    for i, slot in enumerate(ms.slots):
+        carried = {by_id[sid].node for sid in slot_members.get(i, ())}
+        if slot.nodes != carried:
+            out(
+                _violation(
+                    "slot-nodes",
+                    f"slot {i} states nodes {sorted(map(str, slot.nodes))} "
+                    f"but carries {sorted(map(str, carried))}",
+                    slot=i,
+                )
+            )
     return violations

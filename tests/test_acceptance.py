@@ -10,12 +10,11 @@ import random
 import time
 
 from fraysched.benchgen import PROFILES, generate_instance
-from fraysched.core import load_instance
+from fraysched.core import FlexRayConfig, load_instance
 from fraysched.exclusion import compute_mems, dense_matrices
 from fraysched.multischedule import (
-    Multiframe,
-    find_suitable_offset,
-    frame_view,
+    Multischedule,
+    _window_first_fit,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -25,6 +24,8 @@ from fraysched.validator import validate_multischedule
 from oracles import (
     brute_force_min_slots,
     conflict_tables,
+    frame_mask,
+    frame_view,
     make_random_instance,
     naive_first_fit_offset,
 )
@@ -41,7 +42,7 @@ def test_criterion_1_example1_exclusion_matrices(example1):
         tuple(sorted((ids[i], ids[j])))
         for i in range(len(ids))
         for j in range(i + 1, len(ids))
-        if not smem[i, j]
+        if not smem[i][j]
     }
     assert zero_pairs == {
         ("A", "E"), ("A", "H"), ("D", "E"), ("D", "H"), ("E", "G"), ("G", "H"),
@@ -63,18 +64,19 @@ def test_criterion_2_example1_ffp_schedule(example1):
     assert validate_multischedule(res.multischedule, example1) == []
 
     # G and H (nodes 2 and 3, never co-variant) share one slot
-    assert res.placements["G"].slot == res.placements["H"].slot
+    placements = {s.id: p for s, p in res.multischedule.placement_records}
+    assert placements["G"].slot == placements["H"].slot
 
     # E is stored overlapping another node-1 signal it never rides with,
     # in a late cycle of its window (the paper's figure shows the same
     # structure; slot indices may permute)
-    pos_e = res.placements["E"]
+    pos_e = placements["E"]
     assert pos_e.first_cycle >= 2
     frame = frame_view(res.multischedule)[pos_e.slot][pos_e.first_cycle]
     mems = compute_mems(example1.signals, example1.variants)
     overlapped = [
         e.signal
-        for e in frame.entries
+        for e in frame
         if e.signal != "E"
         and e.offset_bits < pos_e.offset_bits + 16
         and pos_e.offset_bits < e.offset_bits + e.length_bits
@@ -83,7 +85,7 @@ def test_criterion_2_example1_ffp_schedule(example1):
     assert all(not mems.signals_conflict("E", other) for other in overlapped)
     print(
         "\nACCEPTANCE 2 PASS: FFP reproduces the 3-slot optimum "
-        f"(G/H share slot {res.placements['G'].slot}, E overlaps {overlapped})"
+        f"(G/H share slot {placements['G'].slot}, E overlaps {overlapped})"
     )
 
 
@@ -177,33 +179,38 @@ def test_criterion_6_property_suite(example1):
         probe = make_random_instance(rng, max_signals=8)
         mems = compute_mems(probe.signals, probe.variants)
         _, _, sig_conflict, _ = conflict_tables(probe)
-        frame = Multiframe(probe.config.payload_bits)
+        width = probe.config.payload_bits
+        one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
+        frame = []
         for s in probe.signals:
             if rng.random() < 0.4:
-                frame.add_entry(
-                    s.id,
-                    rng.randint(0, probe.config.payload_bits - s.length_bits),
-                    s.length_bits,
+                frame.append(
+                    (s.id, rng.randint(0, width - s.length_bits), s.length_bits)
                 )
-        resident = {e.signal for e in frame.entries}
+        resident = {sid for sid, _, _ in frame}
         for s in probe.signals:
             if s.id in resident:
                 continue
-            assert find_suitable_offset(frame, s, mems) == naive_first_fit_offset(
-                [(e.signal, e.offset_bits, e.length_bits) for e in frame.entries],
-                s.id, s.length_bits, probe.config.payload_bits, sig_conflict,
+            # the engine's packed first fit over a one-cycle window
+            found = _window_first_fit(
+                frame_mask(frame, mems.variants_of, s.id), s.length_bits, width,
+                0, 0, one_cycle.fit_starts(s.length_bits),
+            )
+            assert (None if found is None else found[1]) == naive_first_fit_offset(
+                frame, s.id, s.length_bits, width, sig_conflict,
             )
 
     # periodic jobs are exactly {first_cycle + k * period}
     res = schedule(example1, OrderingStrategy.FFP)
     H = example1.config.hyperperiod_cycles
+    placements = {s.id: p for s, p in res.multischedule.placement_records}
     for s in example1.signals:
-        pos = res.placements[s.id]
+        pos = placements[s.id]
         period = s.period_us // example1.config.cycle_us
         cycles = {
             c
             for c, fr in enumerate(frame_view(res.multischedule)[pos.slot])
-            if any(e.signal == s.id for e in fr.entries)
+            if any(e.signal == s.id for e in fr)
         }
         assert cycles == set(range(pos.first_cycle, H, period))
         assert len(cycles) == H // period

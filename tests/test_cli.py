@@ -1,9 +1,13 @@
 import csv
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fraysched import cli
 from fraysched.cli import main
 
 
@@ -241,6 +245,123 @@ class TestValidateCommand:
         assert run(["validate", ex1, bad]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "must be integers" in err[0]
+
+    @pytest.fixture()
+    def ffp_doc(self, tmp_path, ex1):
+        out = tmp_path / "ffp.json"
+        assert run(["schedule", ex1, "--strategy", "ffp", "--out", out]) == 0
+        return json.loads(out.read_text())
+
+    def validate_doc(self, tmp_path, ex1, capsys, doc):
+        bad = tmp_path / "stated.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["validate", ex1, bad])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.strip().splitlines()
+
+    @pytest.mark.parametrize("index", [7, 0, "1", 1.0, True])
+    def test_slot_index_must_match_position_exits_2_with_one_line(
+        self, tmp_path, ex1, capsys, ffp_doc, index
+    ):
+        ffp_doc["slots"][1]["index"] = index
+        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: slot 1: index is")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["config"].update(payload_bits=64),
+            lambda d: d["config"].update(payload_bits=16.0),
+            lambda d: d["config"].update(static_slots=True),
+            lambda d: d["config"].pop("slot_us"),
+            lambda d: d["config"].update(extra=1),
+            lambda d: d.update(config=[16]),
+        ],
+        ids=["payload-64", "payload-float", "bool-slots", "missing-key", "extra-key",
+             "not-an-object"],
+    )
+    def test_config_must_match_instance_exits_2_with_one_line(
+        self, tmp_path, ex1, capsys, ffp_doc, edit
+    ):
+        edit(ffp_doc)
+        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: schedule config")
+
+    @pytest.mark.parametrize(
+        "nodes", [[[1]], [{"n": 1}], 1, None, [True], [""], [1.5]],
+        ids=["list-entry", "object-entry", "int", "null", "bool", "empty-str", "float"],
+    )
+    def test_slot_nodes_must_be_node_ids_exits_2_with_one_line(
+        self, tmp_path, ex1, capsys, ffp_doc, nodes
+    ):
+        ffp_doc["slots"][0]["nodes"] = nodes
+        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: slot 0: nodes must be")
+
+    @pytest.mark.parametrize("nodes", [[99], [], [1, 2], ["1"]])
+    def test_stated_nodes_must_be_the_slots_nodes_exits_1(
+        self, tmp_path, ex1, capsys, ffp_doc, nodes
+    ):
+        assert ffp_doc["slots"][0]["nodes"] == [1]
+        ffp_doc["slots"][0]["nodes"] = nodes
+        code, out, _ = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {
+                "rule": "slot-nodes",
+                "slot": 0,
+                "message": f"slot 0 states nodes {sorted(map(str, nodes))} "
+                "but carries ['1']",
+            }
+        ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "schedule-out-in-missing-dir",
+        "schedule-instance-is-dir",
+        "validate-schedule-is-dir",
+        "schedule-instance-not-utf8",
+        "validate-schedule-not-utf8",
+    ],
+)
+def test_io_errors_exit_2_with_one_line(tmp_path, ex1, example1_schedule_path, capsys, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"slots": [], "note": "\u00e9"}'.encode("latin-1"))
+    argv = {
+        "schedule-out-in-missing-dir": ["schedule", ex1, "--out", tmp_path / "no" / "s.json"],
+        "schedule-instance-is-dir": ["schedule", tmp_path, "--out", tmp_path / "s.json"],
+        "validate-schedule-is-dir": ["validate", ex1, tmp_path],
+        "schedule-instance-not-utf8": ["schedule", latin1, "--out", tmp_path / "s.json"],
+        "validate-schedule-not-utf8": ["validate", ex1, latin1],
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_import_loads_no_numpy_csv_or_process_pool():
+    # the CLI's cold start pays for none of these; csv and the process
+    # pool are imported only by the commands that use them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import fraysched.cli\n"
+        "heavy = ('numpy', 'csv', 'concurrent.futures')\n"
+        "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestGenerateCommand:

@@ -1,6 +1,6 @@
+import hashlib
 import random
 
-import numpy as np
 import pytest
 
 from fraysched.core import load_instance
@@ -20,7 +20,7 @@ def zero_pairs(mems):
         tuple(sorted((ids[i], ids[j])))
         for i in range(len(ids))
         for j in range(i + 1, len(ids))
-        if not smem[i, j]
+        if not smem[i][j]
     }
 
 
@@ -62,30 +62,29 @@ def test_single_variant_all_conflict():
     inst = load_instance(doc)
     mems = compute_mems(inst.signals, inst.variants)
     smem, nmem = dense_matrices(mems)
-    assert smem.all()
-    expected_nmem = ~np.eye(3, dtype=bool)
-    assert (nmem == expected_nmem).all()
+    assert all(all(row) for row in smem)
+    expected_nmem = [[i != k for k in range(3)] for i in range(3)]
+    assert nmem == expected_nmem
 
 
 def brute_force_mems(instance):
     n = len(instance.signals)
     ids = [s.id for s in instance.signals]
-    smem = np.zeros((n, n), dtype=bool)
+    smem = [[i == j for j in range(n)] for i in range(n)]
     for group in instance.variants.members:
         for i in range(n):
             for j in range(n):
                 if ids[i] in group and ids[j] in group:
-                    smem[i, j] = True
-    np.fill_diagonal(smem, True)
+                    smem[i][j] = True
     nodes = list(dict.fromkeys(s.node for s in instance.signals))
     m = len(nodes)
-    nmem = np.zeros((m, m), dtype=bool)
+    nmem = [[False] * m for _ in range(m)]
     for group in instance.variants.members:
         present = {s.node for s in instance.signals if s.id in group}
         for p in range(m):
             for q in range(m):
                 if p != q and nodes[p] in present and nodes[q] in present:
-                    nmem[p, q] = True
+                    nmem[p][q] = True
     return smem, nmem, tuple(nodes)
 
 
@@ -96,8 +95,8 @@ def test_matches_brute_force_on_random_instances():
         mems = compute_mems(inst.signals, inst.variants)
         smem, nmem, nodes = brute_force_mems(inst)
         got_smem, got_nmem = dense_matrices(mems)
-        assert (got_smem == smem).all()
-        assert (got_nmem == nmem).all()
+        assert got_smem == smem
+        assert got_nmem == nmem
         assert mems.nodes == nodes
 
 
@@ -106,10 +105,10 @@ def test_symmetry_and_diagonal_invariants():
     for _ in range(40):
         inst = make_random_instance(rng)
         smem, nmem = dense_matrices(compute_mems(inst.signals, inst.variants))
-        assert (smem == smem.T).all()
-        assert (nmem == nmem.T).all()
-        assert smem.diagonal().all()
-        assert not nmem.diagonal().any()
+        assert smem == [list(col) for col in zip(*smem)]
+        assert nmem == [list(col) for col in zip(*nmem)]
+        assert all(smem[i][i] for i in range(len(smem)))
+        assert not any(nmem[i][i] for i in range(len(nmem)))
 
 
 def test_adding_a_variant_is_monotone():
@@ -129,8 +128,10 @@ def test_adding_a_variant_is_monotone():
         smem_before, nmem_before = dense_matrices(mems_before)
         smem_after, nmem_after = dense_matrices(mems_after)
         # entries may flip 0 -> 1, never 1 -> 0
-        assert (smem_before <= smem_after).all()
-        assert (nmem_before <= nmem_after).all()
+        for before, after in ((smem_before, smem_after), (nmem_before, nmem_after)):
+            assert all(
+                b <= a for rb, ra in zip(before, after) for b, a in zip(rb, ra)
+            )
 
 
 def test_mixed_node_ids():
@@ -150,8 +151,8 @@ def test_mixed_node_ids():
     assert not mems.nodes_conflict(1, "1")
     assert not mems.nodes_conflict("gw", "1")
     _, nmem = dense_matrices(mems)
-    assert nmem.tolist() == [[False, True, False], [True, False, False],
-                             [False, False, False]]
+    assert nmem == [[False, True, False], [True, False, False],
+                    [False, False, False]]
 
 
 def test_model_holds_no_dense_matrix():
@@ -161,7 +162,17 @@ def test_model_holds_no_dense_matrix():
     inst = make_random_instance(rng, max_signals=30)
     mems = compute_mems(inst.signals, inst.variants)
     assert not hasattr(mems, "smem") and not hasattr(mems, "nmem")
-    assert not any(isinstance(v, np.ndarray) for v in vars(mems).values())
+    n = len(inst.signals)
+
+    def n_rows(value):
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == n
+            and all(isinstance(row, (list, tuple)) and len(row) == n for row in value)
+        )
+
+    assert n_rows(dense_matrices(mems)[0])
+    assert not any(n_rows(v) for v in vars(mems).values())
 
 
 def test_csv_dump(tmp_path, example1):
@@ -175,3 +186,37 @@ def test_csv_dump(tmp_path, example1):
     nmem_lines = (tmp_path / "nmem.csv").read_text().strip().splitlines()
     assert nmem_lines[0] == ",1,2,3"
     assert nmem_lines[1] == "1,0,1,1"
+
+
+# sha256 of the `schedule --mems-dump` CSV files, recorded before the dense
+# view stopped using numpy; the bytes must not move
+MEMS_DUMP_DIGESTS = {
+    "example1": {
+        "smem.csv": "92b8662b02d2f20c06b765b8d9eb6b3c1d8d293e1b0cb316deabdb10b09b0ae5",
+        "nmem.csv": "2cddbd0f4438bb31e0608b66215f1000f30a72ad15e005070bef57cead8b56bd",
+    },
+    "set5": {
+        "smem.csv": "90b87100ea500d2e3cd33c903f6f29ff2ef8f1afcba4487f779d5217bd516b57",
+        "nmem.csv": "6d63b5456fc123b2d4236f52aa8ba52c9a23f7914abec39a68adf2a19e3529a7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMS_DUMP_DIGESTS))
+def test_mems_dump_bytes_are_pinned(tmp_path, example1_instance_path, name):
+    from fraysched import cli
+
+    if name == "example1":
+        instance = example1_instance_path
+    else:
+        instance = tmp_path / "set5.json"
+        assert cli.main(["generate", "--profile", "set5", "--seed", "0",
+                         "--out", str(instance)]) == 0
+    dump = tmp_path / "dump"
+    assert cli.main(["schedule", str(instance), "--out", str(tmp_path / "s.json"),
+                     "--mems-dump", str(dump)]) == 0
+    got = {
+        f: hashlib.sha256((dump / f).read_bytes()).hexdigest()
+        for f in ("smem.csv", "nmem.csv")
+    }
+    assert got == MEMS_DUMP_DIGESTS[name]

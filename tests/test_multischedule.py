@@ -7,56 +7,61 @@ from hypothesis import strategies as st
 from fraysched.core import FlexRayConfig, load_instance, round_time_constraints
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
-    Multiframe,
     Multischedule,
     Placement,
-    _first_fit_offset,
     _window_first_fit,
     extract_native_schedule,
-    frame_view,
     find_position_for_signal,
-    find_suitable_offset,
     place_signal_to_schedule,
     schedule_from_dict,
     schedule_to_dict,
-    slot_count,
 )
 from fraysched.scheduler import OrderingStrategy, schedule, sort_signals
 
-from oracles import conflict_tables, make_random_instance, naive_first_fit_offset
+from oracles import (
+    conflict_tables,
+    frame_mask,
+    frame_view,
+    make_random_instance,
+    naive_first_fit_offset,
+)
 
 
 def build(example1):
     mems = compute_mems(example1.signals, example1.variants)
-    ms = Multischedule(example1.config)
+    windows = {s.id: round_time_constraints(s, example1.config) for s in example1.signals}
+    ms = Multischedule(example1.config, windows)
     return ms, mems, {s.id: s for s in example1.signals}
+
+
+def first_fit_offset(entries, signal, mems, width):
+    """Lowest offset for `signal` in one frame holding `entries` (id,
+    offset, length): `_window_first_fit` over a one-cycle window."""
+    one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
+    mask = frame_mask(entries, mems.variants_of, signal.id)
+    length = signal.length_bits
+    found = _window_first_fit(mask, length, width, 0, 0, one_cycle.fit_starts(length))
+    return None if found is None else found[1]
 
 
 class TestFindSuitableOffset:
     def test_empty_frame(self, example1):
         ms, mems, sig = build(example1)
-        frame = Multiframe(16)
-        assert find_suitable_offset(frame, sig["A"], mems) == 0
+        assert first_fit_offset([], sig["A"], mems, 16) == 0
 
     def test_conflicting_resident_blocks(self, example1):
         ms, mems, sig = build(example1)
-        frame = Multiframe(16)
-        frame.add_entry("B", 0, 8)
-        assert find_suitable_offset(frame, sig["C"], mems) == 8
+        assert first_fit_offset([("B", 0, 8)], sig["C"], mems, 16) == 8
 
     def test_overlap_allowed_when_never_covariant(self, example1):
         ms, mems, sig = build(example1)
-        frame = Multiframe(16)
-        frame.add_entry("A", 0, 8)
         # E never shares a variant with A, so the frame looks empty to it
-        assert find_suitable_offset(frame, sig["E"], mems) == 0
+        assert first_fit_offset([("A", 0, 8)], sig["E"], mems, 16) == 0
 
     def test_full_frame_gives_not_found(self, example1):
         ms, mems, sig = build(example1)
-        frame = Multiframe(16)
-        frame.add_entry("B", 0, 8)
-        frame.add_entry("C", 8, 8)
-        assert find_suitable_offset(frame, sig["F"], mems) is None
+        frame = [("B", 0, 8), ("C", 8, 8)]
+        assert first_fit_offset(frame, sig["F"], mems, 16) is None
 
     def test_minimality_against_brute_scan(self):
         rng = random.Random(31337)
@@ -64,18 +69,18 @@ class TestFindSuitableOffset:
             inst = make_random_instance(rng, max_signals=8)
             mems = compute_mems(inst.signals, inst.variants)
             _, _, sig_conflict, _ = conflict_tables(inst)
-            frame = Multiframe(inst.config.payload_bits)
+            width = inst.config.payload_bits
+            frame = []
             residents = [s for s in inst.signals if rng.random() < 0.5]
             for s in residents:
-                off = rng.randint(0, inst.config.payload_bits - s.length_bits)
-                frame.add_entry(s.id, off, s.length_bits)
+                off = rng.randint(0, width - s.length_bits)
+                frame.append((s.id, off, s.length_bits))
             for s in inst.signals:
                 if s.id in {r.id for r in residents}:
                     continue
-                got = find_suitable_offset(frame, s, mems)
+                got = first_fit_offset(frame, s, mems, width)
                 want = naive_first_fit_offset(
-                    [(e.signal, e.offset_bits, e.length_bits) for e in frame.entries],
-                    s.id, s.length_bits, inst.config.payload_bits, sig_conflict,
+                    frame, s.id, s.length_bits, width, sig_conflict
                 )
                 assert got == want
 
@@ -90,7 +95,7 @@ class TestFindPosition:
         for sid in ("A", "B", "C", "F", "D"):
             place_signal_to_schedule(ms, sig[sid], mems)
         # both allocated slots belong to node 1; G transmits from node 2
-        assert ms.slot_count == 2
+        assert len(ms.slots) == 2
         assert find_position_for_signal(ms, sig["G"], mems) is None
 
     def test_e_lands_in_second_slot_over_transparent_resident(self, example1):
@@ -99,7 +104,7 @@ class TestFindPosition:
             place_signal_to_schedule(ms, sig[sid], mems)
         pos = find_position_for_signal(ms, sig["E"], mems)
         assert pos == Placement(slot=1, first_cycle=2, offset_bits=0)
-        resident = {e.signal for e in frame_view(ms)[1][2].entries}
+        resident = {e.signal for e in frame_view(ms)[1][2]}
         assert resident == {"D"}
         assert not mems.signals_conflict("D", "E")
 
@@ -117,15 +122,15 @@ class TestPlaceSignal:
         ms, mems, sig = build(example1)
         pos = place_signal_to_schedule(ms, sig["A"], mems)
         assert pos == Placement(0, 0, 0)
-        assert ms.slot_count == 1
+        assert len(ms.slots) == 1
         for frame in frame_view(ms)[0]:
-            assert [e.signal for e in frame.entries] == ["A"]
+            assert [e.signal for e in frame] == ["A"]
 
     def test_nodes_may_share_slot_when_never_covariant(self, example1):
         ms, mems, sig = build(example1)
         for sid in ("A", "B", "C", "F", "D", "E", "G"):
             place_signal_to_schedule(ms, sig[sid], mems)
-        pos_g = ms.placements["G"]
+        pos_g = {s.id: p for s, p in ms.placement_records}["G"]
         pos_h = place_signal_to_schedule(ms, sig["H"], mems)
         assert pos_h.slot == pos_g.slot
         assert ms.slots[pos_h.slot].nodes == {2, 3}
@@ -146,7 +151,8 @@ class TestPlaceSignal:
         }
         inst = load_instance(doc)
         mems = compute_mems(inst.signals, inst.variants)
-        ms = Multischedule(inst.config)
+        windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+        ms = Multischedule(inst.config, windows)
         by_id = {s.id: s for s in inst.signals}
         assert place_signal_to_schedule(ms, by_id["P1"], mems) == Placement(0, 1, 0)
         assert place_signal_to_schedule(ms, by_id["P2"], mems) == Placement(1, 1, 0)
@@ -155,7 +161,7 @@ class TestPlaceSignal:
         assert first == Placement(0, 0, 0)  # looks fine for job 0 only
         final = place_signal_to_schedule(ms, by_id["X"], mems)
         assert final == Placement(1, 0, 0)  # second candidate, over P2
-        assert ms.slot_count == 2
+        assert len(ms.slots) == 2
 
     def test_committed_jobs_are_exact_period_multiples(self):
         rng = random.Random(404)
@@ -163,15 +169,16 @@ class TestPlaceSignal:
             inst = make_random_instance(rng)
             res = schedule(inst, OrderingStrategy.FFP)
             ms = res.multischedule
+            placements = {s.id: p for s, p in ms.placement_records}
             H = inst.config.hyperperiod_cycles
             for s in inst.signals:
-                pos = res.placements[s.id]
+                pos = placements[s.id]
                 period = s.period_us // inst.config.cycle_us
                 expected = set(range(pos.first_cycle, H, period))
                 actual = {
                     c
                     for c, frame in enumerate(frame_view(ms)[pos.slot])
-                    if any(e.signal == s.id for e in frame.entries)
+                    if any(e.signal == s.id for e in frame)
                 }
                 assert actual == expected
                 assert len(actual) == H // period
@@ -186,8 +193,9 @@ class TestPlaceSignal:
             H = inst.config.hyperperiod_cycles
             W = inst.config.payload_bits
             want = [{} for _ in res.multischedule.slots]
+            placements = {s.id: p for s, p in res.multischedule.placement_records}
             for s in inst.signals:
-                pos = res.placements[s.id]
+                pos = placements[s.id]
                 period = s.period_us // inst.config.cycle_us
                 for j, group in enumerate(inst.variants.members):
                     if s.id not in group:
@@ -230,8 +238,9 @@ class TestExtraction:
     def test_overlap_disappears_inside_variant(self, example1):
         res = schedule(example1, OrderingStrategy.FFP)
         ms = res.multischedule
-        pos_e = res.placements["E"]
-        pos_d = res.placements["D"]
+        placements = {s.id: p for s, p in ms.placement_records}
+        pos_e = placements["E"]
+        pos_d = placements["D"]
         # multischedule stores them on top of each other ...
         assert (pos_e.slot, pos_e.first_cycle) == (pos_d.slot, pos_d.first_cycle)
         # ... but variant II does not contain D
@@ -292,7 +301,7 @@ class TestBitPrimitives:
         lo = data.draw(st.integers(0, hyper - 1))
         hi = data.draw(st.integers(lo, hyper - 1))
         mask = sum(f << (c * width) for c, f in enumerate(frames))
-        ms = Multischedule(FlexRayConfig(1000, hyper, width))
+        ms = Multischedule(FlexRayConfig(1000, hyper, width), {})
         want = (1 << length) - 1
         expected = next(
             (
@@ -315,21 +324,24 @@ class TestBitPrimitives:
         expected = next(
             (o for o in range(width - length + 1) if not mask & (want << o)), None
         )
-        assert _first_fit_offset(mask, length, width) == expected
+        fits = (1 << (width - length + 1)) - 1
+        found = _window_first_fit(mask, length, width, 0, 0, fits)
+        assert (None if found is None else found[1]) == expected
 
 
 def test_slot_count(example1):
     ms, mems, sig = build(example1)
-    assert slot_count(ms) == 0
+    assert len(ms.slots) == 0
     place_signal_to_schedule(ms, sig["A"], mems)
-    assert slot_count(ms) == 1
+    assert len(ms.slots) == 1
     res = schedule(example1, OrderingStrategy.FFP)
-    assert slot_count(res.multischedule) == 3
+    assert res.slot_count == len(res.multischedule.slots) == 3
 
 
 def test_document_roundtrip(example1):
     res = schedule(example1, OrderingStrategy.FFC)
     doc = schedule_to_dict(res.multischedule)
     again = schedule_from_dict(json.loads(json.dumps(doc)), example1)
-    assert again.placements == res.multischedule.placements
+    placed = {s.id: p for s, p in res.multischedule.placement_records}
+    assert {s.id: p for s, p in again.placement_records} == placed
     assert schedule_to_dict(again) == doc

@@ -162,8 +162,8 @@ class TestSchedule:
                 order = sort_signals(inst.signals, strat, wins)
                 ref_placements, ref_slots = reference_schedule(inst, order)
                 got = {
-                    sid: (p.slot, p.first_cycle, p.offset_bits)
-                    for sid, p in res.placements.items()
+                    sig.id: (p.slot, p.first_cycle, p.offset_bits)
+                    for sig, p in res.multischedule.placement_records
                 }
                 assert got == ref_placements
                 assert res.slot_count == ref_slots
@@ -179,8 +179,8 @@ class TestSchedule:
                 order = sort_signals(inst.signals, strat, wins)
                 ref_placements, ref_slots = reference_schedule(inst, order)
                 got = {
-                    sid: (p.slot, p.first_cycle, p.offset_bits)
-                    for sid, p in res.placements.items()
+                    sig.id: (p.slot, p.first_cycle, p.offset_bits)
+                    for sig, p in res.multischedule.placement_records
                 }
                 assert got == ref_placements
                 assert res.slot_count == ref_slots
@@ -203,8 +203,8 @@ class TestSchedule:
                 order = sort_signals(inst.signals, strat, wins)
                 ref_placements, ref_slots = reference_schedule(inst, order)
                 got = {
-                    sid: (p.slot, p.first_cycle, p.offset_bits)
-                    for sid, p in res.placements.items()
+                    sig.id: (p.slot, p.first_cycle, p.offset_bits)
+                    for sig, p in res.multischedule.placement_records
                 }
                 assert got == ref_placements, (pname, strat)
                 assert res.slot_count == ref_slots

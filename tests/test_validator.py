@@ -271,6 +271,36 @@ def test_edge_cases_match_reference(case):
     assert all(v.get("slot", 0) == 0 for v in got)
 
 
+def test_stated_slot_nodes_match_reference():
+    # per slot: nodes stated or not, equal to the carried set or not,
+    # including the int 1 against the string "1"
+    rng = random.Random(515)
+    seen = set()
+    for _ in range(60):
+        inst = make_random_instance(rng, max_nodes=4)
+        doc = schedule_to_dict(schedule(inst, OrderingStrategy.FFC).multischedule)
+        for slot in doc["slots"]:
+            pick = rng.randrange(4)
+            if pick == 0:
+                del slot["nodes"]
+            elif pick == 1:
+                slot["nodes"] = [str(n) for n in slot["nodes"]]
+            elif pick == 2:
+                slot["nodes"] = slot["nodes"][1:] + [rng.randint(1, 5)]
+        got = matches_reference(schedule_from_dict(doc, inst), inst)
+        seen.update(v["rule"] for v in got)
+        for v in got:
+            stated = doc["slots"][v["slot"]]["nodes"]
+            carried = {
+                s.node
+                for p in doc["slots"][v["slot"]]["placements"]
+                for s in inst.signals
+                if s.id == p["signal"]
+            }
+            assert set(stated) != carried
+    assert seen == {"slot-nodes"}
+
+
 def _plant_fault(rng, doc):
     """Break one placement of the document: stack it on another placement,
     nudge its offset or first cycle, or record it twice."""
@@ -309,6 +339,9 @@ def test_planted_faults_match_reference_on_benchmark_sized_schedules(profile):
         got = matches_reference(schedule_from_dict(mutated, inst), inst)
         assert got
         rules.update(v["rule"] for v in got)
+    # a placement moved to another slot also leaves that slot's stated
+    # nodes behind, so slot-nodes shows up beside the placement rules
     assert rules == {
-        "frame-overlap", "node-exclusivity", "payload-bound", "periodicity", "time-window"
+        "frame-overlap", "node-exclusivity", "payload-bound", "periodicity",
+        "time-window", "slot-nodes",
     }
