@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -258,7 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # flush here, not at interpreter exit, so that a closed pipe shows
+        # up as the exception below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`fraysched validate ... | head`);
+        # unflushed text would fail again at exit, so stdout is pointed at
+        # devnull first
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # an in-memory stdout has no descriptor
+            return 2
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,6 +49,41 @@ def is_node_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_signal(
+    sid, node, period_us, length_bits, release_us, deadline_us
+) -> None:
+    """Raise InstanceError for the first field that is not a valid signal
+    field; the rules of a `Signal` and of an instance's signal records."""
+    if not isinstance(sid, str) or not sid:
+        raise InstanceError("signal id must be a non-empty string")
+    if not is_node_id(node):
+        raise InstanceError(
+            f"signal {sid}: node must be an integer or a non-empty "
+            f"string, not {node!r}"
+        )
+    if not (
+        type(period_us) is type(length_bits) is type(release_us)
+        is type(deadline_us) is int
+    ):
+        name, value = _first_non_int(
+            {
+                "period_us": period_us,
+                "length_bits": length_bits,
+                "release_us": release_us,
+                "deadline_us": deadline_us,
+            }
+        )
+        raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
+    if period_us <= 0:
+        raise InstanceError(f"signal {sid}: period must be positive")
+    if length_bits < 1:
+        raise InstanceError(f"signal {sid}: length must be >= 1 bit")
+    if release_us < 0:
+        raise InstanceError(f"signal {sid}: release must be >= 0")
+    if deadline_us <= 0:
+        raise InstanceError(f"signal {sid}: deadline must be positive")
+
+
 @dataclass(frozen=True)
 class FlexRayConfig:
     """Bus parameters that are fixed before scheduling starts.
@@ -100,36 +135,10 @@ class Signal:
     deadline_us: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InstanceError("signal id must be a non-empty string")
-        if not is_node_id(self.node):
-            raise InstanceError(
-                f"signal {self.id}: node must be an integer or a non-empty "
-                f"string, not {self.node!r}"
-            )
-        if not (
-            type(self.period_us) is type(self.length_bits) is type(self.release_us)
-            is type(self.deadline_us) is int
-        ):
-            name, value = _first_non_int(
-                {
-                    "period_us": self.period_us,
-                    "length_bits": self.length_bits,
-                    "release_us": self.release_us,
-                    "deadline_us": self.deadline_us,
-                }
-            )
-            raise InstanceError(
-                f"signal {self.id}: {name} must be an integer, not {value!r}"
-            )
-        if self.period_us <= 0:
-            raise InstanceError(f"signal {self.id}: period must be positive")
-        if self.length_bits < 1:
-            raise InstanceError(f"signal {self.id}: length must be >= 1 bit")
-        if self.release_us < 0:
-            raise InstanceError(f"signal {self.id}: release must be >= 0")
-        if self.deadline_us <= 0:
-            raise InstanceError(f"signal {self.id}: deadline must be positive")
+        _check_signal(
+            self.id, self.node, self.period_us, self.length_bits,
+            self.release_us, self.deadline_us,
+        )
 
 
 @dataclass(frozen=True)
@@ -242,43 +251,54 @@ def load_instance(doc: dict) -> Instance:
     except KeyError as exc:
         raise InstanceError(f"malformed config section: {exc}") from None
 
+    cycle = config.cycle_us
+    # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
+    periods = {cycle << k for k in range(config.hyperperiod_cycles.bit_length())}
+    new_signal = object.__new__
+    set_field = object.__setattr__
     signals = []
     seen = set()
     for raw in raw_signals:
         try:
             period = raw["period_us"]
-            sig = Signal(
-                id=raw["id"],
-                node=raw["node"],
-                period_us=period,
-                length_bits=raw["length_bits"],
-                release_us=raw.get("release_us", 0),
-                # only a missing deadline means "the period"; an explicit
-                # 0 is rejected by Signal like any other non-positive value
-                deadline_us=raw["deadline_us"] if "deadline_us" in raw else period,
-            )
+            sid = raw["id"]
+            node = raw["node"]
+            length = raw["length_bits"]
+            release = raw.get("release_us", 0)
+            # only a missing deadline means "the period"; an explicit 0 is
+            # rejected like any other non-positive value
+            deadline = raw["deadline_us"] if "deadline_us" in raw else period
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"malformed signal record: {exc}") from None
-        if sig.id in seen:
-            raise InstanceError(f"duplicate signal id {sig.id!r}")
-        seen.add(sig.id)
-        if sig.length_bits > config.payload_bits:
+        _check_signal(sid, node, period, length, release, deadline)
+        if sid in seen:
+            raise InstanceError(f"duplicate signal id {sid!r}")
+        seen.add(sid)
+        if length > config.payload_bits:
             raise InstanceError(
-                f"signal {sig.id}: signal exceeds frame payload "
-                f"({sig.length_bits} > {config.payload_bits} bits)"
+                f"signal {sid}: signal exceeds frame payload "
+                f"({length} > {config.payload_bits} bits)"
             )
-        if sig.period_us % config.cycle_us != 0 or not _is_power_of_two(
-            sig.period_us // config.cycle_us
-        ):
+        if period not in periods:
+            if period % cycle != 0 or not _is_power_of_two(period // cycle):
+                raise InstanceError(
+                    f"signal {sid}: period {period} us is not "
+                    f"cycle * 2^n (cycle = {cycle} us)"
+                )
             raise InstanceError(
-                f"signal {sig.id}: period {sig.period_us} us is not "
-                f"cycle * 2^n (cycle = {config.cycle_us} us)"
+                f"signal {sid}: period {period} us exceeds the hyperperiod"
             )
-        if sig.period_us // config.cycle_us > config.hyperperiod_cycles:
-            raise InstanceError(
-                f"signal {sig.id}: period {sig.period_us} us exceeds the "
-                f"hyperperiod"
-            )
+        # the fields are checked above, and Signal(...) would check them
+        # again; they are set as its frozen __init__ sets them.  Setting
+        # sig.__dict__ instead is cheaper per call, but gives each record a
+        # dict of its own: more memory and more garbage-collector passes.
+        sig = new_signal(Signal)
+        set_field(sig, "id", sid)
+        set_field(sig, "node", node)
+        set_field(sig, "period_us", period)
+        set_field(sig, "length_bits", length)
+        set_field(sig, "release_us", release)
+        set_field(sig, "deadline_us", deadline)
         signals.append(sig)
 
     members = []
@@ -297,10 +317,12 @@ def load_instance(doc: dict) -> Instance:
         members.append(member_set)
     variants = VariantMatrix(tuple(members))
 
-    covered = set().union(*members) if members else set()
-    for sig in signals:
-        if sig.id not in covered:
-            raise InstanceError(f"signal {sig.id} not assigned to any variant")
+    # every variant holds known ids only, so all are covered when the
+    # union is as large as the id set
+    covered = set().union(*members)
+    if len(covered) < len(seen):
+        sid = next(s.id for s in signals if s.id not in covered)
+        raise InstanceError(f"signal {sid} not assigned to any variant")
 
     return Instance(config, tuple(signals), variants)
 

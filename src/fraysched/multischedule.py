@@ -22,10 +22,9 @@ frame before committing, resuming the search at the next cycle otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     CycleWindow,
@@ -42,10 +41,10 @@ class ScheduleError(ValueError):
     """Raised for malformed schedule documents (unknown signals, bad shape)."""
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Position of a signal's first job; the remaining jobs repeat it every
-    period_cycles at the same slot and offset."""
+    period_cycles at the same slot and offset.  A tuple, because the engine
+    makes one per probe and a document rebuild one per placement."""
 
     slot: int
     first_cycle: int
@@ -371,19 +370,34 @@ def schedule_to_dict(ms: Multischedule) -> dict:
     return json.loads(next(render_documents(ms)))
 
 
+# the keys a schedule document may use, at each level
+_DOCUMENT_KEYS = frozenset(("config", "slots"))
+_SLOT_KEYS = frozenset(("index", "nodes", "placements"))
+_PLACEMENT_KEYS = frozenset(("signal", "first_cycle", "offset_bits"))
+
+
+def _check_keys(raw: dict, known: frozenset, where: str) -> None:
+    """Reject a key the document format does not have, such as a misspelt
+    one that would otherwise read as an absent optional key."""
+    if not raw.keys() <= known:
+        key = next(k for k in raw if k not in known)
+        raise ScheduleError(f"{where}: unknown key {key!r}")
+
+
 def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
     """Rebuild a Multischedule's placement records from its document form.
 
     Tolerates infeasible placements (the validator needs to see them) but
-    rejects documents referencing unknown signals or lacking structure,
-    and a stated `config` or slot `index` that differs from the instance
-    or the slot's position.  A slot's stated `nodes` become `Slot.nodes`,
-    for the validator to compare with its placements' nodes; a slot that
-    states none takes those nodes.  No occupancy is built: the validator
-    works from the records alone.
+    rejects documents referencing unknown signals, lacking structure or
+    using keys the format does not have, and a stated `config` or slot
+    `index` that differs from the instance or the slot's position.  A
+    slot's stated `nodes` become `Slot.nodes`, for the validator to compare
+    with its placements' nodes; a slot that states none takes those nodes.
+    No occupancy is built: the validator works from the records alone.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")
+    _check_keys(doc, _DOCUMENT_KEYS, "schedule document")
     config = config_to_dict(instance.config)
     stated = doc.get("config", config)
     # bool is an int subclass and 16.0 == 16: neither is the instance's value
@@ -400,6 +414,7 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
             raise ScheduleError(
                 f"slot {slot.index}: a slot must be an object with a 'placements' list"
             )
+        _check_keys(raw_slot, _SLOT_KEYS, f"slot {slot.index}")
         index = raw_slot.get("index", slot.index)
         if type(index) is not int or index != slot.index:
             raise ScheduleError(f"slot {slot.index}: index is {index!r}, expected {slot.index}")
@@ -411,15 +426,23 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
                     f"slot {slot.index}: nodes must be a list of node ids, not {nodes!r}"
                 )
             slot.nodes = set(nodes)
+        where = f"slot {slot.index}: placement"
         for raw in placements:
             if not isinstance(raw, dict):
                 raise ScheduleError(f"slot {slot.index}: a placement must be an object")
+            # a placement has exactly the three keys, so the keys are
+            # checked only when their count differs or one is missing below;
+            # an unknown key is named before a missing one
+            if len(raw) != 3:
+                _check_keys(raw, _PLACEMENT_KEYS, where)
             sid = raw.get("signal")
             if not isinstance(sid, str) or sid not in by_id:
+                _check_keys(raw, _PLACEMENT_KEYS, where)
                 raise ScheduleError(f"schedule references unknown signal {sid!r}")
             try:
                 first, offset = raw["first_cycle"], raw["offset_bits"]
             except KeyError as exc:
+                _check_keys(raw, _PLACEMENT_KEYS, where)
                 raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
             # bool is an int subclass: JSON true/false are not cycles or offsets
             if type(first) is not int or type(offset) is not int:

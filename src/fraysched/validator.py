@@ -27,15 +27,18 @@ screen flags:
 
   frame-overlap     one pass over the records keeps, per (slot, variant),
                     one int of H * W bits where cycle c owns bits
-                    [c * W, (c + 1) * W).  A record's bits are its range
-                    repeated at each of its jobs.  The slot is flagged when
-                    those bits hit a bit already set for one of the
-                    record's variants, or when the record lies outside its
-                    frame (negative offset or first cycle, or past W), so
-                    that no int grows past H * W bits.  Two co-used
-                    signals that overlap in a frame share a variant, so
-                    the later of them is flagged; a false flag only costs
-                    the exact path.  Flagged slots get the per-frame
+                    [c * W, (c + 1) * W), and the number of bits its
+                    records hold.  A record's bits are its range repeated
+                    at each of its jobs, jobs * length bits in all; it is
+                    ORed into the int and its bit count added for each of
+                    its variants.  The slot is flagged when, for some
+                    variant, the int's popcount falls short of that sum
+                    (two of its records share a bit), or when a record lies
+                    outside its frame (negative offset or first cycle, or
+                    past W), so that no int grows past H * W bits.  Two
+                    co-used signals that overlap in a frame share a
+                    variant, so their slot is flagged; a false flag only
+                    costs the exact path.  Flagged slots get the per-frame
                     sweep, over their records in record order, which
                     reports frames and pairs in the order a sweep over
                     all frames would.
@@ -139,16 +142,16 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             )
 
     # per-placement checks and both screens, in one pass over the records
-    starts: dict[tuple[int, int], int] = {}  # (first cycle, period) -> job bits
-    occ: dict[int, list[int]] = {}  # slot -> per variant, H * W occupied bits
+    # (first cycle, period) -> (bit c * W of each job's cycle c, job count)
+    starts: dict[tuple[int, int], tuple[int, int]] = {}
+    # slot -> per variant, the H * W occupied bits and the bits placed there
+    occ: dict[int, tuple[list[int], list[int]]] = {}
     no_bits = [0] * len(variant_bits)
     overlap_slots: set[int] = set()
     slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant masks
     for sig, pos in ms.placement_records:
         sid = sig.id
-        slot = pos.slot
-        first = pos.first_cycle
-        offset = pos.offset_bits
+        slot, first, offset = pos
         length = sig.length_bits
         period = sig.period_us // cycle_us
 
@@ -206,21 +209,29 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             overlap_slots.add(slot)
             continue
         key = (first, period)
-        job_starts = starts.get(key)
-        if job_starts is None:
-            job_starts = starts[key] = sum(
-                1 << (c * width) for c in range(first, hyper, period)
-            )
-        bits = job_starts * ((1 << length) - 1) << offset
+        cached = starts.get(key)
+        if cached is None:
+            cycles = range(first, hyper, period)
+            cached = starts[key] = (sum(1 << (c * width) for c in cycles), len(cycles))
+        job_bits, job_count = cached
+        bits = job_bits * ((1 << length) - 1) << offset
+        count = job_count * length
         row = occ.get(slot)
         if row is None:
-            row = occ[slot] = no_bits.copy()
+            row = occ[slot] = (no_bits.copy(), no_bits.copy())
+        held, need = row
         for j in var_lists[sid]:
-            held = row[j]
-            if held & bits:
-                overlap_slots.add(slot)
-                break
-            row[j] = held | bits
+            held[j] |= bits
+            need[j] += count
+
+    # a record's bits are disjoint (one range per job, each inside its own
+    # cycle), so a (slot, variant) popcount below the summed counts means
+    # two of its records share a bit
+    for slot, (held, need) in occ.items():
+        if slot not in overlap_slots and any(
+            bits.bit_count() != count for bits, count in zip(held, need)
+        ):
+            overlap_slots.add(slot)
 
     node_slots: set[int] = set()
     for slot, nodes in slot_nodes.items():

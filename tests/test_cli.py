@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -246,6 +247,74 @@ class TestValidateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "must be integers" in err[0]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [s.update(placement=s.pop("placements")) for s in d["slots"]],
+             "slot 0: unknown key 'placement'"),
+            (lambda d: d.update(variant=5), "schedule document: unknown key 'variant'"),
+            (lambda d: d["slots"][1].update(bogus=1), "slot 1: unknown key 'bogus'"),
+            (lambda d: d["slots"][0]["placements"][0].update(note="x"),
+             "slot 0: placement: unknown key 'note'"),
+            (lambda d: d["slots"][0]["placements"][0].update(
+                first=d["slots"][0]["placements"][0].pop("first_cycle")),
+             "slot 0: placement: unknown key 'first'"),
+            (lambda d: d["slots"][0]["placements"][0].update(
+                sig=d["slots"][0]["placements"][0].pop("signal")),
+             "slot 0: placement: unknown key 'sig'"),
+        ],
+        ids=["placement-typo", "document-key", "slot-key", "placement-key",
+             "placement-key-for-missing", "signal-key-for-missing"],
+    )
+    def test_unknown_key_exits_2_with_one_line(
+        self, tmp_path, ex1, example1_schedule_doc, capsys, edit, message
+    ):
+        doc = json.loads(json.dumps(example1_schedule_doc))
+        edit(doc)
+        bad = tmp_path / "keys.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["validate", ex1, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+
+    def test_closed_stdout_exits_2_without_traceback(
+        self, tmp_path, ex1, example1_schedule_doc
+    ):
+        # the reader is gone before the child writes its violation lines
+        doc = json.loads(json.dumps(example1_schedule_doc))
+        doc["slots"][0]["placements"][1]["offset_bits"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys; sys.path.insert(0, {src!r}); "
+                 "from fraysched.cli import main; sys.exit(main())",
+                 "validate", str(ex1), str(bad)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+    def test_broken_pipe_with_in_memory_stdout_exits_2(
+        self, ex1, example1_schedule_path, monkeypatch, capsys
+    ):
+        def closed(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_validate", closed)
+        assert run(["validate", ex1, example1_schedule_path]) == 2
+        print("stdout still usable")
+        assert capsys.readouterr().out == "stdout still usable\n"
+
     @pytest.fixture()
     def ffp_doc(self, tmp_path, ex1):
         out = tmp_path / "ffp.json"
@@ -422,10 +491,13 @@ class TestBenchCommand:
                 "--repeats", 2, "--seed-base", 3]
         assert run(args + ["--out", seq]) == 0
         assert run(args + ["--out", par, "--jobs", 2]) == 0
-        strip = lambda path: [
-            {k: v for k, v in row.items() if k != "wall_time_s"}
-            for row in csv.DictReader(open(path))
-        ]
+        def strip(path):
+            with open(path) as fh:
+                return [
+                    {k: v for k, v in row.items() if k != "wall_time_s"}
+                    for row in csv.DictReader(fh)
+                ]
+
         assert strip(seq) == strip(par)
 
     def test_unknown_profile_exits_2(self, tmp_path):

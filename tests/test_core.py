@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -135,6 +136,100 @@ class TestLoadInstance:
     def test_roundtrip_identity(self, example1):
         again = load_instance(json.loads(json.dumps(instance_to_dict(example1))))
         assert again == example1
+
+
+X_RECORD = {"id": "X", "node": 1, "period_us": 10000, "length_bits": 8,
+            "release_us": 0, "deadline_us": 10000}
+
+
+class TestLoaderAndConstructorAgree:
+    """`load_instance` checks each record's fields without calling
+    `Signal(...)`; both must apply the same rules with the same text."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("id", 5), ("id", True), ("id", ""),
+            ("node", 1.5), ("node", True), ("node", ""),
+            ("period_us", "10000"), ("period_us", True), ("period_us", 0),
+            ("period_us", -10000),
+            ("length_bits", 8.0), ("length_bits", True), ("length_bits", 0),
+            ("release_us", "0"), ("release_us", False), ("release_us", -1),
+            ("deadline_us", None), ("deadline_us", True), ("deadline_us", 0),
+            ("deadline_us", -1),
+        ],
+    )
+    def test_bad_field_same_error(self, key, value):
+        record = dict(X_RECORD, **{key: value})
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(make_doc(signals=[record]))
+        with pytest.raises(InstanceError) as built:
+            Signal(**record)
+        assert str(loaded.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("id"), "malformed signal record: 'id'"),
+            (lambda r: r.pop("node"), "malformed signal record: 'node'"),
+            (lambda r: r.pop("period_us"), "malformed signal record: 'period_us'"),
+            (lambda r: r.pop("length_bits"), "malformed signal record: 'length_bits'"),
+            (lambda r: r.update(length_bits=17),
+             "signal X: signal exceeds frame payload (17 > 16 bits)"),
+            (lambda r: r.update(period_us=15000),
+             "signal X: period 15000 us is not cycle * 2^n (cycle = 5000 us)"),
+            (lambda r: r.update(period_us=7000),
+             "signal X: period 7000 us is not cycle * 2^n (cycle = 5000 us)"),
+            (lambda r: r.update(period_us=40000),
+             "signal X: period 40000 us exceeds the hyperperiod"),
+        ],
+        ids=["missing-id", "missing-node", "missing-period", "missing-length",
+             "payload-too-long", "period-not-power-of-two", "period-off-grid",
+             "period-beyond-hyperperiod"],
+    )
+    def test_document_rules(self, edit, message):
+        # rules that need the record or the config, which a Signal lacks
+        record = dict(X_RECORD)
+        edit(record)
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(make_doc(signals=[record]))
+        assert str(loaded.value) == message
+
+    def test_duplicate_id(self):
+        doc = make_doc(signals=[X_RECORD, dict(X_RECORD, node=2)])
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(doc)
+        assert str(loaded.value) == "duplicate signal id 'X'"
+
+    @pytest.mark.parametrize("period_cycles", [1, 2, 4])
+    def test_every_period_up_to_the_hyperperiod_loads(self, period_cycles):
+        record = dict(X_RECORD, period_us=5000 * period_cycles, deadline_us=5000)
+        assert load_instance(make_doc(signals=[record])).signals == (Signal(**record),)
+
+    def test_loaded_signals_are_signal_values(self, example1_instance_path):
+        from fraysched import benchgen
+
+        docs = [
+            json.loads(example1_instance_path.read_text()),
+            benchgen.generate_instance(benchgen.PROFILES["set5"], 0),
+        ]
+        for doc in docs:
+            loaded = load_instance(doc).signals
+            built = tuple(
+                Signal(r["id"], r["node"], r["period_us"], r["length_bits"],
+                       r.get("release_us", 0), r.get("deadline_us", r["period_us"]))
+                for r in doc["signals"]
+            )
+            assert loaded == built
+            assert [vars(s) for s in loaded] == [vars(s) for s in built]
+            assert {hash(s) for s in loaded} == {hash(s) for s in built}
+        sig = loaded[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sig.node = 99
+        moved = dataclasses.replace(sig, node=99)
+        assert moved.node == 99 and moved.id == sig.id and sig.node != 99
+        with pytest.raises(InstanceError, match="length must be >= 1 bit"):
+            dataclasses.replace(sig, length_bits=0)
 
 
 class TestRounding:
