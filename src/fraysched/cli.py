@@ -175,8 +175,11 @@ def cmd_bench(args) -> int:
         for i in range(args.repeats)
         for s in strategies
     ]
-    if args.jobs > 1 and cells:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool launches all of its workers on the first submit,
+    # so more workers than cells or CPUs would only cost processes
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, *zip(*cells)))
     else:
         rows = [_bench_cell(*cell) for cell in cells]

@@ -27,10 +27,6 @@ class InstanceError(ValueError):
 class InfeasibleSignalError(ValueError):
     """Raised when a signal's time constraints leave no complete cycle."""
 
-    def __init__(self, signal_id: str, message: str):
-        super().__init__(message)
-        self.signal_id = signal_id
-
 
 def _first_non_int(fields: dict):
     """(name, value) of the first field that is not an int, or None.
@@ -203,7 +199,6 @@ def round_time_constraints(signal: Signal, config: FlexRayConfig) -> CycleWindow
     )
     if deadline_cycle < release_cycle:
         raise InfeasibleSignalError(
-            signal.id,
             f"signal {signal.id}: no complete cycle between release "
             f"{signal.release_us} us and deadline {signal.deadline_us} us",
         )
@@ -370,10 +365,3 @@ def read_instance(path: Union[str, Path]) -> Instance:
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: not valid JSON ({exc})") from None
     return load_instance(doc)
-
-
-def write_instance(instance: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -14,9 +14,10 @@ slot is the OR of occ[v] over its own variants.
 
 `find_position_for_signal` walks slots in allocation order and finds, in
 one pass over the packed window, the earliest cycle of the signal's window
-that has room and the lowest free offset inside it.
-`place_signal_to_schedule` then checks that offset in every periodic job's
-frame before committing, resuming the search at the next cycle otherwise.
+that has room and the lowest free offset inside it; it checks that range
+in every periodic job's frame in place and, on a clash, scans on from the
+next cycle.  `place_signal_to_schedule` commits the position it finds, or
+opens a slot.
 """
 
 from __future__ import annotations
@@ -144,20 +145,27 @@ def _node_admissible(slot: Slot, node, mems: ConflictModel) -> bool:
     return True
 
 
+def _job_bits(
+    ms: Multischedule, signal: Signal, pos: Placement, window: CycleWindow
+) -> int:
+    """The signal's bit range at `pos` in the frame of each of its jobs.
+    Windows keep first_cycle below the period, so every job lies inside the
+    hyperperiod."""
+    starts = ms.job_starts(window.period_cycles)
+    span = ((1 << signal.length_bits) - 1) << pos.offset_bits
+    return (starts << (pos.first_cycle * ms.config.payload_bits)) * span
+
+
 def find_position_for_signal(
-    ms: Multischedule,
-    signal: Signal,
-    mems: ConflictModel,
-    resume_from: Optional[Placement] = None,
+    ms: Multischedule, signal: Signal, mems: ConflictModel
 ) -> Optional[Placement]:
-    """Next candidate position strictly after `resume_from`.
+    """First position at which every periodic job of `signal` fits, or None.
 
     Candidates are enumerated slot-major (allocation order), then by cycle
     inside the signal's window; per frame only the minimal feasible offset
-    is a candidate.  Slots whose registered nodes clash with the signal's
-    node are skipped whole.  `resume_from=None` starts at slot 0, cycle
-    release_cycle; otherwise the scan continues at the next cycle after the
-    cursor.
+    of the first job is a candidate, and it is taken when the same range is
+    free in every later job's frame.  Slots whose registered nodes clash
+    with the signal's node are skipped whole.
     """
     window = ms.windows[signal.id]
     width = ms.config.payload_bits
@@ -166,52 +174,24 @@ def find_position_for_signal(
     fits = ms.fit_starts(length)
     hi = window.deadline_cycle
 
-    start_slot = 0
-    start_cycle = window.release_cycle
-    if resume_from is not None:
-        start_slot = resume_from.slot
-        start_cycle = resume_from.first_cycle + 1
-
-    for si in range(start_slot, len(ms.slots)):
-        slot = ms.slots[si]
-        lo = start_cycle if si == start_slot else window.release_cycle
-        if lo > hi:
-            continue
+    for si, slot in enumerate(ms.slots):
         if not _node_admissible(slot, signal.node, mems):
             continue
         occ = slot.occ
         mask = 0
         for v in variants:
             mask |= occ.get(v, 0)
-        found = _window_first_fit(mask, length, width, lo, hi, fits)
-        if found is not None:
-            return Placement(si, *found)
+        lo = window.release_cycle
+        while lo <= hi:
+            found = _window_first_fit(mask, length, width, lo, hi, fits)
+            if found is None:
+                break
+            pos = Placement(si, *found)
+            # the first job is free by construction, so this tests the later ones
+            if not mask & _job_bits(ms, signal, pos, window):
+                return pos
+            lo = pos.first_cycle + 1
     return None
-
-
-def _job_bits(
-    ms: Multischedule, signal: Signal, pos: Placement, window: CycleWindow,
-    later_only: bool = False,
-) -> int:
-    """The signal's bit range at `pos` in the frame of each of its jobs
-    (without the first job when `later_only`).  Windows keep first_cycle
-    below the period, so every job lies inside the hyperperiod."""
-    starts = ms.job_starts(window.period_cycles) - (1 if later_only else 0)
-    span = ((1 << signal.length_bits) - 1) << pos.offset_bits
-    return (starts << (pos.first_cycle * ms.config.payload_bits)) * span
-
-
-def _jobs_fit(
-    ms: Multischedule,
-    signal: Signal,
-    mems: ConflictModel,
-    pos: Placement,
-    window: CycleWindow,
-) -> bool:
-    """Check the fixed offset range in every later job's multiframe."""
-    bits = _job_bits(ms, signal, pos, window, later_only=True)
-    occ = ms.slots[pos.slot].occ
-    return not any(occ.get(v, 0) & bits for v in mems.variants_of[signal.id])
 
 
 def _commit(
@@ -234,25 +214,14 @@ def place_signal_to_schedule(
 ) -> Placement:
     """Place one signal and all of its periodic jobs, first fit.
 
-    Draws candidate positions for the first job and verifies that every
-    later job can hold the same (slot, offset) range; the first fully
-    feasible candidate is committed.  When the allocated slots are
-    exhausted a fresh slot is opened, which always admits the signal at
-    (release_cycle, offset 0).
+    Commits the first position that holds every job; when the allocated
+    slots have none a fresh slot is opened, which always admits the signal
+    at (release_cycle, offset 0).
     """
     window = ms.windows[signal.id]
-    cursor = None
-    while True:
-        pos = find_position_for_signal(ms, signal, mems, cursor)
-        if pos is None:
-            break
-        if _jobs_fit(ms, signal, mems, pos, window):
-            _commit(ms, signal, mems, pos, window)
-            return pos
-        cursor = pos
-
-    slot = ms.allocate_slot()
-    pos = Placement(slot.index, window.release_cycle, 0)
+    pos = find_position_for_signal(ms, signal, mems)
+    if pos is None:
+        pos = Placement(ms.allocate_slot().index, window.release_cycle, 0)
     _commit(ms, signal, mems, pos, window)
     return pos
 

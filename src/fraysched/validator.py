@@ -106,7 +106,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
     for j, group in enumerate(instance.variants.members):
         for sid in group:
-            var_lists.setdefault(sid, []).append(j)
+            var_lists[sid].append(j)
     variant_bits = [1 << j for j in range(len(instance.variants.members))]
     var_masks = {
         sid: sum(map(variant_bits.__getitem__, js)) for sid, js in var_lists.items()

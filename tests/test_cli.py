@@ -500,5 +500,35 @@ class TestBenchCommand:
 
         assert strip(seq) == strip(par)
 
+    @pytest.mark.parametrize("cpus, sizes", [(64, [2]), (1, [])])
+    def test_jobs_capped_at_cells_and_cpus(self, tmp_path, monkeypatch, cpus, sizes):
+        # a fake pool records its size and maps in-process, so no worker
+        # process is started however large --jobs is
+        import concurrent.futures
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "rows.csv"
+        assert run(["bench", "--profiles", "set1", "--strategies", "ff,ffc",
+                    "--repeats", 1, "--jobs", 1000000, "--out", out]) == 0
+        assert seen == sizes
+        with open(out) as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
+
     def test_unknown_profile_exits_2(self, tmp_path):
         assert run(["bench", "--profiles", "setx", "--out", tmp_path / "x.csv"]) == 2

@@ -4,7 +4,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraysched.core import FlexRayConfig, load_instance, round_time_constraints
+from fraysched.core import (
+    CycleWindow,
+    FlexRayConfig,
+    load_instance,
+    round_time_constraints,
+)
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multischedule,
@@ -108,14 +113,6 @@ class TestFindPosition:
         assert resident == {"D"}
         assert not mems.signals_conflict("D", "E")
 
-    def test_cursor_resumes_strictly_after(self, example1):
-        ms, mems, sig = build(example1)
-        place_signal_to_schedule(ms, sig["A"], mems)  # slot 0, all cycles
-        first = find_position_for_signal(ms, sig["B"], mems)
-        assert first == Placement(0, 0, 8)
-        second = find_position_for_signal(ms, sig["B"], mems, resume_from=first)
-        assert second == Placement(0, 1, 8)
-
 
 class TestPlaceSignal:
     def test_first_signal_opens_slot_with_job_every_cycle(self, example1):
@@ -137,7 +134,7 @@ class TestPlaceSignal:
 
     def test_candidate_rejected_on_later_job_collision(self):
         # two-cycle bus; X's first candidate fits cycle 0 but its second job
-        # collides in cycle 1, so the search must resume past the candidate
+        # collides in cycle 1, so the search must go on past the candidate
         doc = {
             "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
             "signals": [
@@ -157,10 +154,18 @@ class TestPlaceSignal:
         assert place_signal_to_schedule(ms, by_id["P1"], mems) == Placement(0, 1, 0)
         assert place_signal_to_schedule(ms, by_id["P2"], mems) == Placement(1, 1, 0)
 
-        first = find_position_for_signal(ms, by_id["X"], mems)
-        assert first == Placement(0, 0, 0)  # looks fine for job 0 only
-        final = place_signal_to_schedule(ms, by_id["X"], mems)
-        assert final == Placement(1, 0, 0)  # second candidate, over P2
+        x = by_id["X"]
+        assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
+        mask = 0  # slot 0 as X's variants see it
+        for v in mems.variants_of["X"]:
+            mask |= ms.slots[0].occ.get(v, 0)
+        fits = ms.fit_starts(x.length_bits)
+        # slot 0, cycle 0, offset 0 looks fine for job 0 only
+        assert _window_first_fit(mask, x.length_bits, 8, 0, 0, fits) == (0, 0)
+        pos = find_position_for_signal(ms, x, mems)
+        assert pos == Placement(1, 0, 0)  # the next candidate, over P2
+        assert place_signal_to_schedule(ms, x, mems) == pos
+        assert ms.placement_records[-1] == (x, pos)
         assert len(ms.slots) == 2
 
     def test_committed_jobs_are_exact_period_multiples(self):
