@@ -69,7 +69,7 @@ def cmd_schedule(args) -> int:
     try:
         # the multischedule text first, then one native text at a time
         documents = multischedule.render_documents(
-            result.multischedule, instance.variants if args.native_dir else None
+            result.multischedule, result.mems if args.native_dir else None
         )
         Path(args.out).write_text(next(documents), encoding="utf-8")
         if args.native_dir:
@@ -79,8 +79,7 @@ def cmd_schedule(args) -> int:
                 (out_dir / f"variant{j:02d}.json").write_text(text, encoding="utf-8")
 
         if args.mems_dump:
-            mems = exclusion.compute_mems(instance.signals, instance.variants)
-            exclusion.dump_mems_csv(mems, args.mems_dump)
+            exclusion.dump_mems_csv(result.mems, args.mems_dump)
 
         if args.stats:
             Path(args.stats).write_text(
@@ -128,17 +127,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
+_BENCH_FIELDS = ("profile", "seed", "strategy", "signal_count", "variant_count",
+                 "slot_count", "wall_time_s", "status")
+
+
 def _bench_cell(profile_name: str, seed: int, strategy_name: str) -> dict:
-    row = {
-        "profile": profile_name,
-        "seed": seed,
-        "strategy": strategy_name,
-        "signal_count": "",
-        "variant_count": "",
-        "slot_count": "",
-        "wall_time_s": "",
-        "status": "ok",
-    }
+    row = dict.fromkeys(_BENCH_FIELDS, "")
+    row.update(profile=profile_name, seed=seed, strategy=strategy_name, status="ok")
     try:
         doc = benchgen.generate_instance(benchgen.PROFILES[profile_name], seed)
         instance = core.load_instance(doc)
@@ -184,39 +179,33 @@ def cmd_bench(args) -> int:
     else:
         rows = [_bench_cell(*cell) for cell in cells]
 
-    fields = [
-        "profile",
-        "seed",
-        "strategy",
-        "signal_count",
-        "variant_count",
-        "slot_count",
-        "wall_time_s",
-        "status",
-    ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
     # per-profile mean slot counts, profiles in rows and strategies in
     # columns like the usual results-table layout
-    if args.aggregate_out:
-        means: dict[tuple[str, str], list[int]] = {}
-        for row in rows:
-            if row["status"] == "ok":
-                means.setdefault((row["profile"], row["strategy"]), []).append(
-                    int(row["slot_count"])
-                )
-        with open(args.aggregate_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["profile"] + strategies)
-            for p in profiles:
-                line = [p]
-                for s in strategies:
-                    vals = means.get((p, s))
-                    line.append(f"{sum(vals) / len(vals):.2f}" if vals else "")
-                writer.writerow(line)
+    means: dict[tuple[str, str], list[int]] = {}
+    for row in rows:
+        if row["status"] == "ok":
+            means.setdefault((row["profile"], row["strategy"]), []).append(
+                int(row["slot_count"])
+            )
+    path = args.out
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        if args.aggregate_out:
+            path = args.aggregate_out
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["profile"] + strategies)
+                for p in profiles:
+                    line = [p]
+                    for s in strategies:
+                        vals = means.get((p, s))
+                        line.append(f"{sum(vals) / len(vals):.2f}" if vals else "")
+                    writer.writerow(line)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc}")
     print(f"wrote {len(rows)} bench rows to {args.out}")
     return 0
 

@@ -28,22 +28,21 @@ class ConflictModel:
 
     `variants_of[sid]` lists the variants using a signal in ascending
     order; `signal_mask[sid]` and `node_mask[node]` hold the same sets as
-    ints.  `nodes` keeps first-appearance order of the signal list.
+    ints.  `nodes` keeps first-appearance order of the signal list, and
+    `variant_count` counts every variant, empty ones too.
     """
 
     def __init__(
-        self, signals: Sequence[Signal], variants_of: dict[str, Sequence[int]]
+        self, signals: Sequence[Signal], variants_of: dict[str, list[int]], variant_count: int
     ):
         self.signal_ids = tuple(s.id for s in signals)
-        self.variants_of = {sid: tuple(vs) for sid, vs in variants_of.items()}
-        self.signal_mask = {
-            sid: sum(1 << j for j in vs) for sid, vs in self.variants_of.items()
-        }
+        self.variant_count = variant_count
+        self.variants_of = variants_of
+        bits = [1 << j for j in range(variant_count)]
+        self.signal_mask = {sid: sum(map(bits.__getitem__, vs)) for sid, vs in variants_of.items()}
         self.node_mask: dict[NodeId, int] = {}
         for s in signals:
-            self.node_mask[s.node] = (
-                self.node_mask.get(s.node, 0) | self.signal_mask[s.id]
-            )
+            self.node_mask[s.node] = self.node_mask.get(s.node, 0) | self.signal_mask[s.id]
         self.nodes = tuple(self.node_mask)
 
     def signals_conflict(self, a: str, b: str) -> bool:
@@ -60,13 +59,14 @@ class ConflictModel:
 def compute_mems(
     signals: Sequence[Signal], variants: VariantMatrix
 ) -> ConflictModel:
-    """Variant sets of every signal and node, from the membership lists."""
+    """Variant sets of every signal and node, from the membership lists.
+    The one inversion of membership that scheduling and rendering use."""
     variants_of: dict[str, list[int]] = {s.id: [] for s in signals}
     for j, group in enumerate(variants.members):
-        for sid in group:
-            if sid in variants_of:
-                variants_of[sid].append(j)
-    return ConflictModel(signals, variants_of)
+        for vs in map(variants_of.get, group):
+            if vs is not None:
+                vs.append(j)
+    return ConflictModel(signals, variants_of, variants.count)
 
 
 Matrix = list[list[bool]]

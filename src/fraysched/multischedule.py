@@ -12,18 +12,24 @@ bits [c * W, (c + 1) * W).  Residents conflict with a signal exactly when
 they share a variant with it, so the signal's conflict mask over a whole
 slot is the OR of occ[v] over its own variants.
 
-`find_position_for_signal` walks slots in allocation order and finds, in
-one pass over the packed window, the earliest cycle of the signal's window
-that has room and the lowest free offset inside it; it checks that range
-in every periodic job's frame in place and, on a clash, scans on from the
-next cycle.  `place_signal_to_schedule` commits the position it finds, or
-opens a slot.
+A static slot belongs to one node in each variant, so a slot holding a
+node that shares a variant with node p stays shut to p; the commit that
+brings a node into slot s sets bit s of `closed[p]` for every such p.
+`find_position_for_signal` walks the slots still open to the signal's node
+in allocation order and finds, in one pass over the packed window, the
+earliest cycle of the signal's window that has room and the lowest free
+offset inside it; it checks that range in every periodic job's frame in
+place and, on a clash, scans on from the next cycle.
+`place_signal_to_schedule` commits the position it finds, or opens a slot.
+The natives are grouped by the conflict model's per-signal variant lists.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
+from functools import reduce
+from itertools import islice, repeat
+from operator import or_
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional
 
@@ -31,11 +37,12 @@ from .core import (
     CycleWindow,
     FlexRayConfig,
     Instance,
+    NodeId,
     Signal,
     config_to_dict,
     is_node_id,
 )
-from .exclusion import ConflictModel
+from .exclusion import ConflictModel, compute_mems
 
 
 class ScheduleError(ValueError):
@@ -67,7 +74,8 @@ class Multischedule:
 
     `windows` maps each signal id to its admissible cycle window; a
     schedule rebuilt from its document is never placed into and gets an
-    empty table.
+    empty table.  `closed[node]` has bit s set when slot s holds a node
+    that shares a variant with `node`.
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
@@ -77,6 +85,7 @@ class Multischedule:
         # every committed (signal, placement) pair in commit order; a
         # document may list a signal twice, which the validator must see
         self.placement_records: list[tuple[Signal, Placement]] = []
+        self.closed: dict[NodeId, int] = {}
         self._job_starts: dict[int, int] = {}
         self._fit_starts: dict[int, int] = {}
 
@@ -114,10 +123,11 @@ def _run_starts(free: int, length: int) -> int:
     so about log2(length) big-int steps suffice.
     """
     run = 1
-    while run < length:
-        step = min(run, length - run)
-        free &= free >> step
-        run += step
+    while run * 2 <= length:
+        free &= free >> run
+        run *= 2
+    if run < length:
+        free &= free >> (length - run)
     return free
 
 
@@ -136,24 +146,12 @@ def _window_first_fit(
     return lo + cycle, offset
 
 
-def _node_admissible(slot: Slot, node, mems: ConflictModel) -> bool:
-    node_mask = mems.node_mask
-    own = node_mask[node]
-    for other in slot.nodes:
-        if other != node and node_mask[other] & own:
-            return False
-    return True
-
-
-def _job_bits(
-    ms: Multischedule, signal: Signal, pos: Placement, window: CycleWindow
-) -> int:
-    """The signal's bit range at `pos` in the frame of each of its jobs.
-    Windows keep first_cycle below the period, so every job lies inside the
-    hyperperiod."""
-    starts = ms.job_starts(window.period_cycles)
-    span = ((1 << signal.length_bits) - 1) << pos.offset_bits
-    return (starts << (pos.first_cycle * ms.config.payload_bits)) * span
+def _job_pattern(ms: Multischedule, signal: Signal, window: CycleWindow) -> int:
+    """The signal's bit range in the frame of each of its jobs for a first
+    job at (cycle 0, offset 0); shifted left by cycle * W + offset, it is
+    the jobs of a first job at (cycle, offset).  Windows keep first_cycle
+    below the period, so every job lies inside the hyperperiod."""
+    return ms.job_starts(window.period_cycles) * ((1 << signal.length_bits) - 1)
 
 
 def find_position_for_signal(
@@ -164,33 +162,33 @@ def find_position_for_signal(
     Candidates are enumerated slot-major (allocation order), then by cycle
     inside the signal's window; per frame only the minimal feasible offset
     of the first job is a candidate, and it is taken when the same range is
-    free in every later job's frame.  Slots whose registered nodes clash
-    with the signal's node are skipped whole.
+    free in every later job's frame.  Slots closed to the signal's node are
+    never visited.
     """
     window = ms.windows[signal.id]
     width = ms.config.payload_bits
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
     fits = ms.fit_starts(length)
+    pattern = _job_pattern(ms, signal, window)
     hi = window.deadline_cycle
+    slots = ms.slots
+    open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
-    for si, slot in enumerate(ms.slots):
-        if not _node_admissible(slot, signal.node, mems):
-            continue
-        occ = slot.occ
-        mask = 0
-        for v in variants:
-            mask |= occ.get(v, 0)
+    while open_slots:
+        si = (open_slots & -open_slots).bit_length() - 1
+        open_slots &= open_slots - 1
+        mask = reduce(or_, map(slots[si].occ.get, variants, repeat(0)), 0)
         lo = window.release_cycle
         while lo <= hi:
             found = _window_first_fit(mask, length, width, lo, hi, fits)
             if found is None:
                 break
-            pos = Placement(si, *found)
+            cycle, offset = found
             # the first job is free by construction, so this tests the later ones
-            if not mask & _job_bits(ms, signal, pos, window):
-                return pos
-            lo = pos.first_cycle + 1
+            if not mask & (pattern << (cycle * width + offset)):
+                return Placement(si, cycle, offset)
+            lo = cycle + 1
     return None
 
 
@@ -201,11 +199,20 @@ def _commit(
     pos: Placement,
     window: CycleWindow,
 ) -> None:
-    bits = _job_bits(ms, signal, pos, window)
-    occ = ms.slots[pos.slot].occ
+    shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
+    bits = _job_pattern(ms, signal, window) << shift
+    slot = ms.slots[pos.slot]
+    occ = slot.occ
     for v in mems.variants_of[signal.id]:
         occ[v] = occ.get(v, 0) | bits
-    ms.slots[pos.slot].nodes.add(signal.node)
+    node = signal.node
+    if node not in slot.nodes:
+        slot.nodes.add(node)
+        # every node that meets the newcomer in some variant is shut out
+        own, bit, closed = mems.node_mask[node], 1 << pos.slot, ms.closed
+        for other, other_mask in mems.node_mask.items():
+            if other != node and other_mask & own:
+                closed[other] = closed.get(other, 0) | bit
     ms.placement_records.append((signal, pos))
 
 
@@ -303,26 +310,24 @@ def _document(ms: Multischedule, items, tail: str = "") -> str:
     return _DOCUMENT % (config, _json_list(slots, "  "), tail)
 
 
-def render_documents(ms: Multischedule, variants=None) -> Iterator[str]:
-    """Text of the multischedule document, then, when `variants` is given,
-    of each variant's native schedule in variant order.
+def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
+    """Text of the multischedule document, then, when the conflict model
+    `mems` is given, of each variant's native schedule in variant order.
 
     A native is the multischedule with foreign signals dropped; slots
     hosting none of the variant's signals stay in it, empty.  Placements
     are rendered once for all documents, the records are grouped by
-    variant in one pass, and each text is built only when it is asked for.
+    variant in one pass over the model's per-signal variant lists, and
+    each text is built only when it is asked for.
     """
     items = _items(ms)
     yield _document(ms, items)
-    if variants is None:
+    if mems is None:
         return
-    variants_of: dict[str, list[int]] = {}
-    for j, group in enumerate(variants.members):
-        for sid in group:
-            variants_of.setdefault(sid, []).append(j)
-    picked: list[list[tuple]] = [[] for _ in variants.members]
+    variants_of = mems.variants_of
+    picked: list[list[tuple]] = [[] for _ in range(mems.variant_count)]
     for (sig, _pos), item in zip(ms.placement_records, items):
-        for j in variants_of.get(sig.id, ()):
+        for j in variants_of[sig.id]:
             picked[j].append(item)
     for j, native in enumerate(picked):
         yield _document(ms, native, ',\n  "variant": %d' % j)
@@ -330,7 +335,8 @@ def render_documents(ms: Multischedule, variants=None) -> Iterator[str]:
 
 def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:
     """Single-variant schedule document, parsed from its rendered text."""
-    documents = render_documents(ms, variants)
+    signals = [sig for sig, _pos in ms.placement_records]
+    documents = render_documents(ms, compute_mems(signals, variants))
     return json.loads(next(islice(documents, variant + 1, None)))
 
 

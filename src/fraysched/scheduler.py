@@ -8,7 +8,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
-from .exclusion import compute_mems
+from .exclusion import ConflictModel, compute_mems
 from .multischedule import Multischedule, place_signal_to_schedule
 
 
@@ -19,8 +19,8 @@ class OrderingStrategy(Enum):
     FFP  period, ascending
     FFW  admissible-window span, ascending (tightest signals first)
     FFL  payload length, descending
-    FFC  stable sorts chained: payload desc, window asc, period asc,
-         node asc -- so node is the most significant key
+    FFC  one stable sort on (node asc, period asc, window asc,
+         payload desc) -- node is the most significant key
     """
 
     FF = "ff"
@@ -44,6 +44,8 @@ class OrderingStrategy(Enum):
 class ScheduleResult:
     multischedule: Multischedule
     wall_time_s: float
+    # the variant membership the placement used; the natives are grouped from it
+    mems: ConflictModel
 
     # the minimization objective: static slots allocated
     slot_count = property(lambda self: len(self.multischedule.slots))
@@ -73,12 +75,9 @@ def sort_signals(
     if strategy is OrderingStrategy.FFL:
         sl.sort(key=lambda s: s.length_bits, reverse=True)
         return sl
-    # FFC: chain of stable sorts; the last applied key dominates
-    sl.sort(key=lambda s: s.length_bits, reverse=True)
-    sl.sort(key=lambda s: windows[s.id].span)
-    sl.sort(key=lambda s: s.period_us)
-    # int and str node ids may mix; ints sort first, in their own order
-    sl.sort(key=lambda s: (isinstance(s.node, str), s.node))
+    # FFC: int and str node ids may mix; ints sort first, in their own order
+    sl.sort(key=lambda s: ((isinstance(s.node, str), s.node), s.period_us,
+                           windows[s.id].span, -s.length_bits))
     return sl
 
 
@@ -98,4 +97,4 @@ def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
     ms = Multischedule(instance.config, windows)
     for sig in ordered:
         place_signal_to_schedule(ms, sig, mems)
-    return ScheduleResult(ms, time.perf_counter() - t0)
+    return ScheduleResult(ms, time.perf_counter() - t0, mems)

@@ -10,6 +10,7 @@ on purpose.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from typing import NamedTuple
@@ -287,6 +288,15 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
         "variants": members,
     }
     return load_instance(doc)
+
+
+def with_mixed_nodes(instance):
+    """The instance with every even node id turned into a string."""
+    rename = lambda n: f"n{n}" if n % 2 == 0 else n
+    signals = tuple(
+        dataclasses.replace(s, node=rename(s.node)) for s in instance.signals
+    )
+    return dataclasses.replace(instance, signals=signals)
 
 
 def _node_order(node):

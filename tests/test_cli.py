@@ -532,3 +532,17 @@ class TestBenchCommand:
 
     def test_unknown_profile_exits_2(self, tmp_path):
         assert run(["bench", "--profiles", "setx", "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("option", ["--out", "--aggregate-out"])
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, option, target):
+        bad = tmp_path / "nowhere" / "x.csv" if target == "missing-dir" else tmp_path
+        paths = {"--out": tmp_path / "rows.csv", "--aggregate-out": tmp_path / "agg.csv"}
+        paths[option] = bad
+        argv = ["bench", "--profiles", "set1", "--strategies", "ff", "--repeats", 1]
+        for opt, path in paths.items():
+            argv += [opt, path]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {bad}: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from fraysched.core import (
     CycleWindow,
     FlexRayConfig,
+    VariantMatrix,
     load_instance,
     round_time_constraints,
 )
@@ -29,6 +31,7 @@ from oracles import (
     frame_view,
     make_random_instance,
     naive_first_fit_offset,
+    with_mixed_nodes,
 )
 
 
@@ -112,6 +115,80 @@ class TestFindPosition:
         resident = {e.signal for e in frame_view(ms)[1][2]}
         assert resident == {"D"}
         assert not mems.signals_conflict("D", "E")
+
+
+@st.composite
+def node_split_instances(draw):
+    """A random instance of up to 6 nodes, int and str ids mixed, where each
+    node is confined to the lower variants, the upper ones or neither, so
+    that some node pairs share no variant and may share a slot."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    inst = make_random_instance(rng, max_signals=16, max_nodes=6, max_variants=5)
+    if draw(st.booleans()):
+        inst = with_mixed_nodes(inst)
+    count = inst.variants.count
+    cut = draw(st.integers(0, count))
+    sides = {"low": range(cut), "high": range(cut, count), "all": range(count)}
+    allowed = {}
+    for node in sorted({s.node for s in inst.signals}, key=str):
+        allowed[node] = sides[draw(st.sampled_from(sorted(sides)))] or range(count)
+    members = [set() for _ in range(count)]
+    for sig in inst.signals:
+        mine = [j for j in allowed[sig.node] if sig.id in inst.variants.members[j]]
+        for j in mine or [rng.choice(allowed[sig.node])]:
+            members[j].add(sig.id)
+    variants = VariantMatrix(tuple(frozenset(g) for g in members))
+    return dataclasses.replace(inst, variants=variants)
+
+
+class TestOpenSlots:
+    @given(inst=node_split_instances(), strategy=st.sampled_from(list(OrderingStrategy)))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_slots_match_a_recount_after_every_placement(self, inst, strategy):
+        mems = compute_mems(inst.signals, inst.variants)
+        windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+        ms = Multischedule(inst.config, windows)
+        for sig in sort_signals(inst.signals, strategy, windows):
+            place_signal_to_schedule(ms, sig, mems)
+            hosted = [set() for _ in ms.slots]
+            for placed, pos in ms.placement_records:
+                hosted[pos.slot].add(placed.node)
+            assert [slot.nodes for slot in ms.slots] == hosted
+            everything = (1 << len(ms.slots)) - 1
+            for node, own in mems.node_mask.items():
+                want = sum(
+                    1 << i
+                    for i, nodes in enumerate(hosted)
+                    if not any(o != node and mems.node_mask[o] & own for o in nodes)
+                )
+                assert everything & ~ms.closed.get(node, 0) == want
+
+    def test_third_node_kept_out_of_a_shared_slot(self):
+        # nodes 1 and 2 never meet, so they share slot 0; node 3 meets node 2
+        # in variant 1 and must stay out of slot 0, though its bits are free
+        doc = {
+            "config": {"cycle_us": 1000, "hyperperiod_cycles": 1, "payload_bits": 8},
+            "signals": [
+                {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
+                {"id": "b", "node": 2, "period_us": 1000, "length_bits": 4},
+                {"id": "c", "node": 3, "period_us": 1000, "length_bits": 4},
+                {"id": "e", "node": 3, "period_us": 1000, "length_bits": 2},
+            ],
+            "variants": [["a"], ["b", "c", "e"]],
+        }
+        inst = load_instance(doc)
+        ms, mems, sig = build(inst)
+        assert place_signal_to_schedule(ms, sig["a"], mems) == Placement(0, 0, 0)
+        assert place_signal_to_schedule(ms, sig["b"], mems) == Placement(0, 0, 0)
+        assert ms.slots[0].nodes == {1, 2}
+        assert ms.closed == {3: 0b1}
+        assert place_signal_to_schedule(ms, sig["c"], mems) == Placement(1, 0, 0)
+        assert ms.closed == {3: 0b1, 2: 0b10}
+        assert find_position_for_signal(ms, sig["e"], mems) == Placement(1, 0, 4)
+        assert place_signal_to_schedule(ms, sig["e"], mems) == Placement(1, 0, 4)
+        assert len(ms.slots) == 2
+        # node 1 meets neither of the others, so both slots stay open to it
+        assert 1 not in ms.closed
 
 
 class TestPlaceSignal:

@@ -58,8 +58,9 @@ def instances(draw):
 @given(inst=instances(), strategy=st.sampled_from(list(OrderingStrategy)))
 @settings(max_examples=150, deadline=None)
 def test_rendered_documents_equal_json_dumps(inst, strategy):
-    ms = schedule(inst, strategy).multischedule
-    texts = list(render_documents(ms, inst.variants))
+    res = schedule(inst, strategy)
+    ms = res.multischedule
+    texts = list(render_documents(ms, res.mems))
     assert texts == [dumped(schedule_doc(ms))] + [
         dumped(native_doc(ms, j, inst.variants)) for j in range(inst.variants.count)
     ]
@@ -98,7 +99,8 @@ def test_empty_schedule_renders_empty_slot_list():
         "signals": [],
         "variants": [[]],
     })
-    ms = schedule(inst, OrderingStrategy.FF).multischedule
-    texts = list(render_documents(ms, inst.variants))
+    res = schedule(inst, OrderingStrategy.FF)
+    ms = res.multischedule
+    texts = list(render_documents(ms, res.mems))
     assert texts == [dumped(schedule_doc(ms)), dumped(native_doc(ms, 0, inst.variants))]
     assert '"slots": []' in texts[0]

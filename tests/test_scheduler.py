@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -13,16 +12,8 @@ from oracles import (
     brute_force_min_slots,
     make_random_instance,
     reference_schedule,
+    with_mixed_nodes,
 )
-
-
-def with_mixed_nodes(instance):
-    """The instance with every even node id turned into a string."""
-    rename = lambda n: f"n{n}" if n % 2 == 0 else n
-    signals = tuple(
-        dataclasses.replace(s, node=rename(s.node)) for s in instance.signals
-    )
-    return dataclasses.replace(instance, signals=signals)
 
 
 def windows_of(instance):
