@@ -7,6 +7,7 @@ violations, 2 unreadable/malformed input or infeasible instance.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -251,6 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # schedule and validate build only acyclic records, which refcounting
+    # frees, so they run with the cyclic collector paused
+    enabled = gc.isenabled()
+    if args.func in (cmd_schedule, cmd_validate):
+        gc.disable()
     try:
         code = args.func(args)
         # flush here, not at interpreter exit, so that a closed pipe shows
@@ -269,6 +275,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

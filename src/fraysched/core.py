@@ -332,32 +332,6 @@ def config_to_dict(config: FlexRayConfig) -> dict:
     }
 
 
-def instance_to_dict(instance: Instance) -> dict:
-    """Serialize an Instance back to the document format.
-
-    Variant member lists are emitted in instance signal order, which makes
-    the serialization canonical.
-    """
-    order = {s.id: i for i, s in enumerate(instance.signals)}
-    return {
-        "config": config_to_dict(instance.config),
-        "signals": [
-            {
-                "id": s.id,
-                "node": s.node,
-                "period_us": s.period_us,
-                "length_bits": s.length_bits,
-                "release_us": s.release_us,
-                "deadline_us": s.deadline_us,
-            }
-            for s in instance.signals
-        ],
-        "variants": [
-            sorted(group, key=order.__getitem__) for group in instance.variants.members
-        ],
-    }
-
-
 def read_instance(path: Union[str, Path]) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:

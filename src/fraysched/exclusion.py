@@ -45,16 +45,6 @@ class ConflictModel:
             self.node_mask[s.node] = self.node_mask.get(s.node, 0) | self.signal_mask[s.id]
         self.nodes = tuple(self.node_mask)
 
-    def signals_conflict(self, a: str, b: str) -> bool:
-        """True iff the two signals must never overlap (co-used somewhere)."""
-        shared = self.signal_mask[a] & self.signal_mask[b]
-        return a == b or bool(shared)
-
-    def nodes_conflict(self, p: NodeId, q: NodeId) -> bool:
-        """True iff the two nodes must not share a slot."""
-        shared = self.node_mask[p] & self.node_mask[q]
-        return p != q and bool(shared)
-
 
 def compute_mems(
     signals: Sequence[Signal], variants: VariantMatrix

@@ -6,21 +6,27 @@ signals may occupy overlapping bit ranges of the same multiframe when no
 variant uses both of them.  Per-variant (native) schedules fall out by
 dropping foreign signals.
 
-Occupancy is kept per slot and per variant: `Slot.occ[v]` is one int of
-H * W bits (H cycles of the hyperperiod, W payload bits) where cycle c owns
-bits [c * W, (c + 1) * W).  Residents conflict with a signal exactly when
-they share a variant with it, so the signal's conflict mask over a whole
-slot is the OR of occ[v] over its own variants.
+Occupancy is kept per slot and per variant as free bits: `Slot.free[v]`
+is one int of H * W bits (H cycles of the hyperperiod, W payload bits)
+where cycle c owns bits [c * W, (c + 1) * W); a variant with no entry has
+every bit free, `Multischedule.all_bits`.  Residents conflict with a
+signal exactly when they share a variant with it, so the bits a signal
+may use in a slot are the AND of free[v] over its own variants.
 
 A static slot belongs to one node in each variant, so a slot holding a
 node that shares a variant with node p stays shut to p; the commit that
 brings a node into slot s sets bit s of `closed[p]` for every such p.
 `find_position_for_signal` walks the slots still open to the signal's node
-in allocation order and finds, in one pass over the packed window, the
-earliest cycle of the signal's window that has room and the lowest free
-offset inside it; it checks that range in every periodic job's frame in
-place and, on a clash, scans on from the next cycle.
-`place_signal_to_schedule` commits the position it finds, or opens a slot.
+in allocation order.  Its first job lies in frames 0..deadline_cycle, so
+the AND starts from the mask of just those frames and costs no more than
+they do (an AND of non-negative ints is as long as the shorter one); one
+pass over that packed window finds the earliest cycle with room and the
+lowest free offset inside it.  Only such a candidate is checked against
+the later jobs' frames, with one full-width AND per slot; on a clash the
+scan goes on from the next cycle.
+`place_signal_to_schedule` commits the position it finds, or opens a slot;
+the commit clears the jobs' bits with XOR, which is exact because they are
+free in every one of the signal's variants.
 The natives are grouped by the conflict model's per-signal variant lists.
 """
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import islice, repeat
-from operator import or_
+from operator import and_
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional
 
@@ -60,13 +66,14 @@ class Placement(NamedTuple):
 
 
 class Slot:
-    __slots__ = ("index", "nodes", "occ")
+    __slots__ = ("index", "nodes", "free")
 
     def __init__(self, index: int):
         self.index = index
         self.nodes: set = set()
-        # variant -> occupied bits over the whole hyperperiod, cycle-major
-        self.occ: dict[int, int] = {}
+        # variant -> free bits over the whole hyperperiod, cycle-major; a
+        # variant without an entry has them all
+        self.free: dict[int, int] = {}
 
 
 class Multischedule:
@@ -75,7 +82,8 @@ class Multischedule:
     `windows` maps each signal id to its admissible cycle window; a
     schedule rebuilt from its document is never placed into and gets an
     empty table.  `closed[node]` has bit s set when slot s holds a node
-    that shares a variant with `node`.
+    that shares a variant with `node`.  `all_bits` is every bit of a slot,
+    H * W of them.
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
@@ -86,6 +94,7 @@ class Multischedule:
         # document may list a signal twice, which the validator must see
         self.placement_records: list[tuple[Signal, Placement]] = []
         self.closed: dict[NodeId, int] = {}
+        self.all_bits = (1 << (config.hyperperiod_cycles * config.payload_bits)) - 1
         self._job_starts: dict[int, int] = {}
         self._fit_starts: dict[int, int] = {}
 
@@ -132,14 +141,14 @@ def _run_starts(free: int, length: int) -> int:
 
 
 def _window_first_fit(
-    mask: int, length: int, width: int, lo: int, hi: int, fits: int
+    free: int, length: int, width: int, lo: int, fits: int
 ) -> Optional[tuple[int, int]]:
-    """Lowest (cycle, offset) with cycle in lo..hi whose `length` bits are
-    clear in the packed `mask`, or None; `fits` is `fit_starts(length)`."""
-    # frames lo..hi moved down to bit 0; frame alignment is kept, so `fits`
-    # still marks the in-frame start offsets
-    free = ((1 << ((hi + 1 - lo) * width)) - 1) & ~(mask >> (lo * width))
-    hits = _run_starts(free, length) & fits
+    """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
+    set in the packed `free`, or None; `fits` is `fit_starts(length)`.
+    `free` holds no bit past the window's last frame."""
+    # frames from lo on moved down to bit 0; frame alignment is kept, so
+    # `fits` still marks the in-frame start offsets
+    hits = _run_starts(free >> (lo * width), length) & fits
     if not hits:
         return None
     cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
@@ -161,8 +170,10 @@ def find_position_for_signal(
 
     Candidates are enumerated slot-major (allocation order), then by cycle
     inside the signal's window; per frame only the minimal feasible offset
-    of the first job is a candidate, and it is taken when the same range is
-    free in every later job's frame.  Slots closed to the signal's node are
+    of the first job is a candidate.  The window pass sees only the frames
+    up to the deadline cycle; a candidate is taken when the same range is
+    also free in every later job's frame, which a signal whose period is
+    the hyperperiod does not have.  Slots closed to the signal's node are
     never visited.
     """
     window = ms.windows[signal.id]
@@ -170,23 +181,35 @@ def find_position_for_signal(
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
     fits = ms.fit_starts(length)
-    pattern = _job_pattern(ms, signal, window)
     hi = window.deadline_cycle
+    all_bits = ms.all_bits
+    # every bit of frames 0..hi
+    head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - hi) * width)
+    pattern = None
+    if window.period_cycles < ms.config.hyperperiod_cycles:
+        pattern = _job_pattern(ms, signal, window)
     slots = ms.slots
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
     while open_slots:
         si = (open_slots & -open_slots).bit_length() - 1
         open_slots &= open_slots - 1
-        mask = reduce(or_, map(slots[si].occ.get, variants, repeat(0)), 0)
+        free = slots[si].free
+        usable = reduce(and_, map(free.get, variants, repeat(all_bits)), head)
+        whole = None
         lo = window.release_cycle
         while lo <= hi:
-            found = _window_first_fit(mask, length, width, lo, hi, fits)
+            found = _window_first_fit(usable, length, width, lo, fits)
             if found is None:
                 break
             cycle, offset = found
+            if pattern is None:
+                return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
-            if not mask & (pattern << (cycle * width + offset)):
+            if whole is None:
+                whole = reduce(and_, map(free.get, variants, repeat(all_bits)), all_bits)
+            jobs = pattern << (cycle * width + offset)
+            if whole & jobs == jobs:
                 return Placement(si, cycle, offset)
             lo = cycle + 1
     return None
@@ -202,9 +225,11 @@ def _commit(
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
     bits = _job_pattern(ms, signal, window) << shift
     slot = ms.slots[pos.slot]
-    occ = slot.occ
+    # the search found `bits` free in every one of the signal's variants,
+    # so XOR clears exactly them
+    free, all_bits = slot.free, ms.all_bits
     for v in mems.variants_of[signal.id]:
-        occ[v] = occ.get(v, 0) | bits
+        free[v] = free.get(v, all_bits) ^ bits
     node = signal.node
     if node not in slot.nodes:
         slot.nodes.add(node)

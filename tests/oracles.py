@@ -5,7 +5,8 @@ conflicts are recomputed from the variant matrix, occupancy is kept as
 plain per-frame entry lists, and offsets are found by scanning every
 position.  The document and frame-overlap references and the per-frame
 entry view (`frame_view`) read only a schedule's placement records.  Slow
-on purpose.
+on purpose.  The instance serializer and the pairwise queries over a
+conflict model live here too, because only the tests use them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,46 @@ import random
 from typing import NamedTuple
 
 from fraysched.core import Instance, config_to_dict, load_instance
+
+
+def instance_to_dict(instance: Instance) -> dict:
+    """Serialize an Instance back to the document format.
+
+    Variant member lists are emitted in instance signal order, which makes
+    the serialization canonical.
+    """
+    order = {s.id: i for i, s in enumerate(instance.signals)}
+    return {
+        "config": config_to_dict(instance.config),
+        "signals": [
+            {
+                "id": s.id,
+                "node": s.node,
+                "period_us": s.period_us,
+                "length_bits": s.length_bits,
+                "release_us": s.release_us,
+                "deadline_us": s.deadline_us,
+            }
+            for s in instance.signals
+        ],
+        "variants": [
+            sorted(group, key=order.__getitem__) for group in instance.variants.members
+        ],
+    }
+
+
+def signals_conflict(mems, a: str, b: str) -> bool:
+    """True iff the conflict model `mems` says the two signals must never
+    overlap (co-used somewhere); a signal never overlaps itself."""
+    shared = mems.signal_mask[a] & mems.signal_mask[b]
+    return a == b or bool(shared)
+
+
+def nodes_conflict(mems, p, q) -> bool:
+    """True iff the conflict model `mems` says the two nodes must not
+    share a slot."""
+    shared = mems.node_mask[p] & mems.node_mask[q]
+    return p != q and bool(shared)
 
 
 def recompute_windows(instance: Instance) -> dict:
@@ -90,9 +131,9 @@ def frame_view(ms) -> list:
 
 
 def frame_mask(entries, variants_of, sig_id) -> int:
-    """Bits of one frame that block a signal, built the way a slot keeps
-    its occupancy: per variant, the OR of its residents' ranges, then the
-    OR over the signal's own variants.  `entries` are (id, offset, length)."""
+    """Bits of one frame that block a signal: per variant, the OR of its
+    residents' ranges, then the OR over the signal's own variants.
+    `entries` are (id, offset, length)."""
     occ: dict[int, int] = {}
     for other, offset, length in entries:
         for v in variants_of[other]:
@@ -101,6 +142,13 @@ def frame_mask(entries, variants_of, sig_id) -> int:
     for v in variants_of[sig_id]:
         mask |= occ.get(v, 0)
     return mask
+
+
+def window_free(mask, width, last_cycle) -> int:
+    """The bits of frames 0 .. last_cycle that the occupied `mask` leaves
+    free: the form in which the placement search hands a window to
+    `_window_first_fit`."""
+    return ((1 << ((last_cycle + 1) * width)) - 1) & ~mask
 
 
 def reference_schedule(instance: Instance, order):
@@ -247,8 +295,11 @@ def brute_force_min_slots(instance: Instance, upper_bound=None) -> int:
 
 
 def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
-                         max_variants=4, hyperperiod=None) -> Instance:
-    """Small random instance on an 8-bit payload with gcd-friendly lengths."""
+                         max_variants=4, hyperperiod=None, payload_bits=8,
+                         lengths=(2, 4, 8), periods=(1, 2, 4, 8)) -> Instance:
+    """Small random instance, by default on an 8-bit payload with
+    gcd-friendly lengths; `periods` are in cycles, those above the
+    hyperperiod are left out."""
     H = hyperperiod or rng.choice([2, 4, 8])
     F = 1000
     n = rng.randint(1, max_signals)
@@ -256,7 +307,7 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
     n_variants = rng.randint(1, max_variants)
     signals = []
     for i in range(n):
-        period_cycles = rng.choice([p for p in (1, 2, 4, 8) if p <= H])
+        period_cycles = rng.choice([p for p in periods if p <= H])
         rel = rng.randint(0, period_cycles - 1)
         dlc = rng.randint(rel, period_cycles - 1)
         signals.append(
@@ -264,7 +315,7 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
                 "id": f"t{i:02d}",
                 "node": rng.randint(1, n_nodes),
                 "period_us": period_cycles * F,
-                "length_bits": rng.choice([2, 4, 8]),
+                "length_bits": rng.choice(lengths),
                 "release_us": rel * F,
                 "deadline_us": (dlc - rel + 1) * F,
             }
@@ -280,7 +331,7 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
         "config": {
             "cycle_us": F,
             "hyperperiod_cycles": H,
-            "payload_bits": 8,
+            "payload_bits": payload_bits,
             "static_slots": 0,
             "slot_us": 0,
         },

@@ -28,6 +28,9 @@ from oracles import (
     frame_view,
     make_random_instance,
     naive_first_fit_offset,
+    nodes_conflict,
+    signals_conflict,
+    window_free,
 )
 
 STRATEGIES = list(OrderingStrategy)
@@ -47,9 +50,9 @@ def test_criterion_1_example1_exclusion_matrices(example1):
     assert zero_pairs == {
         ("A", "E"), ("A", "H"), ("D", "E"), ("D", "H"), ("E", "G"), ("G", "H"),
     }
-    assert mems.nodes_conflict(1, 2)
-    assert mems.nodes_conflict(1, 3)
-    assert not mems.nodes_conflict(2, 3)
+    assert nodes_conflict(mems, 1, 2)
+    assert nodes_conflict(mems, 1, 3)
+    assert not nodes_conflict(mems, 2, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: Example 1 SMEM/NMEM exact ({elapsed * 1e3:.1f} ms)")
@@ -82,7 +85,7 @@ def test_criterion_2_example1_ffp_schedule(example1):
         and pos_e.offset_bits < e.offset_bits + e.length_bits
     ]
     assert overlapped
-    assert all(not mems.signals_conflict("E", other) for other in overlapped)
+    assert all(not signals_conflict(mems, "E", other) for other in overlapped)
     print(
         "\nACCEPTANCE 2 PASS: FFP reproduces the 3-slot optimum "
         f"(G/H share slot {placements['G'].slot}, E overlaps {overlapped})"
@@ -193,8 +196,8 @@ def test_criterion_6_property_suite(example1):
                 continue
             # the engine's packed first fit over a one-cycle window
             found = _window_first_fit(
-                frame_mask(frame, mems.variants_of, s.id), s.length_bits, width,
-                0, 0, one_cycle.fit_starts(s.length_bits),
+                window_free(frame_mask(frame, mems.variants_of, s.id), width, 0),
+                s.length_bits, width, 0, one_cycle.fit_starts(s.length_bits),
             )
             assert (None if found is None else found[1]) == naive_first_fit_offset(
                 frame, s.id, s.length_bits, width, sig_conflict,

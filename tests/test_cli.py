@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -387,6 +388,57 @@ class TestValidateCommand:
                 "but carries ['1']",
             }
         ]
+
+
+class TestCollector:
+    """schedule and validate run with the cyclic collector paused and leave
+    it as they found it, on every exit code."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture()
+    def overlapping(self, tmp_path, example1_schedule_doc):
+        doc = json.loads(json.dumps(example1_schedule_doc))
+        doc["slots"][0]["placements"][1]["offset_bits"] = 0  # B onto A
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["schedule", "EX1", "--out", "OUT"], 0),
+            (["validate", "EX1", "SCHED"], 0),
+            (["validate", "EX1", "BAD"], 1),
+            (["schedule", "MISSING", "--out", "OUT"], 2),
+            (["validate", "EX1", "MISSING"], 2),
+        ],
+        ids=["schedule-0", "validate-0", "validate-1", "schedule-2", "validate-2"],
+    )
+    def test_collector_state_is_restored(
+        self, tmp_path, ex1, example1_schedule_path, overlapping, collector,
+        monkeypatch, argv, code,
+    ):
+        paths = {"EX1": ex1, "OUT": tmp_path / "out.json", "SCHED": example1_schedule_path,
+                 "BAD": overlapping, "MISSING": tmp_path / "missing.json"}
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args):
+                seen.append(gc.isenabled())
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli.core, "read_instance", spy(cli.core.read_instance))
+        assert run([paths.get(a, a) for a in argv]) == code
+        assert gc.isenabled() is collector
+        # the load ran with the collector off
+        assert seen == [False]
 
 
 @pytest.mark.parametrize(

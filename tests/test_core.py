@@ -10,10 +10,11 @@ from fraysched.core import (
     InfeasibleSignalError,
     InstanceError,
     Signal,
-    instance_to_dict,
     load_instance,
     round_time_constraints,
 )
+
+from oracles import instance_to_dict
 
 EX1_CONFIG = FlexRayConfig(
     cycle_us=5000, hyperperiod_cycles=4, payload_bits=16, static_slots=75, slot_us=40

@@ -6,7 +6,7 @@ import pytest
 from fraysched.core import load_instance
 from fraysched.exclusion import compute_mems, dense_matrices, dump_mems_csv
 
-from oracles import make_random_instance
+from oracles import make_random_instance, nodes_conflict, signals_conflict
 
 EX1_ZERO_PAIRS = {
     ("A", "E"), ("A", "H"), ("D", "E"), ("D", "H"), ("E", "G"), ("G", "H"),
@@ -31,23 +31,23 @@ class TestExample1:
 
     def test_nmem_values(self, example1):
         mems = compute_mems(example1.signals, example1.variants)
-        assert mems.nodes_conflict(1, 2)
-        assert mems.nodes_conflict(1, 3)
-        assert not mems.nodes_conflict(2, 3)
+        assert nodes_conflict(mems, 1, 2)
+        assert nodes_conflict(mems, 1, 3)
+        assert not nodes_conflict(mems, 2, 3)
 
     def test_conflict_queries(self, example1):
         mems = compute_mems(example1.signals, example1.variants)
-        assert not mems.signals_conflict("A", "E")
-        assert mems.signals_conflict("B", "C")
+        assert not signals_conflict(mems, "A", "E")
+        assert signals_conflict(mems, "B", "C")
         for sid in ("A", "E", "H"):
-            assert mems.signals_conflict(sid, sid)
+            assert signals_conflict(mems, sid, sid)
 
     def test_unknown_id_raises(self, example1):
         mems = compute_mems(example1.signals, example1.variants)
         with pytest.raises(KeyError):
-            mems.signals_conflict("A", "missing")
+            signals_conflict(mems, "A", "missing")
         with pytest.raises(KeyError):
-            mems.nodes_conflict(1, 99)
+            nodes_conflict(mems, 1, 99)
 
 
 def test_single_variant_all_conflict():
@@ -147,9 +147,9 @@ def test_mixed_node_ids():
     inst = load_instance(doc)
     mems = compute_mems(inst.signals, inst.variants)
     assert mems.nodes == (1, "gw", "1")
-    assert mems.nodes_conflict(1, "gw")
-    assert not mems.nodes_conflict(1, "1")
-    assert not mems.nodes_conflict("gw", "1")
+    assert nodes_conflict(mems, 1, "gw")
+    assert not nodes_conflict(mems, 1, "1")
+    assert not nodes_conflict(mems, "gw", "1")
     _, nmem = dense_matrices(mems)
     assert nmem == [[False, True, False], [True, False, False],
                     [False, False, False]]

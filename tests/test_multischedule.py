@@ -2,10 +2,12 @@ import dataclasses
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraysched.core import (
+    MAX_PAYLOAD_BITS,
     CycleWindow,
     FlexRayConfig,
     VariantMatrix,
@@ -31,6 +33,9 @@ from oracles import (
     frame_view,
     make_random_instance,
     naive_first_fit_offset,
+    reference_schedule,
+    signals_conflict,
+    window_free,
     with_mixed_nodes,
 )
 
@@ -48,7 +53,9 @@ def first_fit_offset(entries, signal, mems, width):
     one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
     mask = frame_mask(entries, mems.variants_of, signal.id)
     length = signal.length_bits
-    found = _window_first_fit(mask, length, width, 0, 0, one_cycle.fit_starts(length))
+    found = _window_first_fit(
+        window_free(mask, width, 0), length, width, 0, one_cycle.fit_starts(length)
+    )
     return None if found is None else found[1]
 
 
@@ -114,7 +121,7 @@ class TestFindPosition:
         assert pos == Placement(slot=1, first_cycle=2, offset_bits=0)
         resident = {e.signal for e in frame_view(ms)[1][2]}
         assert resident == {"D"}
-        assert not mems.signals_conflict("D", "E")
+        assert not signals_conflict(mems, "D", "E")
 
 
 @st.composite
@@ -235,10 +242,10 @@ class TestPlaceSignal:
         assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
         mask = 0  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
-            mask |= ms.slots[0].occ.get(v, 0)
+            mask |= ms.all_bits ^ ms.slots[0].free[v]
         fits = ms.fit_starts(x.length_bits)
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
-        assert _window_first_fit(mask, x.length_bits, 8, 0, 0, fits) == (0, 0)
+        assert _window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
         pos = find_position_for_signal(ms, x, mems)
         assert pos == Placement(1, 0, 0)  # the next candidate, over P2
         assert place_signal_to_schedule(ms, x, mems) == pos
@@ -286,11 +293,75 @@ class TestPlaceSignal:
                         for b in range(s.length_bits):
                             bit = 1 << (c * W + pos.offset_bits + b)
                             want[pos.slot][j] = want[pos.slot].get(j, 0) | bit
+            all_bits = res.multischedule.all_bits
             got = [
-                {j: bits for j, bits in slot.occ.items() if bits}
+                {j: occ for j, free in slot.free.items() if (occ := all_bits ^ free)}
                 for slot in res.multischedule.slots
             ]
             assert got == want
+
+
+class TestFreeBits:
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_commit_clears_exactly_the_job_ranges(self, seed):
+        # after every placement each slot's free bits of a variant only
+        # shrink, and they are all bits but the union of that variant's
+        # job ranges, rebuilt from the records and the raw variant lists
+        inst = with_mixed_nodes(make_random_instance(random.Random(seed), max_nodes=4))
+        mems = compute_mems(inst.signals, inst.variants)
+        windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+        H, W = inst.config.hyperperiod_cycles, inst.config.payload_bits
+        count = inst.variants.count
+        for strategy in OrderingStrategy:
+            ms = Multischedule(inst.config, windows)
+            before: list[dict] = []
+            for sig in sort_signals(inst.signals, strategy, windows):
+                place_signal_to_schedule(ms, sig, mems)
+                used = [[0] * count for _ in ms.slots]
+                for placed, pos in ms.placement_records:
+                    period = placed.period_us // inst.config.cycle_us
+                    run = (1 << placed.length_bits) - 1
+                    for j, group in enumerate(inst.variants.members):
+                        if placed.id in group:
+                            for c in range(pos.first_cycle, H, period):
+                                used[pos.slot][j] |= run << (c * W + pos.offset_bits)
+                now = [dict(slot.free) for slot in ms.slots]
+                for i, free in enumerate(now):
+                    old = before[i] if i < len(before) else {}
+                    for j in range(count):
+                        bits = free.get(j, ms.all_bits)
+                        assert bits & old.get(j, ms.all_bits) == bits
+                        assert bits == ms.all_bits & ~used[i][j]
+                before = now
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(payload_bits=1, lengths=(1,)),
+            dict(payload_bits=MAX_PAYLOAD_BITS, lengths=(1, 16, 1000, MAX_PAYLOAD_BITS)),
+            dict(hyperperiod=1),
+            dict(hyperperiod=64, periods=(1, 2, 8, 64)),
+        ],
+        ids=["W=1", "W=max", "H=1", "H=64"],
+    )
+    def test_edge_configs_match_reference(self, shape):
+        # a one-bit frame, the widest frame, and hyperperiods where a
+        # window's frames reach the last cycle, so that the window mask is
+        # the whole slot
+        rng = random.Random(2032)
+        for _ in range(15):
+            inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4, **shape))
+            windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+            for strategy in OrderingStrategy:
+                res = schedule(inst, strategy)
+                order = sort_signals(inst.signals, strategy, windows)
+                placements, slot_count = reference_schedule(inst, order)
+                got = {
+                    sig.id: tuple(pos) for sig, pos in res.multischedule.placement_records
+                }
+                assert got == placements
+                assert res.slot_count == slot_count
 
 
 class TestExtraction:
@@ -394,7 +465,9 @@ class TestBitPrimitives:
             ),
             None,
         )
-        got = _window_first_fit(mask, length, width, lo, hi, ms.fit_starts(length))
+        got = _window_first_fit(
+            window_free(mask, width, hi), length, width, lo, ms.fit_starts(length)
+        )
         assert got == expected
 
     @given(mask=st.integers(min_value=0, max_value=(1 << 32) - 1),
@@ -407,7 +480,7 @@ class TestBitPrimitives:
             (o for o in range(width - length + 1) if not mask & (want << o)), None
         )
         fits = (1 << (width - length + 1)) - 1
-        found = _window_first_fit(mask, length, width, 0, 0, fits)
+        found = _window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
         assert (None if found is None else found[1]) == expected
 
 

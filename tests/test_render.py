@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraysched.core import instance_to_dict, load_instance
+from fraysched.core import load_instance
 from fraysched.multischedule import (
     _node_key,
     extract_native_schedule,
@@ -20,7 +20,7 @@ from fraysched.multischedule import (
 )
 from fraysched.scheduler import OrderingStrategy, schedule
 
-from oracles import make_random_instance, native_doc, schedule_doc
+from oracles import instance_to_dict, make_random_instance, native_doc, schedule_doc
 
 
 def dumped(doc: dict) -> str:
