@@ -27,6 +27,10 @@ scan goes on from the next cycle.
 `place_signal_to_schedule` commits the position it finds, or opens a slot;
 the commit clears the jobs' bits with XOR, which is exact because they are
 free in every one of the signal's variants.
+Every bit pattern comes from one table, `Multischedule.pattern(period,
+length)`: a signal's jobs, shifted to its position, and the in-frame start
+offsets of a length, so the search and the commit of one signal read the
+same entry.
 The natives are grouped by the conflict model's per-signal variant lists.
 """
 
@@ -95,32 +99,28 @@ class Multischedule:
         self.placement_records: list[tuple[Signal, Placement]] = []
         self.closed: dict[NodeId, int] = {}
         self.all_bits = (1 << (config.hyperperiod_cycles * config.payload_bits)) - 1
-        self._job_starts: dict[int, int] = {}
-        self._fit_starts: dict[int, int] = {}
+        self._patterns: dict[tuple[int, int], int] = {}
 
     def allocate_slot(self) -> Slot:
         slot = Slot(len(self.slots))
         self.slots.append(slot)
         return slot
 
-    def job_starts(self, period_cycles: int) -> int:
-        """Bit c * W of every cycle c = 0, period, 2 * period, ..."""
-        bits = self._job_starts.get(period_cycles)
+    def pattern(self, period_cycles: int, length: int) -> int:
+        """A `length`-bit run at offset 0 of cycles 0, period, 2 * period, ...
+
+        Shifted left by cycle * W + offset, pattern(period, L) is the jobs
+        of an L-bit signal whose first job is at (cycle, offset); windows
+        keep first_cycle below the period, so they stay in the hyperperiod.
+        pattern(1, W - L + 1) marks the offsets at which L bits fit a frame.
+        """
+        key = (period_cycles, length)
+        bits = self._patterns.get(key)
         if bits is None:
             width = self.config.payload_bits
             hyper = self.config.hyperperiod_cycles
-            bits = sum(1 << (c * width) for c in range(0, hyper, period_cycles))
-            self._job_starts[period_cycles] = bits
-        return bits
-
-    def fit_starts(self, length: int) -> int:
-        """Bits at which a `length`-bit range starts without leaving its
-        frame: offsets 0 .. W - length of every cycle."""
-        bits = self._fit_starts.get(length)
-        if bits is None:
-            per_frame = (1 << max(self.config.payload_bits - length + 1, 0)) - 1
-            bits = per_frame * self.job_starts(1)
-            self._fit_starts[length] = bits
+            starts = sum(1 << (c * width) for c in range(0, hyper, period_cycles))
+            bits = self._patterns[key] = starts * ((1 << length) - 1)
         return bits
 
 
@@ -144,7 +144,7 @@ def _window_first_fit(
     free: int, length: int, width: int, lo: int, fits: int
 ) -> Optional[tuple[int, int]]:
     """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
-    set in the packed `free`, or None; `fits` is `fit_starts(length)`.
+    set in the packed `free`, or None; `fits` is `pattern(1, W - length + 1)`.
     `free` holds no bit past the window's last frame."""
     # frames from lo on moved down to bit 0; frame alignment is kept, so
     # `fits` still marks the in-frame start offsets
@@ -153,14 +153,6 @@ def _window_first_fit(
         return None
     cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
     return lo + cycle, offset
-
-
-def _job_pattern(ms: Multischedule, signal: Signal, window: CycleWindow) -> int:
-    """The signal's bit range in the frame of each of its jobs for a first
-    job at (cycle 0, offset 0); shifted left by cycle * W + offset, it is
-    the jobs of a first job at (cycle, offset).  Windows keep first_cycle
-    below the period, so every job lies inside the hyperperiod."""
-    return ms.job_starts(window.period_cycles) * ((1 << signal.length_bits) - 1)
 
 
 def find_position_for_signal(
@@ -180,14 +172,14 @@ def find_position_for_signal(
     width = ms.config.payload_bits
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
-    fits = ms.fit_starts(length)
+    fits = ms.pattern(1, width - length + 1)
     hi = window.deadline_cycle
     all_bits = ms.all_bits
     # every bit of frames 0..hi
     head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - hi) * width)
     pattern = None
     if window.period_cycles < ms.config.hyperperiod_cycles:
-        pattern = _job_pattern(ms, signal, window)
+        pattern = ms.pattern(window.period_cycles, length)
     slots = ms.slots
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
@@ -215,15 +207,21 @@ def find_position_for_signal(
     return None
 
 
-def _commit(
-    ms: Multischedule,
-    signal: Signal,
-    mems: ConflictModel,
-    pos: Placement,
-    window: CycleWindow,
-) -> None:
+def place_signal_to_schedule(
+    ms: Multischedule, signal: Signal, mems: ConflictModel
+) -> Placement:
+    """Place one signal and all of its periodic jobs, first fit.
+
+    Commits the first position that holds every job; when the allocated
+    slots have none a fresh slot is opened, which always admits the signal
+    at (release_cycle, offset 0).
+    """
+    window = ms.windows[signal.id]
+    pos = find_position_for_signal(ms, signal, mems)
+    if pos is None:
+        pos = Placement(ms.allocate_slot().index, window.release_cycle, 0)
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
-    bits = _job_pattern(ms, signal, window) << shift
+    bits = ms.pattern(window.period_cycles, signal.length_bits) << shift
     slot = ms.slots[pos.slot]
     # the search found `bits` free in every one of the signal's variants,
     # so XOR clears exactly them
@@ -239,22 +237,6 @@ def _commit(
             if other != node and other_mask & own:
                 closed[other] = closed.get(other, 0) | bit
     ms.placement_records.append((signal, pos))
-
-
-def place_signal_to_schedule(
-    ms: Multischedule, signal: Signal, mems: ConflictModel
-) -> Placement:
-    """Place one signal and all of its periodic jobs, first fit.
-
-    Commits the first position that holds every job; when the allocated
-    slots have none a fresh slot is opened, which always admits the signal
-    at (release_cycle, offset 0).
-    """
-    window = ms.windows[signal.id]
-    pos = find_position_for_signal(ms, signal, mems)
-    if pos is None:
-        pos = Placement(ms.allocate_slot().index, window.release_cycle, 0)
-    _commit(ms, signal, mems, pos, window)
     return pos
 
 

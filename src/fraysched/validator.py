@@ -21,9 +21,11 @@ The first two rules are evaluated from the multischedule itself (two nodes
 sharing a slot or two signals overlapping is fine exactly when no variant
 combines them), which makes them equivalent to per-variant native checks.
 
-Both are pairwise, and a feasible schedule has no pair to report, so each
-is first screened per slot and checked exactly only on the slots the
-screen flags:
+Node exclusivity is read from one pass over the records, which unites per
+slot the variant sets of each node's signals: a variant in two nodes'
+unions sees both nodes.  Frame overlap is pairwise, and a feasible
+schedule has no pair to report, so it is first screened per slot and
+checked exactly only on the slots the screen flags:
 
   frame-overlap     one pass over the records keeps, per (slot, variant),
                     one int of H * W bits where cycle c owns bits
@@ -42,9 +44,6 @@ screen flags:
                     sweep, over their records in record order, which
                     reports frames and pairs in the order a sweep over
                     all frames would.
-  node-exclusivity  per slot, the variant sets of each node's signals are
-                    united; only a slot where two nodes' unions meet is
-                    expanded per variant.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Signal
+from .core import Instance
 from .multischedule import Multischedule
 
 
@@ -233,27 +232,13 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
         ):
             overlap_slots.add(slot)
 
-    node_slots: set[int] = set()
-    for slot, nodes in slot_nodes.items():
-        if len(nodes) > 1:
-            seen = 0
-            for mask in nodes.values():
-                if seen & mask:
-                    node_slots.add(slot)
-                    break
-                seen |= mask
-
-    # exact checks on the flagged slots only, over their records in record
-    # order, so frames and pairs come out as an all-slots sweep orders them
+    # exact overlap checks on the flagged slots only, over their records in
+    # record order, so frames and pairs come out as an all-slots sweep
+    # orders them
     grid: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
-    slot_members: dict[int, list[Signal]] = {
-        slot: [] for slot in slot_nodes if slot in node_slots
-    }
-    if overlap_slots or node_slots:
+    if overlap_slots:
         for sig, pos in ms.placement_records:
             slot = pos.slot
-            if slot in node_slots:
-                slot_members[slot].append(sig)
             if slot in overlap_slots:
                 entry = (sig.id, pos.offset_bits, sig.length_bits)
                 period = sig.period_us // cycle_us
@@ -284,23 +269,28 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
                 )
             )
 
-    # one node per slot, judged per variant
-    for slot, members in slot_members.items():
-        per_variant: dict[int, set] = {}
-        for sig in members:
-            for j in var_lists[sig.id]:
-                per_variant.setdefault(j, set()).add(sig.node)
-        for j, nodes in sorted(per_variant.items()):
-            if len(nodes) > 1:
-                out(
-                    Violation(
-                        "node-exclusivity",
-                        f"slot {slot} carries nodes "
-                        f"{sorted(map(str, nodes))} in variant {j}",
-                        slot=slot,
-                        variant=j,
-                    )
+    # one node per slot, judged per variant: a variant bit held by two
+    # nodes' unions is a variant that sees both, and its carriers are the
+    # nodes whose union holds it
+    for slot, nodes in slot_nodes.items():
+        seen = shared = 0
+        for mask in nodes.values():
+            shared |= seen & mask
+            seen |= mask
+        while shared:
+            bit = shared & -shared
+            shared ^= bit
+            j = bit.bit_length() - 1
+            carriers = [node for node, mask in nodes.items() if mask & bit]
+            out(
+                Violation(
+                    "node-exclusivity",
+                    f"slot {slot} carries nodes "
+                    f"{sorted(map(str, carriers))} in variant {j}",
+                    slot=slot,
+                    variant=j,
                 )
+            )
 
     # the nodes a slot states (a document's `nodes`) are its signals' nodes
     for slot in ms.slots:

@@ -197,7 +197,8 @@ def test_criterion_6_property_suite(example1):
             # the engine's packed first fit over a one-cycle window
             found = _window_first_fit(
                 window_free(frame_mask(frame, mems.variants_of, s.id), width, 0),
-                s.length_bits, width, 0, one_cycle.fit_starts(s.length_bits),
+                s.length_bits, width, 0,
+                one_cycle.pattern(1, width - s.length_bits + 1),
             )
             assert (None if found is None else found[1]) == naive_first_fit_offset(
                 frame, s.id, s.length_bits, width, sig_conflict,

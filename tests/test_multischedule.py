@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraysched.core import (
+    ALLOWED_HYPERPERIODS,
     MAX_PAYLOAD_BITS,
     CycleWindow,
     FlexRayConfig,
@@ -53,9 +54,8 @@ def first_fit_offset(entries, signal, mems, width):
     one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
     mask = frame_mask(entries, mems.variants_of, signal.id)
     length = signal.length_bits
-    found = _window_first_fit(
-        window_free(mask, width, 0), length, width, 0, one_cycle.fit_starts(length)
-    )
+    fits = one_cycle.pattern(1, width - length + 1)
+    found = _window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
     return None if found is None else found[1]
 
 
@@ -243,7 +243,7 @@ class TestPlaceSignal:
         mask = 0  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
             mask |= ms.all_bits ^ ms.slots[0].free[v]
-        fits = ms.fit_starts(x.length_bits)
+        fits = ms.pattern(1, 8 - x.length_bits + 1)
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
         assert _window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
         pos = find_position_for_signal(ms, x, mems)
@@ -465,10 +465,32 @@ class TestBitPrimitives:
             ),
             None,
         )
-        got = _window_first_fit(
-            window_free(mask, width, hi), length, width, lo, ms.fit_starts(length)
-        )
+        fits = ms.pattern(1, width - length + 1)
+        got = _window_first_fit(window_free(mask, width, hi), length, width, lo, fits)
         assert got == expected
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_pattern_bits(self, data):
+        # bit c * W + o of pattern(p, L) is set iff c % p == 0 and o < L;
+        # pattern(1, W - L + 1) sets exactly the offsets o <= W - L
+        hyper = data.draw(st.sampled_from(ALLOWED_HYPERPERIODS))
+        width = data.draw(st.integers(1, MAX_PAYLOAD_BITS))
+        period = data.draw(
+            st.sampled_from([p for p in ALLOWED_HYPERPERIODS if p <= hyper])
+        )
+        length = data.draw(st.integers(1, width))
+        ms = Multischedule(FlexRayConfig(1000, hyper, width), {})
+        jobs = ms.pattern(period, length)
+        fits = ms.pattern(1, width - length + 1)
+        frame = (1 << width) - 1
+        for c in range(hyper):
+            assert (jobs >> (c * width)) & frame == (
+                (1 << length) - 1 if c % period == 0 else 0
+            )
+            assert (fits >> (c * width)) & frame == (1 << (width - length + 1)) - 1
+        assert jobs >> (hyper * width) == 0
+        assert fits >> (hyper * width) == 0
 
     @given(mask=st.integers(min_value=0, max_value=(1 << 32) - 1),
            length=st.integers(min_value=1, max_value=32))

@@ -271,6 +271,53 @@ def test_edge_cases_match_reference(case):
     assert all(v.get("slot", 0) == 0 for v in got)
 
 
+# Node exclusivity on a one-cycle, 16-bit bus.  p and q share only variant
+# 1, q and r only variant 2, p and r none; q1 and q2 are q's node in one
+# variant each; i and s sit on nodes 1 and "1", which share variant 0.
+NODE_INSTANCE = {
+    "config": {"cycle_us": 1000, "hyperperiod_cycles": 1, "payload_bits": 16},
+    "signals": [
+        {"id": sid, "node": node, "period_us": 1000, "length_bits": 4}
+        for sid, node in (("p", "p"), ("q", "q"), ("r", "r"), ("q1", "q"),
+                          ("q2", "q"), ("i", 1), ("s", "1"))
+    ],
+    "variants": [["i", "s"], ["p", "q", "q1"], ["q", "r", "q2"]],
+}
+
+NODE_CASES = {
+    # signals in one slot, at offsets 0, 4, ... -> (variant, carriers)
+    "variants shared along a chain": (
+        ["p", "q", "r"], [(1, "['p', 'q']"), (2, "['q', 'r']")]
+    ),
+    "one node, two records, two variants": (
+        ["p", "q1", "q2", "r"], [(1, "['p', 'q']"), (2, "['q', 'r']")]
+    ),
+    "int and str node ids": (["i", "s"], [(0, "['1', '1']")]),
+}
+
+
+@pytest.mark.parametrize("case", NODE_CASES)
+def test_node_exclusivity_matches_reference(case):
+    inst = load_instance(NODE_INSTANCE)
+    crowded, want = NODE_CASES[case]
+    slots = [[(sid, 4 * k) for k, sid in enumerate(crowded)]]
+    slots += [[(s.id, 0)] for s in inst.signals if s.id not in crowded]
+    doc = {
+        "slots": [
+            {"placements": [
+                {"signal": sid, "first_cycle": 0, "offset_bits": off}
+                for sid, off in slot
+            ]}
+            for slot in slots
+        ]
+    }
+    got = matches_reference(schedule_from_dict(doc, inst), inst)
+    assert [(v["rule"], v["slot"], v["variant"], v["message"]) for v in got] == [
+        ("node-exclusivity", 0, j, f"slot 0 carries nodes {nodes} in variant {j}")
+        for j, nodes in want
+    ]
+
+
 def test_stated_slot_nodes_match_reference():
     # per slot: nodes stated or not, equal to the carried set or not,
     # including the int 1 against the string "1"
