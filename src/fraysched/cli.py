@@ -106,12 +106,17 @@ def cmd_validate(args) -> int:
     try:
         instance = core.read_instance(path)
         path = args.schedule
-        sched_doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {path}: {exc}")
-    except (core.InstanceError, json.JSONDecodeError) as exc:
+    except core.InstanceError as exc:
+        return _fail(str(exc))
+    try:
+        # ValueError: malformed JSON or an int too long to convert
+        sched_doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         return _fail(str(exc))
     try:
         ms = multischedule.schedule_from_dict(sched_doc, instance)

@@ -333,9 +333,10 @@ def config_to_dict(config: FlexRayConfig) -> dict:
 
 
 def read_instance(path: Union[str, Path]) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: not valid JSON ({exc})") from None
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    # also an int too long to convert (a ValueError) or nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"{path}: not valid JSON ({exc})") from None
     return load_instance(doc)

@@ -3,10 +3,11 @@
 Two signals must never overlap in a multiframe exactly when some variant
 uses both of them, and two different nodes must never share a static slot
 exactly when some variant carries signals from both.  Both questions are
-answered from variant membership alone: every signal and every node gets
-one int whose bit j is set iff variant j uses it (for a node: uses any of
-its signals), and two of them conflict iff their masks intersect.  The
-model costs O(n * V) for n signals and V variants.
+answered from variant membership alone: every signal carries the sorted
+list of the variants using it, and two signals conflict iff their lists
+share a variant; every node carries one int whose bit j is set iff
+variant j uses any of its signals, and two nodes conflict iff their masks
+intersect.  The model costs O(n * V) for n signals and V variants.
 
 The dense n x n signal matrix (SMEM) and m x m node matrix (NMEM) are a
 derived view built only on request by `dense_matrices`, for `--mems-dump`
@@ -27,23 +28,16 @@ class ConflictModel:
     """Variant membership of every signal and node.
 
     `variants_of[sid]` lists the variants using a signal in ascending
-    order; `signal_mask[sid]` and `node_mask[node]` hold the same sets as
-    ints.  `nodes` keeps first-appearance order of the signal list, and
-    `variant_count` counts every variant, empty ones too.
+    order, signals in input order; `node_mask[node]` has bit j set iff
+    variant j uses one of the node's signals, nodes in first-appearance
+    order of the signal list.  `variant_count` counts every variant, empty
+    ones too.
     """
 
-    def __init__(
-        self, signals: Sequence[Signal], variants_of: dict[str, list[int]], variant_count: int
-    ):
-        self.signal_ids = tuple(s.id for s in signals)
-        self.variant_count = variant_count
+    def __init__(self, variants_of: dict[str, list[int]], node_mask: dict, variant_count: int):
         self.variants_of = variants_of
-        bits = [1 << j for j in range(variant_count)]
-        self.signal_mask = {sid: sum(map(bits.__getitem__, vs)) for sid, vs in variants_of.items()}
-        self.node_mask: dict[NodeId, int] = {}
-        for s in signals:
-            self.node_mask[s.node] = self.node_mask.get(s.node, 0) | self.signal_mask[s.id]
-        self.nodes = tuple(self.node_mask)
+        self.node_mask = node_mask
+        self.variant_count = variant_count
 
 
 def compute_mems(
@@ -56,14 +50,20 @@ def compute_mems(
         for vs in map(variants_of.get, group):
             if vs is not None:
                 vs.append(j)
-    return ConflictModel(signals, variants_of, variants.count)
+    bits = [1 << j for j in range(variants.count)]
+    node_mask: dict[NodeId, int] = {}
+    for s in signals:
+        mask = sum(map(bits.__getitem__, variants_of[s.id]))
+        node_mask[s.node] = node_mask.get(s.node, 0) | mask
+    return ConflictModel(variants_of, node_mask, variants.count)
 
 
 Matrix = list[list[bool]]
 
 
 def dense_matrices(mems: ConflictModel) -> tuple[Matrix, Matrix]:
-    """(SMEM, NMEM) as lists of bool rows in `signal_ids` / `nodes` order.
+    """(SMEM, NMEM) as lists of bool rows, signals and nodes in the model's
+    order.
 
     O(n^2) memory; the scheduler never calls this.
     """
@@ -74,8 +74,8 @@ def dense_matrices(mems: ConflictModel) -> tuple[Matrix, Matrix]:
             for i, a in enumerate(masks)
         ]
 
-    smem = co_used([mems.signal_mask[sid] for sid in mems.signal_ids], True)
-    nmem = co_used([mems.node_mask[nd] for nd in mems.nodes], False)
+    smem = co_used([sum(1 << j for j in vs) for vs in mems.variants_of.values()], True)
+    nmem = co_used(list(mems.node_mask.values()), False)
     return smem, nmem
 
 
@@ -88,11 +88,11 @@ def dump_mems_csv(mems: ConflictModel, out_dir: Union[str, Path]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "smem.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow([""] + list(mems.signal_ids))
-        for i, sid in enumerate(mems.signal_ids):
+        w.writerow([""] + list(mems.variants_of))
+        for i, sid in enumerate(mems.variants_of):
             w.writerow([sid] + [int(x) for x in smem[i]])
     with open(out / "nmem.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow([""] + [str(nd) for nd in mems.nodes])
-        for i, nd in enumerate(mems.nodes):
+        w.writerow([""] + [str(nd) for nd in mems.node_mask])
+        for i, nd in enumerate(mems.node_mask):
             w.writerow([str(nd)] + [int(x) for x in nmem[i]])

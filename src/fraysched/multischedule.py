@@ -19,11 +19,12 @@ brings a node into slot s sets bit s of `closed[p]` for every such p.
 `find_position_for_signal` walks the slots still open to the signal's node
 in allocation order.  Its first job lies in frames 0..deadline_cycle, so
 the AND starts from the mask of just those frames and costs no more than
-they do (an AND of non-negative ints is as long as the shorter one); one
-pass over that packed window finds the earliest cycle with room and the
-lowest free offset inside it.  Only such a candidate is checked against
-the later jobs' frames, with one full-width AND per slot; on a clash the
-scan goes on from the next cycle.
+they do (an AND of non-negative ints is as long as the shorter one).  One
+candidate mask per slot visit holds the offsets of the window's frames at
+which the first job fits; its lowest bit is the earliest cycle and the
+lowest offset inside it.  Only that candidate is checked against the
+later jobs' frames, with one full-width AND per slot; on a clash the
+candidate's frame and every frame below it leave the mask.
 `place_signal_to_schedule` commits the position it finds, or opens a slot;
 the commit clears the jobs' bits with XOR, which is exact because they are
 free in every one of the signal's variants.
@@ -140,21 +141,6 @@ def _run_starts(free: int, length: int) -> int:
     return free
 
 
-def _window_first_fit(
-    free: int, length: int, width: int, lo: int, fits: int
-) -> Optional[tuple[int, int]]:
-    """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
-    set in the packed `free`, or None; `fits` is `pattern(1, W - length + 1)`.
-    `free` holds no bit past the window's last frame."""
-    # frames from lo on moved down to bit 0; frame alignment is kept, so
-    # `fits` still marks the in-frame start offsets
-    hits = _run_starts(free >> (lo * width), length) & fits
-    if not hits:
-        return None
-    cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
-    return lo + cycle, offset
-
-
 def find_position_for_signal(
     ms: Multischedule, signal: Signal, mems: ConflictModel
 ) -> Optional[Placement]:
@@ -162,21 +148,23 @@ def find_position_for_signal(
 
     Candidates are enumerated slot-major (allocation order), then by cycle
     inside the signal's window; per frame only the minimal feasible offset
-    of the first job is a candidate.  The window pass sees only the frames
-    up to the deadline cycle; a candidate is taken when the same range is
-    also free in every later job's frame, which a signal whose period is
-    the hyperperiod does not have.  Slots closed to the signal's node are
-    never visited.
+    of the first job is a candidate.  A slot visit builds one mask of the
+    first job's feasible offsets over the window's frames and reads
+    candidates from it lowest bit first; a candidate is taken when the same
+    range is also free in every later job's frame, which a signal whose
+    period is the hyperperiod does not have, and otherwise its frame is
+    dropped from the mask.  Slots closed to the signal's node are never
+    visited.
     """
     window = ms.windows[signal.id]
     width = ms.config.payload_bits
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
     fits = ms.pattern(1, width - length + 1)
-    hi = window.deadline_cycle
+    release = window.release_cycle
     all_bits = ms.all_bits
-    # every bit of frames 0..hi
-    head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - hi) * width)
+    # every bit of frames 0..deadline_cycle
+    head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - window.deadline_cycle) * width)
     pattern = None
     if window.period_cycles < ms.config.hyperperiod_cycles:
         pattern = ms.pattern(window.period_cycles, length)
@@ -188,13 +176,13 @@ def find_position_for_signal(
         open_slots &= open_slots - 1
         free = slots[si].free
         usable = reduce(and_, map(free.get, variants, repeat(all_bits)), head)
+        # the window's frames moved down to bit 0: bit c * W + o is set when
+        # the first job fits at (release + c, o)
+        hits = _run_starts(usable >> (release * width), length) & fits
         whole = None
-        lo = window.release_cycle
-        while lo <= hi:
-            found = _window_first_fit(usable, length, width, lo, fits)
-            if found is None:
-                break
-            cycle, offset = found
+        while hits:
+            c, offset = divmod((hits & -hits).bit_length() - 1, width)
+            cycle = release + c
             if pattern is None:
                 return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
@@ -203,7 +191,8 @@ def find_position_for_signal(
             jobs = pattern << (cycle * width + offset)
             if whole & jobs == jobs:
                 return Placement(si, cycle, offset)
-            lo = cycle + 1
+            # only a frame's lowest offset is a candidate: drop frames 0..c
+            hits &= -(1 << ((c + 1) * width))
     return None
 
 

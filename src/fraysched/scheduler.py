@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
 from .exclusion import ConflictModel, compute_mems
@@ -52,14 +52,12 @@ class ScheduleResult:
 
 
 def sort_signals(
-    signals: Sequence[Signal],
-    strategy: OrderingStrategy,
-    windows: Optional[dict[str, CycleWindow]] = None,
+    signals: Sequence[Signal], strategy: OrderingStrategy, windows: dict[str, CycleWindow]
 ) -> list[Signal]:
     """Ordered signal list for the given strategy.
 
     All sorts are stable, so equal keys keep input order and results are
-    reproducible.  FFW and FFC need precomputed cycle windows.
+    reproducible.  FFW and FFC read the span of each signal's cycle window.
     """
     sl = list(signals)
     if strategy is OrderingStrategy.FF:
@@ -67,8 +65,6 @@ def sort_signals(
     if strategy is OrderingStrategy.FFP:
         sl.sort(key=lambda s: s.period_us)
         return sl
-    if strategy in (OrderingStrategy.FFW, OrderingStrategy.FFC) and windows is None:
-        raise ValueError(f"{strategy.value} ordering requires cycle windows")
     if strategy is OrderingStrategy.FFW:
         sl.sort(key=lambda s: windows[s.id].span)
         return sl

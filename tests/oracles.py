@@ -48,7 +48,7 @@ def instance_to_dict(instance: Instance) -> dict:
 def signals_conflict(mems, a: str, b: str) -> bool:
     """True iff the conflict model `mems` says the two signals must never
     overlap (co-used somewhere); a signal never overlaps itself."""
-    shared = mems.signal_mask[a] & mems.signal_mask[b]
+    shared = set(mems.variants_of[a]) & set(mems.variants_of[b])
     return a == b or bool(shared)
 
 
@@ -146,8 +146,8 @@ def frame_mask(entries, variants_of, sig_id) -> int:
 
 def window_free(mask, width, last_cycle) -> int:
     """The bits of frames 0 .. last_cycle that the occupied `mask` leaves
-    free: the form in which the placement search hands a window to
-    `_window_first_fit`."""
+    free: the form from which the placement search builds its candidate
+    mask."""
     return ((1 << ((last_cycle + 1) * width)) - 1) & ~mask
 
 

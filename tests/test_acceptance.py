@@ -14,7 +14,7 @@ from fraysched.core import FlexRayConfig, load_instance
 from fraysched.exclusion import compute_mems, dense_matrices
 from fraysched.multischedule import (
     Multischedule,
-    _window_first_fit,
+    _run_starts,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -40,7 +40,7 @@ def test_criterion_1_example1_exclusion_matrices(example1):
     t0 = time.perf_counter()
     mems = compute_mems(example1.signals, example1.variants)
     smem, _ = dense_matrices(mems)
-    ids = mems.signal_ids
+    ids = list(mems.variants_of)
     zero_pairs = {
         tuple(sorted((ids[i], ids[j])))
         for i in range(len(ids))
@@ -126,14 +126,14 @@ def test_criterion_4_ordering_trends_on_benchmark_sets():
     seeds = range(10)
     table = {}
     for name in profiles:
+        # each instance is generated and loaded once, for all strategies
+        instances = [load_instance(generate_instance(PROFILES[name], seed)) for seed in seeds]
         means = {}
         for strat in strategies:
-            counts = []
-            for seed in seeds:
-                inst = load_instance(generate_instance(PROFILES[name], seed))
-                counts.append(
-                    schedule(inst, OrderingStrategy.from_name(strat)).slot_count
-                )
+            counts = [
+                schedule(inst, OrderingStrategy.from_name(strat)).slot_count
+                for inst in instances
+            ]
             means[strat] = sum(counts) / len(counts)
         table[name] = means
 
@@ -194,13 +194,14 @@ def test_criterion_6_property_suite(example1):
         for s in probe.signals:
             if s.id in resident:
                 continue
-            # the engine's packed first fit over a one-cycle window
-            found = _window_first_fit(
+            # the engine's candidate mask over a one-cycle window: its
+            # lowest bit is the first-fit offset
+            hits = _run_starts(
                 window_free(frame_mask(frame, mems.variants_of, s.id), width, 0),
-                s.length_bits, width, 0,
-                one_cycle.pattern(1, width - s.length_bits + 1),
-            )
-            assert (None if found is None else found[1]) == naive_first_fit_offset(
+                s.length_bits,
+            ) & one_cycle.pattern(1, width - s.length_bits + 1)
+            found = (hits & -hits).bit_length() - 1 if hits else None
+            assert found == naive_first_fit_offset(
                 frame, s.id, s.length_bits, width, sig_conflict,
             )
 

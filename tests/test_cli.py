@@ -467,6 +467,35 @@ def test_io_errors_exit_2_with_one_line(tmp_path, ex1, example1_schedule_path, c
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# JSON that the decoder itself rejects with something other than a
+# JSONDecodeError: nesting past the recursion limit (RecursionError) and an
+# int with more digits than int() converts (ValueError)
+UNPARSABLE = {"deep": "[" * 200000, "long-int": "[" + "9" * 5000 + "]"}
+
+
+@pytest.mark.parametrize("text", sorted(UNPARSABLE))
+@pytest.mark.parametrize(
+    "command, document",
+    [("schedule", "instance"), ("validate", "instance"), ("validate", "schedule")],
+)
+def test_unparsable_json_exits_2_with_one_line(
+    tmp_path, ex1, example1_schedule_path, capsys, command, document, text
+):
+    raw = tmp_path / "raw.json"
+    raw.write_text(UNPARSABLE[text], encoding="utf-8")
+    argv = {
+        ("schedule", "instance"): ["schedule", raw, "--out", tmp_path / "s.json"],
+        ("validate", "instance"): ["validate", raw, example1_schedule_path],
+        ("validate", "schedule"): ["validate", ex1, raw],
+    }[command, document]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_import_loads_no_numpy_csv_or_process_pool():
     # the CLI's cold start pays for none of these; csv and the process
     # pool are imported only by the commands that use them

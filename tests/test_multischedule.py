@@ -19,7 +19,7 @@ from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multischedule,
     Placement,
-    _window_first_fit,
+    _run_starts,
     extract_native_schedule,
     find_position_for_signal,
     place_signal_to_schedule,
@@ -48,14 +48,25 @@ def build(example1):
     return ms, mems, {s.id: s for s in example1.signals}
 
 
+def window_first_fit(free, length, width, lo, fits):
+    """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
+    set in `free`, or None: the lowest bit of the search's candidate mask
+    over frames lo.. ; `fits` is `pattern(1, width - length + 1)`."""
+    hits = _run_starts(free >> (lo * width), length) & fits
+    if not hits:
+        return None
+    cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
+    return lo + cycle, offset
+
+
 def first_fit_offset(entries, signal, mems, width):
     """Lowest offset for `signal` in one frame holding `entries` (id,
-    offset, length): `_window_first_fit` over a one-cycle window."""
+    offset, length): `window_first_fit` over a one-cycle window."""
     one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
     mask = frame_mask(entries, mems.variants_of, signal.id)
     length = signal.length_bits
     fits = one_cycle.pattern(1, width - length + 1)
-    found = _window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
+    found = window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
     return None if found is None else found[1]
 
 
@@ -245,7 +256,7 @@ class TestPlaceSignal:
             mask |= ms.all_bits ^ ms.slots[0].free[v]
         fits = ms.pattern(1, 8 - x.length_bits + 1)
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
-        assert _window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
+        assert window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
         pos = find_position_for_signal(ms, x, mems)
         assert pos == Placement(1, 0, 0)  # the next candidate, over P2
         assert place_signal_to_schedule(ms, x, mems) == pos
@@ -466,7 +477,7 @@ class TestBitPrimitives:
             None,
         )
         fits = ms.pattern(1, width - length + 1)
-        got = _window_first_fit(window_free(mask, width, hi), length, width, lo, fits)
+        got = window_first_fit(window_free(mask, width, hi), length, width, lo, fits)
         assert got == expected
 
     @given(data=st.data())
@@ -502,7 +513,7 @@ class TestBitPrimitives:
             (o for o in range(width - length + 1) if not mask & (want << o)), None
         )
         fits = (1 << (width - length + 1)) - 1
-        found = _window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
+        found = window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
         assert (None if found is None else found[1]) == expected
 
 

@@ -24,16 +24,16 @@ def windows_of(instance):
 
 class TestSortSignals:
     def test_ffp_sorts_by_period(self, example1):
-        sl = sort_signals(example1.signals, OrderingStrategy.FFP)
+        sl = sort_signals(example1.signals, OrderingStrategy.FFP, windows_of(example1))
         assert [s.period_us for s in sl] == sorted(s.period_us for s in example1.signals)
         assert [s.id for s in sl] == ["A", "B", "C", "F", "D", "E", "G", "H"]
 
     def test_ff_is_identity(self, example1):
-        sl = sort_signals(example1.signals, OrderingStrategy.FF)
+        sl = sort_signals(example1.signals, OrderingStrategy.FF, windows_of(example1))
         assert [s.id for s in sl] == [s.id for s in example1.signals]
 
     def test_ffl_puts_wide_signals_first_stably(self, example1):
-        sl = sort_signals(example1.signals, OrderingStrategy.FFL)
+        sl = sort_signals(example1.signals, OrderingStrategy.FFL, windows_of(example1))
         assert [s.id for s in sl][:2] == ["E", "F"]  # both 16 bit, input order kept
         assert all(s.length_bits == 8 for s in sl[2:])
 
@@ -71,10 +71,6 @@ class TestSortSignals:
         got = sort_signals(inst.signals, OrderingStrategy.FFC, windows_of(inst))
         keys = [(isinstance(s.node, str), s.node) for s in got]
         assert keys == sorted(keys)
-
-    def test_ffw_requires_windows(self, example1):
-        with pytest.raises(ValueError, match="windows"):
-            sort_signals(example1.signals, OrderingStrategy.FFW)
 
     def test_strategy_parsing(self):
         assert OrderingStrategy.from_name("FFC") is OrderingStrategy.FFC
