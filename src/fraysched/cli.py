@@ -65,7 +65,7 @@ def cmd_schedule(args) -> int:
         "slot_count": result.slot_count,
         "wall_time_s": round(result.wall_time_s, 6),
         "signal_count": len(instance.signals),
-        "variant_count": instance.variants.count,
+        "variant_count": len(instance.variants),
     }
     try:
         # the multischedule text first, then one native text at a time
@@ -106,21 +106,12 @@ def cmd_validate(args) -> int:
     try:
         instance = core.read_instance(path)
         path = args.schedule
-        text = Path(path).read_text(encoding="utf-8")
+        ms = multischedule.schedule_from_dict(core.read_json(path), instance)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {path}: {exc}")
-    except core.InstanceError as exc:
-        return _fail(str(exc))
-    try:
-        # ValueError: malformed JSON or an int too long to convert
-        sched_doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        return _fail(str(exc))
-    try:
-        ms = multischedule.schedule_from_dict(sched_doc, instance)
-    except multischedule.ScheduleError as exc:
+    except (core.InstanceError, multischedule.ScheduleError) as exc:
         return _fail(str(exc))
 
     violations = validator.validate_multischedule(ms, instance)
@@ -146,7 +137,7 @@ def _bench_cell(profile_name: str, seed: int, strategy_name: str) -> dict:
         result = schedule(instance, OrderingStrategy.from_name(strategy_name))
         row.update(
             signal_count=len(instance.signals),
-            variant_count=instance.variants.count,
+            variant_count=len(instance.variants),
             slot_count=result.slot_count,
             wall_time_s=f"{result.wall_time_s:.6f}",
         )

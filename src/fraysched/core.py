@@ -8,7 +8,7 @@ indices are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -61,14 +61,8 @@ def _check_signal(
         type(period_us) is type(length_bits) is type(release_us)
         is type(deadline_us) is int
     ):
-        name, value = _first_non_int(
-            {
-                "period_us": period_us,
-                "length_bits": length_bits,
-                "release_us": release_us,
-                "deadline_us": deadline_us,
-            }
-        )
+        values = (period_us, length_bits, release_us, deadline_us)
+        name, value = _first_non_int(dict(zip(_SIGNAL_FIELDS[2:], values)))
         raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
     if period_us <= 0:
         raise InstanceError(f"signal {sid}: period must be positive")
@@ -138,18 +132,6 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class VariantMatrix:
-    """Binary signal-to-variant membership, stored as one signal-id set per
-    vehicle variant."""
-
-    members: tuple[frozenset[str], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class CycleWindow:
     """Admissible first-job cycles of a signal, at cycle granularity.
 
@@ -170,7 +152,7 @@ class CycleWindow:
 class Instance:
     config: FlexRayConfig
     signals: tuple[Signal, ...]
-    variants: VariantMatrix
+    variants: tuple[frozenset[str], ...]  # the signal ids of each variant
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -214,10 +196,17 @@ def _bad_variant_member(j: int, group: list, seen: set) -> InstanceError:
     return InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
 
 
+# the keys of a config section and of a signal record: the fields they fill
+_CONFIG_FIELDS = {f.name: f for f in fields(FlexRayConfig)}
+_SIGNAL_FIELDS = tuple(f.name for f in fields(Signal))
+
+
 def load_instance(doc: dict) -> Instance:
     """Build a validated Instance from a parsed instance document.
 
-    Unknown top-level keys (e.g. generator metadata) are ignored.
+    The config section and each signal record take only the fields of
+    `FlexRayConfig` and `Signal`; unknown top-level keys (e.g. generator
+    metadata) are ignored.
     """
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
@@ -235,16 +224,13 @@ def load_instance(doc: dict) -> Instance:
     if not isinstance(raw_variants, list):
         raise InstanceError("variants must be a list of signal-id lists")
 
-    try:
-        config = FlexRayConfig(
-            cycle_us=raw_cfg["cycle_us"],
-            hyperperiod_cycles=raw_cfg["hyperperiod_cycles"],
-            payload_bits=raw_cfg["payload_bits"],
-            static_slots=raw_cfg.get("static_slots", 0),
-            slot_us=raw_cfg.get("slot_us", 0),
-        )
-    except KeyError as exc:
-        raise InstanceError(f"malformed config section: {exc}") from None
+    for key in raw_cfg:
+        if key not in _CONFIG_FIELDS:
+            raise InstanceError(f"config: unknown key {key!r}")
+    for name, field in _CONFIG_FIELDS.items():
+        if field.default is MISSING and name not in raw_cfg:
+            raise InstanceError(f"malformed config section: {name!r}")
+    config = FlexRayConfig(**raw_cfg)
 
     cycle = config.cycle_us
     # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
@@ -266,6 +252,11 @@ def load_instance(doc: dict) -> Instance:
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"malformed signal record: {exc}") from None
         _check_signal(sid, node, period, length, release, deadline)
+        # the four required keys are present, so a longer record has a key
+        # that no Signal field takes, such as a misspelt optional one
+        if len(raw) != 4 + ("release_us" in raw) + ("deadline_us" in raw):
+            key = next(k for k in raw if k not in _SIGNAL_FIELDS)
+            raise InstanceError(f"signal {sid}: unknown key {key!r}")
         if sid in seen:
             raise InstanceError(f"duplicate signal id {sid!r}")
         seen.add(sid)
@@ -310,7 +301,7 @@ def load_instance(doc: dict) -> Instance:
         if not known:
             raise _bad_variant_member(j, group, seen)
         members.append(member_set)
-    variants = VariantMatrix(tuple(members))
+    variants = tuple(members)
 
     # every variant holds known ids only, so all are covered when the
     # union is as large as the id set
@@ -323,20 +314,20 @@ def load_instance(doc: dict) -> Instance:
 
 
 def config_to_dict(config: FlexRayConfig) -> dict:
-    return {
-        "cycle_us": config.cycle_us,
-        "hyperperiod_cycles": config.hyperperiod_cycles,
-        "payload_bits": config.payload_bits,
-        "static_slots": config.static_slots,
-        "slot_us": config.slot_us,
-    }
+    """The config's fields in field order, as a new dict."""
+    return dict(vars(config))
+
+
+def read_json(path: Union[str, Path]):
+    """The JSON value in the UTF-8 file `path`.  Text that does not decode,
+    nests too deep or holds too long an int raises InstanceError naming the
+    file; OSError and UnicodeDecodeError pass through."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"{path}: not valid JSON ({exc})") from None
 
 
 def read_instance(path: Union[str, Path]) -> Instance:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    # also an int too long to convert (a ValueError) or nesting too deep
-    except (ValueError, RecursionError) as exc:
-        raise InstanceError(f"{path}: not valid JSON ({exc})") from None
-    return load_instance(doc)
+    return load_instance(read_json(path))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence, Union
 
-from .core import NodeId, Signal, VariantMatrix
+from .core import NodeId, Signal
 
 
 class ConflictModel:
@@ -41,21 +41,22 @@ class ConflictModel:
 
 
 def compute_mems(
-    signals: Sequence[Signal], variants: VariantMatrix
+    signals: Sequence[Signal], variants: Sequence[frozenset[str]]
 ) -> ConflictModel:
-    """Variant sets of every signal and node, from the membership lists.
-    The one inversion of membership that scheduling and rendering use."""
+    """Variant sets of every signal and node, from `variants[j]`, the ids
+    of the signals variant j uses; ids not in `signals` are skipped.  The
+    one inversion of membership that scheduling and rendering use."""
     variants_of: dict[str, list[int]] = {s.id: [] for s in signals}
-    for j, group in enumerate(variants.members):
+    for j, group in enumerate(variants):
         for vs in map(variants_of.get, group):
             if vs is not None:
                 vs.append(j)
-    bits = [1 << j for j in range(variants.count)]
+    bits = [1 << j for j in range(len(variants))]
     node_mask: dict[NodeId, int] = {}
     for s in signals:
         mask = sum(map(bits.__getitem__, variants_of[s.id]))
         node_mask[s.node] = node_mask.get(s.node, 0) | mask
-    return ConflictModel(variants_of, node_mask, variants.count)
+    return ConflictModel(variants_of, node_mask, len(variants))
 
 
 Matrix = list[list[bool]]

@@ -71,10 +71,11 @@ class Placement(NamedTuple):
 
 
 class Slot:
-    __slots__ = ("index", "nodes", "free")
+    """A static slot; its index is its position in `Multischedule.slots`."""
 
-    def __init__(self, index: int):
-        self.index = index
+    __slots__ = ("nodes", "free")
+
+    def __init__(self):
         self.nodes: set = set()
         # variant -> free bits over the whole hyperperiod, cycle-major; a
         # variant without an entry has them all
@@ -101,11 +102,6 @@ class Multischedule:
         self.closed: dict[NodeId, int] = {}
         self.all_bits = (1 << (config.hyperperiod_cycles * config.payload_bits)) - 1
         self._patterns: dict[tuple[int, int], int] = {}
-
-    def allocate_slot(self) -> Slot:
-        slot = Slot(len(self.slots))
-        self.slots.append(slot)
-        return slot
 
     def pattern(self, period_cycles: int, length: int) -> int:
         """A `length`-bit run at offset 0 of cycles 0, period, 2 * period, ...
@@ -208,7 +204,8 @@ def place_signal_to_schedule(
     window = ms.windows[signal.id]
     pos = find_position_for_signal(ms, signal, mems)
     if pos is None:
-        pos = Placement(ms.allocate_slot().index, window.release_cycle, 0)
+        pos = Placement(len(ms.slots), window.release_cycle, 0)
+        ms.slots.append(Slot())
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
     bits = ms.pattern(window.period_cycles, signal.length_bits) << shift
     slot = ms.slots[pos.slot]
@@ -378,29 +375,30 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
         )
     by_id = {s.id: s for s in instance.signals}
     ms = Multischedule(instance.config, {})
-    for raw_slot in doc["slots"]:
-        slot = ms.allocate_slot()
+    for i, raw_slot in enumerate(doc["slots"]):
+        slot = Slot()
+        ms.slots.append(slot)
         placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
         if not isinstance(placements, list):
             raise ScheduleError(
-                f"slot {slot.index}: a slot must be an object with a 'placements' list"
+                f"slot {i}: a slot must be an object with a 'placements' list"
             )
-        _check_keys(raw_slot, _SLOT_KEYS, f"slot {slot.index}")
-        index = raw_slot.get("index", slot.index)
-        if type(index) is not int or index != slot.index:
-            raise ScheduleError(f"slot {slot.index}: index is {index!r}, expected {slot.index}")
+        _check_keys(raw_slot, _SLOT_KEYS, f"slot {i}")
+        index = raw_slot.get("index", i)
+        if type(index) is not int or index != i:
+            raise ScheduleError(f"slot {i}: index is {index!r}, expected {i}")
         nodes_stated = "nodes" in raw_slot
         if nodes_stated:
             nodes = raw_slot["nodes"]
             if not isinstance(nodes, list) or not all(map(is_node_id, nodes)):
                 raise ScheduleError(
-                    f"slot {slot.index}: nodes must be a list of node ids, not {nodes!r}"
+                    f"slot {i}: nodes must be a list of node ids, not {nodes!r}"
                 )
             slot.nodes = set(nodes)
-        where = f"slot {slot.index}: placement"
+        where = f"slot {i}: placement"
         for raw in placements:
             if not isinstance(raw, dict):
-                raise ScheduleError(f"slot {slot.index}: a placement must be an object")
+                raise ScheduleError(f"slot {i}: a placement must be an object")
             # a placement has exactly the three keys, so the keys are
             # checked only when their count differs or one is missing below;
             # an unknown key is named before a missing one
@@ -422,7 +420,7 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
                     f"must be integers, not {first!r} and {offset!r}"
                 )
             signal = by_id[sid]
-            ms.placement_records.append((signal, Placement(slot.index, first, offset)))
+            ms.placement_records.append((signal, Placement(i, first, offset)))
             if not nodes_stated:
                 slot.nodes.add(signal.node)
     return ms

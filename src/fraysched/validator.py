@@ -103,10 +103,10 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
 
     # variants of each signal, ascending, and the same set as a bit mask
     var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
-    for j, group in enumerate(instance.variants.members):
+    for j, group in enumerate(instance.variants):
         for sid in group:
             var_lists[sid].append(j)
-    variant_bits = [1 << j for j in range(len(instance.variants.members))]
+    variant_bits = [1 << j for j in range(len(instance.variants))]
     var_masks = {
         sid: sum(map(variant_bits.__getitem__, js)) for sid, js in var_lists.items()
     }
@@ -293,15 +293,15 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             )
 
     # the nodes a slot states (a document's `nodes`) are its signals' nodes
-    for slot in ms.slots:
-        carried = set(slot_nodes.get(slot.index, ()))
+    for i, slot in enumerate(ms.slots):
+        carried = set(slot_nodes.get(i, ()))
         if slot.nodes != carried:
             out(
                 Violation(
                     "slot-nodes",
-                    f"slot {slot.index} states nodes {sorted(map(str, slot.nodes))} "
+                    f"slot {i} states nodes {sorted(map(str, slot.nodes))} "
                     f"but carries {sorted(map(str, carried))}",
-                    slot=slot.index,
+                    slot=i,
                 )
             )
     return violations

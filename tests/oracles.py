@@ -40,7 +40,7 @@ def instance_to_dict(instance: Instance) -> dict:
             for s in instance.signals
         ],
         "variants": [
-            sorted(group, key=order.__getitem__) for group in instance.variants.members
+            sorted(group, key=order.__getitem__) for group in instance.variants
         ],
     }
 
@@ -77,7 +77,7 @@ def conflict_tables(instance: Instance):
     """Pairwise signal/node conflict predicates from the raw variant sets."""
     varsets = {
         s.id: frozenset(
-            j for j, g in enumerate(instance.variants.members) if s.id in g
+            j for j, g in enumerate(instance.variants) if s.id in g
         )
         for s in instance.signals
     }
@@ -228,7 +228,7 @@ def brute_force_min_slots(instance: Instance, upper_bound=None) -> int:
     # static lower bound: nodes of one variant never share slots, and one
     # variant's bits must fit the allocated slot area
     lower = 0
-    for j, group in enumerate(instance.variants.members):
+    for j, group in enumerate(instance.variants):
         nodes = {node_of[sid] for sid in group}
         bits = sum(
             s.length_bits * (H // (s.period_us // F))
@@ -373,11 +373,11 @@ def slots_doc(ms, keep=None) -> list:
             nodes[pos.slot].add(sig.node)
     return [
         {
-            "index": slot.index,
+            "index": i,
             "nodes": sorted(nodes[i], key=_node_order),
             "placements": placements[i],
         }
-        for i, slot in enumerate(ms.slots)
+        for i in range(len(ms.slots))
     ]
 
 
@@ -389,7 +389,7 @@ def native_doc(ms, variant: int, variants) -> dict:
     return {
         "variant": variant,
         "config": config_to_dict(ms.config),
-        "slots": slots_doc(ms, variants.members[variant]),
+        "slots": slots_doc(ms, variants[variant]),
     }
 
 
@@ -456,7 +456,7 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
 
     by_id = {s.id: s for s in instance.signals}
     var_sets: dict[str, set[int]] = {s.id: set() for s in instance.signals}
-    for j, group in enumerate(instance.variants.members):
+    for j, group in enumerate(instance.variants):
         for sid in group:
             var_sets.setdefault(sid, set()).add(j)
 

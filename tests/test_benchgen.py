@@ -100,7 +100,7 @@ class TestGeneratorContract:
             for seed in (0, 1):
                 doc = generate_instance(profile, seed)
                 inst = load_instance(doc)  # raises on any invariant breach
-                covered = set().union(*inst.variants.members)
+                covered = set().union(*inst.variants)
                 assert covered == {s.id for s in inst.signals}
 
     def test_windows_are_schedulable(self):

@@ -186,6 +186,37 @@ class TestScheduleCommand:
         assert not (tmp_path / "s.json").exists()
 
 
+    @pytest.mark.parametrize("command", ["schedule", "validate"])
+    @pytest.mark.parametrize(
+        "section, old, new, message",
+        [
+            ("config", "static_slots", "static_slot", "config: unknown key 'static_slot'"),
+            ("signal", "release_us", "release_uss", "signal A: unknown key 'release_uss'"),
+            ("signal", "deadline_us", "deadline_uss", "signal A: unknown key 'deadline_uss'"),
+            ("signal", None, "priority", "signal A: unknown key 'priority'"),
+        ],
+        ids=["config-typo", "release-typo", "deadline-typo", "extra-key"],
+    )
+    def test_unknown_instance_key_exits_2_with_one_line(
+        self, tmp_path, example1_instance_path, example1_schedule_path, capsys,
+        command, section, old, new, message,
+    ):
+        doc = json.loads(example1_instance_path.read_text())
+        raw = doc["config"] if section == "config" else doc["signals"][0]
+        raw[new] = raw.pop(old) if old else 1
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "schedule": ["schedule", path, "--out", tmp_path / "s.json"],
+            "validate": ["validate", path, example1_schedule_path],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not (tmp_path / "s.json").exists()
+
+
 class TestValidateCommand:
     def test_reference_schedule_ok(self, ex1, example1_schedule_path):
         assert run(["validate", ex1, example1_schedule_path]) == 0
@@ -470,7 +501,11 @@ def test_io_errors_exit_2_with_one_line(tmp_path, ex1, example1_schedule_path, c
 # JSON that the decoder itself rejects with something other than a
 # JSONDecodeError: nesting past the recursion limit (RecursionError) and an
 # int with more digits than int() converts (ValueError)
-UNPARSABLE = {"deep": "[" * 200000, "long-int": "[" + "9" * 5000 + "]"}
+UNPARSABLE = {
+    "deep": "[" * 200000,
+    "long-int": "[" + "9" * 5000 + "]",
+    "truncated-object": "{",
+}
 
 
 @pytest.mark.parametrize("text", sorted(UNPARSABLE))
@@ -492,7 +527,7 @@ def test_unparsable_json_exits_2_with_one_line(
     assert run(argv) == 2
     err = capsys.readouterr().err
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {raw}: not valid JSON (")
     assert "Traceback" not in err
 
 

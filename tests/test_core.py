@@ -10,6 +10,7 @@ from fraysched.core import (
     InfeasibleSignalError,
     InstanceError,
     Signal,
+    config_to_dict,
     load_instance,
     round_time_constraints,
 )
@@ -43,15 +44,15 @@ def make_doc(**overrides):
 class TestLoadInstance:
     def test_example1_matches_parameter_table(self, example1):
         assert len(example1.signals) == 8
-        assert example1.variants.count == 2
+        assert len(example1.variants) == 2
         assert example1.config.payload_bits == 16
         assert example1.config.cycle_us == 5000
         by_id = {s.id: s for s in example1.signals}
         assert by_id["A"] == Signal("A", 1, 5000, 8, 0, 5000)
         assert by_id["E"] == Signal("E", 1, 20000, 16, 10000, 15000)
         assert by_id["H"] == Signal("H", 3, 20000, 8, 0, 15000)
-        assert example1.variants.members[0] == frozenset("ABCDFG")
-        assert example1.variants.members[1] == frozenset("BCEFH")
+        assert example1.variants[0] == frozenset("ABCDFG")
+        assert example1.variants[1] == frozenset("BCEFH")
 
     @pytest.mark.parametrize(
         "node", [[1], True, False, "", 1.5, None, {"id": 1}],
@@ -72,7 +73,7 @@ class TestLoadInstance:
     def test_empty_signal_list_is_valid(self):
         inst = load_instance(make_doc(signals=[], variants=[]))
         assert inst.signals == ()
-        assert inst.variants.count == 0
+        assert len(inst.variants) == 0
 
     def test_signal_exceeding_payload_rejected(self):
         doc = make_doc()
@@ -128,6 +129,47 @@ class TestLoadInstance:
         doc["signals"][0]["deadline_us"] = 0
         with pytest.raises(InstanceError, match="deadline must be positive"):
             load_instance(doc)
+
+    @pytest.mark.parametrize(
+        "section, old, new",
+        [
+            ("config", "static_slots", "static_slot"),
+            ("config", "cycle_us", "cycle_uss"),
+            ("signal", "release_us", "release_uss"),
+            ("signal", "deadline_us", "deadline_uss"),
+            ("signal", None, "note"),
+        ],
+        ids=["config-optional", "config-required", "signal-release",
+             "signal-deadline", "signal-extra"],
+    )
+    def test_unknown_config_or_signal_key_rejected(self, section, old, new):
+        # a misspelt optional key would otherwise read as an absent one
+        doc = make_doc()
+        raw = doc["config"] if section == "config" else doc["signals"][0]
+        raw[new] = raw.pop(old) if old else "x"
+        where = "config" if section == "config" else "signal X"
+        with pytest.raises(InstanceError) as info:
+            load_instance(doc)
+        assert str(info.value) == f"{where}: unknown key {new!r}"
+
+    @pytest.mark.parametrize("key", ["cycle_us", "hyperperiod_cycles", "payload_bits"])
+    def test_missing_config_key_named(self, key):
+        doc = make_doc()
+        del doc["config"][key]
+        with pytest.raises(InstanceError) as info:
+            load_instance(doc)
+        assert str(info.value) == f"malformed config section: {key!r}"
+
+    def test_config_to_dict_is_a_copy_in_field_order(self):
+        config = FlexRayConfig(5000, 4, 16, 75, 40)
+        doc = config_to_dict(config)
+        assert list(doc.items()) == [
+            (f.name, getattr(config, f.name)) for f in dataclasses.fields(FlexRayConfig)
+        ]
+        doc["cycle_us"] = 1
+        doc["extra"] = 2
+        assert config == FlexRayConfig(5000, 4, 16, 75, 40)
+        assert not hasattr(config, "extra")
 
     def test_meta_keys_ignored(self):
         doc = make_doc()

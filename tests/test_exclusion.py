@@ -71,7 +71,7 @@ def brute_force_mems(instance):
     n = len(instance.signals)
     ids = [s.id for s in instance.signals]
     smem = [[i == j for j in range(n)] for i in range(n)]
-    for group in instance.variants.members:
+    for group in instance.variants:
         for i in range(n):
             for j in range(n):
                 if ids[i] in group and ids[j] in group:
@@ -79,7 +79,7 @@ def brute_force_mems(instance):
     nodes = list(dict.fromkeys(s.node for s in instance.signals))
     m = len(nodes)
     nmem = [[False] * m for _ in range(m)]
-    for group in instance.variants.members:
+    for group in instance.variants:
         present = {s.node for s in instance.signals if s.id in group}
         for p in range(m):
             for q in range(m):
@@ -119,11 +119,9 @@ def test_adding_a_variant_is_monotone():
         extra = frozenset(
             s.id for s in inst.signals if rng.random() < 0.5
         )
-        from fraysched.core import Instance, VariantMatrix
+        from fraysched.core import Instance
 
-        grown = Instance(
-            inst.config, inst.signals, VariantMatrix(inst.variants.members + (extra,))
-        )
+        grown = Instance(inst.config, inst.signals, inst.variants + (extra,))
         mems_after = compute_mems(grown.signals, grown.variants)
         smem_before, nmem_before = dense_matrices(mems_before)
         smem_after, nmem_after = dense_matrices(mems_after)

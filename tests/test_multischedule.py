@@ -11,7 +11,6 @@ from fraysched.core import (
     MAX_PAYLOAD_BITS,
     CycleWindow,
     FlexRayConfig,
-    VariantMatrix,
     load_instance,
     round_time_constraints,
 )
@@ -144,7 +143,7 @@ def node_split_instances(draw):
     inst = make_random_instance(rng, max_signals=16, max_nodes=6, max_variants=5)
     if draw(st.booleans()):
         inst = with_mixed_nodes(inst)
-    count = inst.variants.count
+    count = len(inst.variants)
     cut = draw(st.integers(0, count))
     sides = {"low": range(cut), "high": range(cut, count), "all": range(count)}
     allowed = {}
@@ -152,10 +151,10 @@ def node_split_instances(draw):
         allowed[node] = sides[draw(st.sampled_from(sorted(sides)))] or range(count)
     members = [set() for _ in range(count)]
     for sig in inst.signals:
-        mine = [j for j in allowed[sig.node] if sig.id in inst.variants.members[j]]
+        mine = [j for j in allowed[sig.node] if sig.id in inst.variants[j]]
         for j in mine or [rng.choice(allowed[sig.node])]:
             members[j].add(sig.id)
-    variants = VariantMatrix(tuple(frozenset(g) for g in members))
+    variants = tuple(frozenset(g) for g in members)
     return dataclasses.replace(inst, variants=variants)
 
 
@@ -297,7 +296,7 @@ class TestPlaceSignal:
             for s in inst.signals:
                 pos = placements[s.id]
                 period = s.period_us // inst.config.cycle_us
-                for j, group in enumerate(inst.variants.members):
+                for j, group in enumerate(inst.variants):
                     if s.id not in group:
                         continue
                     for c in range(pos.first_cycle, H, period):
@@ -323,7 +322,7 @@ class TestFreeBits:
         mems = compute_mems(inst.signals, inst.variants)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
         H, W = inst.config.hyperperiod_cycles, inst.config.payload_bits
-        count = inst.variants.count
+        count = len(inst.variants)
         for strategy in OrderingStrategy:
             ms = Multischedule(inst.config, windows)
             before: list[dict] = []
@@ -333,7 +332,7 @@ class TestFreeBits:
                 for placed, pos in ms.placement_records:
                     period = placed.period_us // inst.config.cycle_us
                     run = (1 << placed.length_bits) - 1
-                    for j, group in enumerate(inst.variants.members):
+                    for j, group in enumerate(inst.variants):
                         if placed.id in group:
                             for c in range(pos.first_cycle, H, period):
                                 used[pos.slot][j] |= run << (c * W + pos.offset_bits)

@@ -62,11 +62,11 @@ def test_rendered_documents_equal_json_dumps(inst, strategy):
     ms = res.multischedule
     texts = list(render_documents(ms, res.mems))
     assert texts == [dumped(schedule_doc(ms))] + [
-        dumped(native_doc(ms, j, inst.variants)) for j in range(inst.variants.count)
+        dumped(native_doc(ms, j, inst.variants)) for j in range(len(inst.variants))
     ]
     assert list(render_documents(ms)) == texts[:1]
     assert schedule_to_dict(ms) == schedule_doc(ms)
-    for j in range(inst.variants.count):
+    for j in range(len(inst.variants)):
         assert extract_native_schedule(ms, j, inst.variants) == native_doc(
             ms, j, inst.variants
         )

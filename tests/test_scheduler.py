@@ -203,7 +203,7 @@ class TestSchedule:
             res = schedule(inst, OrderingStrategy.FFC)
             H = inst.config.hyperperiod_cycles
             W = inst.config.payload_bits
-            for group in inst.variants.members:
+            for group in inst.variants:
                 nodes = {s.node for s in inst.signals if s.id in group}
                 bits = sum(
                     s.length_bits * (H // (s.period_us // inst.config.cycle_us))
