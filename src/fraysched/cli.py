@@ -44,8 +44,8 @@ def cmd_generate(args) -> int:
 def cmd_schedule(args) -> int:
     try:
         instance = core.read_instance(args.instance)
-    except FileNotFoundError:
-        return _fail(f"instance file not found: {args.instance}")
+    except FileNotFoundError as exc:
+        return _fail(f"file not found: {exc.filename}")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.instance}: {exc}")
     except core.InstanceError as exc:
@@ -128,53 +128,50 @@ _BENCH_FIELDS = ("profile", "seed", "strategy", "signal_count", "variant_count",
                  "slot_count", "wall_time_s", "status")
 
 
-def _bench_cell(profile_name: str, seed: int, strategy_name: str) -> dict:
-    row = dict.fromkeys(_BENCH_FIELDS, "")
-    row.update(profile=profile_name, seed=seed, strategy=strategy_name, status="ok")
-    try:
-        doc = benchgen.generate_instance(benchgen.PROFILES[profile_name], seed)
-        instance = core.load_instance(doc)
-        result = schedule(instance, OrderingStrategy.from_name(strategy_name))
-        row.update(
-            signal_count=len(instance.signals),
-            variant_count=len(instance.variants),
-            slot_count=result.slot_count,
-            wall_time_s=f"{result.wall_time_s:.6f}",
-        )
-    except Exception as exc:  # recorded, batch continues
-        row["status"] = f"error: {exc}"
-    return row
-
-
 def cmd_bench(args) -> int:
     import csv
-    from concurrent.futures import ProcessPoolExecutor
 
     profiles = [p.strip().lower() for p in args.profiles.split(",") if p.strip()]
     strategies = [s.strip().lower() for s in args.strategies.split(",") if s.strip()]
     for p in profiles:
         if p not in benchgen.PROFILES:
             return _fail(f"unknown profile {p!r}")
-    for s in strategies:
-        try:
-            OrderingStrategy.from_name(s)
-        except ValueError as exc:
-            return _fail(str(exc))
+    try:
+        orderings = [OrderingStrategy.from_name(s) for s in strategies]
+    except ValueError as exc:
+        return _fail(str(exc))
 
-    cells = [
-        (p, args.seed_base + i, s)
-        for p in profiles
-        for i in range(args.repeats)
-        for s in strategies
-    ]
-    # a fork-started pool launches all of its workers on the first submit,
-    # so more workers than cells or CPUs would only cost processes
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, *zip(*cells)))
-    else:
-        rows = [_bench_cell(*cell) for cell in cells]
+    # one instance per (profile, seed), shared by all strategies; a failure
+    # is recorded in the status of each row it affects and the batch goes on
+    rows = []
+    for p in profiles:
+        for seed in range(args.seed_base, args.seed_base + args.repeats):
+            cells = [
+                dict(dict.fromkeys(_BENCH_FIELDS, ""), profile=p, seed=seed,
+                     strategy=s, status="ok")
+                for s in strategies
+            ]
+            rows += cells
+            try:
+                instance = core.load_instance(
+                    benchgen.generate_instance(benchgen.PROFILES[p], seed)
+                )
+            except Exception as exc:
+                for row in cells:
+                    row["status"] = f"error: {exc}"
+                continue
+            for row, ordering in zip(cells, orderings):
+                try:
+                    result = schedule(instance, ordering)
+                except Exception as exc:
+                    row["status"] = f"error: {exc}"
+                    continue
+                row.update(
+                    signal_count=len(instance.signals),
+                    variant_count=len(instance.variants),
+                    slot_count=result.slot_count,
+                    wall_time_s=f"{result.wall_time_s:.6f}",
+                )
 
     # per-profile mean slot counts, profiles in rows and strategies in
     # columns like the usual results-table layout
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--aggregate-out", help="write per-profile mean slot counts")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_bench)
     return parser
 

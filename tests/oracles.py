@@ -87,13 +87,16 @@ def conflict_tables(instance: Instance):
         for j in varsets[s.id]:
             nodes_in_variant.setdefault(j, set()).add(s.node)
 
+    # two distinct nodes conflict iff some variant uses both
+    node_pairs = {
+        (p, q) for ns in nodes_in_variant.values() for p in ns for q in ns if p != q
+    }
+
     def sig_conflict(a, b):
         return bool(varsets[a] & varsets[b])
 
     def node_conflict(p, q):
-        if p == q:
-            return False
-        return any(p in ns and q in ns for ns in nodes_in_variant.values())
+        return (p, q) in node_pairs
 
     return varsets, node_of, sig_conflict, node_conflict
 

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from fraysched import cli
+from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.cli import main
+from fraysched.core import load_instance
+from fraysched.scheduler import OrderingStrategy, schedule
 
 
 def run(argv):
@@ -498,6 +501,24 @@ def test_io_errors_exit_2_with_one_line(tmp_path, ex1, example1_schedule_path, c
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, document",
+    [("schedule", "instance"), ("validate", "instance"), ("validate", "schedule")],
+)
+def test_missing_file_exits_2_with_the_same_line(
+    tmp_path, ex1, example1_schedule_path, capsys, command, document
+):
+    missing = tmp_path / "missing.json"
+    argv = {
+        ("schedule", "instance"): ["schedule", missing, "--out", tmp_path / "s.json"],
+        ("validate", "instance"): ["validate", missing, example1_schedule_path],
+        ("validate", "schedule"): ["validate", ex1, missing],
+    }[command, document]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
 # JSON that the decoder itself rejects with something other than a
 # JSONDecodeError: nesting past the recursion limit (RecursionError) and an
 # int with more digits than int() converts (ValueError)
@@ -532,8 +553,8 @@ def test_unparsable_json_exits_2_with_one_line(
 
 
 def test_cli_import_loads_no_numpy_csv_or_process_pool():
-    # the CLI's cold start pays for none of these; csv and the process
-    # pool are imported only by the commands that use them
+    # the CLI's cold start pays for none of these; csv is imported only by
+    # the bench command, and nothing starts a process pool
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -600,51 +621,60 @@ class TestBenchCommand:
         with open(out) as fh:
             assert list(csv.DictReader(fh)) == []
 
-    def test_parallel_rows_match_sequential(self, tmp_path):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        args = ["bench", "--profiles", "set1", "--strategies", "ffp",
-                "--repeats", 2, "--seed-base", 3]
-        assert run(args + ["--out", seq]) == 0
-        assert run(args + ["--out", par, "--jobs", 2]) == 0
-        def strip(path):
-            with open(path) as fh:
-                return [
-                    {k: v for k, v in row.items() if k != "wall_time_s"}
-                    for row in csv.DictReader(fh)
-                ]
+    def test_rows_match_direct_schedule(self, tmp_path):
+        # each row's figures are those of scheduling the generated instance
+        # directly; set5 is multi-node, so node exclusion is in play, and
+        # ff and ffc give different slot counts on every one of these seeds
+        out = tmp_path / "rows.csv"
+        assert run(["bench", "--profiles", "set1,set5", "--strategies", "ff,ffc",
+                    "--repeats", 2, "--seed-base", 1, "--out", out]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        expected = []
+        for profile in ("set1", "set5"):
+            for seed in (1, 2):
+                inst = load_instance(generate_instance(PROFILES[profile], seed))
+                for strategy in ("ff", "ffc"):
+                    result = schedule(inst, OrderingStrategy.from_name(strategy))
+                    expected.append({
+                        "profile": profile, "seed": str(seed), "strategy": strategy,
+                        "signal_count": str(len(inst.signals)),
+                        "variant_count": str(len(inst.variants)),
+                        "slot_count": str(result.slot_count), "status": "ok",
+                    })
+        assert [
+            {k: v for k, v in row.items() if k != "wall_time_s"} for row in rows
+        ] == expected
 
-        assert strip(seq) == strip(par)
+    def test_failed_cells_are_recorded_and_the_batch_goes_on(self, tmp_path, monkeypatch):
+        # seed 1 fails to generate, so both of its rows fail; ff fails to
+        # schedule, so only its own row of seed 0 fails
+        generate = cli.benchgen.generate_instance
 
-    @pytest.mark.parametrize("cpus, sizes", [(64, [2]), (1, [])])
-    def test_jobs_capped_at_cells_and_cpus(self, tmp_path, monkeypatch, cpus, sizes):
-        # a fake pool records its size and maps in-process, so no worker
-        # process is started however large --jobs is
-        import concurrent.futures
+        def flaky_generate(profile, seed):
+            if seed == 1:
+                raise RuntimeError("no instance")
+            return generate(profile, seed)
 
-        seen = []
+        def flaky_schedule(instance, ordering):
+            if ordering is OrderingStrategy.FF:
+                raise RuntimeError("no schedule")
+            return schedule(instance, ordering)
 
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli.benchgen, "generate_instance", flaky_generate)
+        monkeypatch.setattr(cli, "schedule", flaky_schedule)
         out = tmp_path / "rows.csv"
         assert run(["bench", "--profiles", "set1", "--strategies", "ff,ffc",
-                    "--repeats", 1, "--jobs", 1000000, "--out", out]) == 0
-        assert seen == sizes
+                    "--repeats", 2, "--out", out]) == 0
         with open(out) as fh:
-            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["strategy"], r["status"], r["slot_count"] != "")
+                for r in rows] == [
+            ("0", "ff", "error: no schedule", False),
+            ("0", "ffc", "ok", True),
+            ("1", "ff", "error: no instance", False),
+            ("1", "ffc", "error: no instance", False),
+        ]
 
     def test_unknown_profile_exits_2(self, tmp_path):
         assert run(["bench", "--profiles", "setx", "--out", tmp_path / "x.csv"]) == 2
