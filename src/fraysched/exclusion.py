@@ -10,16 +10,21 @@ variant j uses any of its signals, and two nodes conflict iff their masks
 intersect.  The model costs O(n * V) for n signals and V variants.
 
 The dense n x n signal matrix (SMEM) and m x m node matrix (NMEM) are a
-derived view built only on request by `dense_matrices`, for `--mems-dump`
-and for tests: smem[a][b] is 1 iff some variant uses both signals, with
-the diagonal forced to 1 (a signal never overlaps itself); nmem[p][q] is 1
-iff p != q and some variant carries signals from both nodes.
+derived view built only on request, one row at a time: `dense_matrices`
+keeps every row, for tests, and `dump_mems_csv` (`--mems-dump`) writes
+each row as it is built.  smem[a][b] is 1 iff some variant uses both
+signals, with the diagonal forced to 1 (a signal never overlaps itself);
+nmem[p][q] is 1 iff p != q and some variant carries signals from both
+nodes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import reduce
+from operator import or_
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .core import NodeId, Signal
 
@@ -62,38 +67,67 @@ def compute_mems(
 Matrix = list[list[bool]]
 
 
+def _co_used_rows(masks: list[int], diagonal: bool) -> Iterator[str]:
+    """Rows of the matrix whose entry (i, k) is 1 iff masks i and k share a
+    bit, `diagonal` on the diagonal, each as a string of '0' and '1'.
+
+    Row i is the OR of one n-bit int per bit j of mask i, the set of items
+    whose masks have bit j, so a row costs a few big-int ORs and only one
+    row is held at a time.
+    """
+    bits_of = [[j for j, c in enumerate(bin(m)[:1:-1]) if c == "1"] for m in masks]
+    users: dict[int, int] = defaultdict(int)
+    for k, bits in enumerate(bits_of):
+        for j in bits:
+            users[j] |= 1 << k
+    width = "0%db" % len(masks)
+    for i, bits in enumerate(bits_of):
+        row = reduce(or_, map(users.__getitem__, bits), 0)
+        row = row | 1 << i if diagonal else row & ~(1 << i)
+        # format() puts bit 0 last
+        yield format(row, width)[::-1]
+
+
+def _matrix_rows(mems: ConflictModel) -> tuple[Iterator[str], Iterator[str]]:
+    """Row iterators of SMEM and NMEM, signals and nodes in the model's
+    order."""
+    signal_masks = [sum(1 << j for j in vs) for vs in mems.variants_of.values()]
+    return (
+        _co_used_rows(signal_masks, True),
+        _co_used_rows(list(mems.node_mask.values()), False),
+    )
+
+
 def dense_matrices(mems: ConflictModel) -> tuple[Matrix, Matrix]:
     """(SMEM, NMEM) as lists of bool rows, signals and nodes in the model's
     order.
 
     O(n^2) memory; the scheduler never calls this.
     """
-
-    def co_used(masks: list[int], diagonal: bool) -> Matrix:
-        return [
-            [diagonal if i == k else bool(a & b) for k, b in enumerate(masks)]
-            for i, a in enumerate(masks)
-        ]
-
-    smem = co_used([sum(1 << j for j in vs) for vs in mems.variants_of.values()], True)
-    nmem = co_used(list(mems.node_mask.values()), False)
-    return smem, nmem
+    smem, nmem = _matrix_rows(mems)
+    return (
+        [list(map("1".__eq__, row)) for row in smem],
+        [list(map("1".__eq__, row)) for row in nmem],
+    )
 
 
 def dump_mems_csv(mems: ConflictModel, out_dir: Union[str, Path]) -> None:
-    """Write both matrices as 0/1 CSV grids with id headers (debug aid)."""
+    """Write both matrices as 0/1 CSV grids with id headers (debug aid).
+
+    Each row is written as it is built, so memory stays linear in the
+    number of signals.
+    """
     import csv
 
-    smem, nmem = dense_matrices(mems)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "smem.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + list(mems.variants_of))
-        for i, sid in enumerate(mems.variants_of):
-            w.writerow([sid] + [int(x) for x in smem[i]])
-    with open(out / "nmem.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + [str(nd) for nd in mems.node_mask])
-        for i, nd in enumerate(mems.node_mask):
-            w.writerow([str(nd)] + [int(x) for x in nmem[i]])
+    tables = (
+        ("smem.csv", list(mems.variants_of)),
+        ("nmem.csv", [str(nd) for nd in mems.node_mask]),
+    )
+    for (name, ids), rows in zip(tables, _matrix_rows(mems)):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow([""] + ids)
+            for key, row in zip(ids, rows):
+                w.writerow([key, *row])

@@ -22,12 +22,20 @@ the AND starts from the mask of just those frames and costs no more than
 they do (an AND of non-negative ints is as long as the shorter one).  One
 candidate mask per slot visit holds the offsets of the window's frames at
 which the first job fits; its lowest bit is the earliest cycle and the
-lowest offset inside it.  Only that candidate is checked against the
-later jobs' frames, with one full-width AND per slot; on a clash the
-candidate's frame and every frame below it leave the mask.
+lowest offset inside it.  Periods are powers of two and windows keep
+first_cycle < period_cycles, so a resident's jobs fill one residue class
+of cycles modulo its period, and `Slot.period`, the longest period among
+a slot's residents, is a period of every variant's free bits.  When it
+divides the signal's period, each later job's frame reads as the first
+job's and the candidate is taken as it is; FFP places signals by
+non-decreasing period and FFC does so node by node, so there this is the
+common case.  Otherwise the candidate is checked against the later jobs'
+frames, with one full-width AND per slot; on a clash the candidate's frame
+and every frame below it leave the mask.
 `place_signal_to_schedule` commits the position it finds, or opens a slot;
 the commit clears the jobs' bits with XOR, which is exact because they are
-free in every one of the signal's variants.
+free in every one of the signal's variants, and raises the slot's `period`
+to the signal's when that is longer.
 Every bit pattern comes from one table, `Multischedule.pattern(period,
 length)`: a signal's jobs, shifted to its position, and the in-frame start
 offsets of a length, so the search and the commit of one signal read the
@@ -71,15 +79,22 @@ class Placement(NamedTuple):
 
 
 class Slot:
-    """A static slot; its index is its position in `Multischedule.slots`."""
+    """A static slot; its index is its position in `Multischedule.slots`.
 
-    __slots__ = ("nodes", "free")
+    `period` is the longest `period_cycles` among the slot's residents, 1
+    while it has none; the free bits of every variant repeat every
+    `period` cycles.  A slot rebuilt by `schedule_from_dict` is never
+    placed into, so its `period` stays 1.
+    """
+
+    __slots__ = ("nodes", "free", "period")
 
     def __init__(self):
         self.nodes: set = set()
         # variant -> free bits over the whole hyperperiod, cycle-major; a
         # variant without an entry has them all
         self.free: dict[int, int] = {}
+        self.period = 1
 
 
 class Multischedule:
@@ -147,10 +162,10 @@ def find_position_for_signal(
     of the first job is a candidate.  A slot visit builds one mask of the
     first job's feasible offsets over the window's frames and reads
     candidates from it lowest bit first; a candidate is taken when the same
-    range is also free in every later job's frame, which a signal whose
-    period is the hyperperiod does not have, and otherwise its frame is
-    dropped from the mask.  Slots closed to the signal's node are never
-    visited.
+    range is also free in every later job's frame, which holds without a
+    check when the slot's `period` divides the signal's, and otherwise its
+    frame is dropped from the mask.  Slots closed to the signal's node are
+    never visited.
     """
     window = ms.windows[signal.id]
     width = ms.config.payload_bits
@@ -161,16 +176,16 @@ def find_position_for_signal(
     all_bits = ms.all_bits
     # every bit of frames 0..deadline_cycle
     head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - window.deadline_cycle) * width)
-    pattern = None
-    if window.period_cycles < ms.config.hyperperiod_cycles:
-        pattern = ms.pattern(window.period_cycles, length)
+    period = window.period_cycles
+    pattern = ms.pattern(period, length)
     slots = ms.slots
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
     while open_slots:
         si = (open_slots & -open_slots).bit_length() - 1
         open_slots &= open_slots - 1
-        free = slots[si].free
+        slot = slots[si]
+        free = slot.free
         usable = reduce(and_, map(free.get, variants, repeat(all_bits)), head)
         # the window's frames moved down to bit 0: bit c * W + o is set when
         # the first job fits at (release + c, o)
@@ -179,7 +194,9 @@ def find_position_for_signal(
         while hits:
             c, offset = divmod((hits & -hits).bit_length() - 1, width)
             cycle = release + c
-            if pattern is None:
+            # every resident's period divides the signal's, so each later
+            # job's frame has the same free bits as the first job's
+            if slot.period <= period:
                 return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
             if whole is None:
@@ -214,6 +231,7 @@ def place_signal_to_schedule(
     free, all_bits = slot.free, ms.all_bits
     for v in mems.variants_of[signal.id]:
         free[v] = free.get(v, all_bits) ^ bits
+    slot.period = max(slot.period, window.period_cycles)
     node = signal.node
     if node not in slot.nodes:
         slot.nodes.add(node)
@@ -361,7 +379,8 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
     `index` that differs from the instance or the slot's position.  A
     slot's stated `nodes` become `Slot.nodes`, for the validator to compare
     with its placements' nodes; a slot that states none takes those nodes.
-    No occupancy is built: the validator works from the records alone.
+    No occupancy is built and every slot keeps `period` 1: the validator
+    works from the records alone.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")

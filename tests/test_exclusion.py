@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fraysched.core import load_instance
-from fraysched.exclusion import compute_mems, dense_matrices, dump_mems_csv
+from fraysched.exclusion import ConflictModel, compute_mems, dense_matrices, dump_mems_csv
 
 from oracles import make_random_instance, nodes_conflict, signals_conflict
 
@@ -218,3 +218,28 @@ def test_mems_dump_bytes_are_pinned(tmp_path, example1_instance_path, name):
         for f in ("smem.csv", "nmem.csv")
     }
     assert got == MEMS_DUMP_DIGESTS[name]
+
+
+def test_mems_dump_peak_memory_is_linear(tmp_path):
+    # --mems-dump writes each matrix row as it is built: on 2000 signals the
+    # dump's peak allocation stays a small multiple of n bytes, where the
+    # 2000 x 2000 grid held at once takes 32 MB in list slots alone
+    import tracemalloc
+
+    n = 2000
+    rng = random.Random(17)
+    variants_of = {f"s{i}": sorted(rng.sample(range(8), rng.randint(1, 3))) for i in range(n)}
+    node_mask: dict = {}
+    for i, vs in enumerate(variants_of.values()):
+        node_mask[i % 7] = node_mask.get(i % 7, 0) | sum(1 << j for j in vs)
+    mems = ConflictModel(variants_of, node_mask, 8)
+    tracemalloc.start()
+    try:
+        dump_mems_csv(mems, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * n
+    smem = (tmp_path / "smem.csv").read_text().splitlines()
+    assert len(smem) == n + 1
+    assert smem[1].split(",")[1:] == [str(int(x)) for x in dense_matrices(mems)[0][0]]

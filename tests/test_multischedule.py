@@ -14,6 +14,7 @@ from fraysched.core import (
     load_instance,
     round_time_constraints,
 )
+from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multischedule,
@@ -372,6 +373,58 @@ class TestFreeBits:
                 }
                 assert got == placements
                 assert res.slot_count == slot_count
+
+
+class TestSlotPeriod:
+    @given(seed=st.integers(0, 10**6), strategy=st.sampled_from(list(OrderingStrategy)))
+    @settings(max_examples=150, deadline=None)
+    def test_period_is_the_longest_resident_period(self, seed, strategy):
+        # the search skips the later-job check on this figure, so it must
+        # follow every commit, in every order
+        inst = with_mixed_nodes(make_random_instance(random.Random(seed), max_nodes=4))
+        mems = compute_mems(inst.signals, inst.variants)
+        windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+        ms = Multischedule(inst.config, windows)
+        for sig in sort_signals(inst.signals, strategy, windows):
+            place_signal_to_schedule(ms, sig, mems)
+            want = [1] * len(ms.slots)
+            for placed, pos in ms.placement_records:
+                want[pos.slot] = max(want[pos.slot], windows[placed.id].period_cycles)
+            assert [slot.period for slot in ms.slots] == want
+
+    @pytest.mark.parametrize("profile", ["set1", "set5", "1ecu500"])
+    @pytest.mark.parametrize("strategy", [OrderingStrategy.FFC, OrderingStrategy.FFP])
+    def test_period_ordered_strategies_skip_the_later_job_check(self, profile, strategy):
+        # FFP and FFC place by non-decreasing period, FFC per node, so every
+        # slot the search may visit holds no resident with a longer period
+        # than the signal's.  FFC leaves longer periods in slots of nodes
+        # placed earlier; benchgen's nodes all share a variant, which closes
+        # those slots to every later node.
+        small = dataclasses.replace(PROFILES[profile], signal_count_range=(150, 150))
+        for seed in range(2):
+            inst = load_instance(generate_instance(small, seed))
+            mems = compute_mems(inst.signals, inst.variants)
+            windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
+            ms = Multischedule(inst.config, windows)
+            longer = 0
+            for sig in sort_signals(inst.signals, strategy, windows):
+                period = windows[sig.id].period_cycles
+                closed = ms.closed.get(sig.node, 0)
+                longer += sum(
+                    slot.period > period
+                    for i, slot in enumerate(ms.slots)
+                    if not closed >> i & 1
+                )
+                place_signal_to_schedule(ms, sig, mems)
+            assert longer == 0
+            assert len({s.period_us for s in inst.signals}) > 1
+            assert len(ms.slots) > 1
+
+    def test_rebuilt_slots_keep_period_one(self, example1):
+        res = schedule(example1, OrderingStrategy.FF)
+        assert {slot.period for slot in res.multischedule.slots} != {1}
+        rebuilt = schedule_from_dict(schedule_to_dict(res.multischedule), example1)
+        assert [slot.period for slot in rebuilt.slots] == [1] * res.slot_count
 
 
 class TestExtraction:
