@@ -133,6 +133,10 @@ def cmd_bench(args) -> int:
 
     profiles = [p.strip().lower() for p in args.profiles.split(",") if p.strip()]
     strategies = [s.strip().lower() for s in args.strategies.split(",") if s.strip()]
+    if not profiles or not strategies:
+        return _fail("--profiles and --strategies must each name at least one")
+    if args.repeats < 1:
+        return _fail(f"--repeats must be >= 1, not {args.repeats}")
     for p in profiles:
         if p not in benchgen.PROFILES:
             return _fail(f"unknown profile {p!r}")

@@ -45,35 +45,6 @@ def is_node_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_signal(
-    sid, node, period_us, length_bits, release_us, deadline_us
-) -> None:
-    """Raise InstanceError for the first field that is not a valid signal
-    field; the rules of a `Signal` and of an instance's signal records."""
-    if not isinstance(sid, str) or not sid:
-        raise InstanceError("signal id must be a non-empty string")
-    if not is_node_id(node):
-        raise InstanceError(
-            f"signal {sid}: node must be an integer or a non-empty "
-            f"string, not {node!r}"
-        )
-    if not (
-        type(period_us) is type(length_bits) is type(release_us)
-        is type(deadline_us) is int
-    ):
-        values = (period_us, length_bits, release_us, deadline_us)
-        name, value = _first_non_int(dict(zip(_SIGNAL_FIELDS[2:], values)))
-        raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
-    if period_us <= 0:
-        raise InstanceError(f"signal {sid}: period must be positive")
-    if length_bits < 1:
-        raise InstanceError(f"signal {sid}: length must be >= 1 bit")
-    if release_us < 0:
-        raise InstanceError(f"signal {sid}: release must be >= 0")
-    if deadline_us <= 0:
-        raise InstanceError(f"signal {sid}: deadline must be positive")
-
-
 @dataclass(frozen=True)
 class FlexRayConfig:
     """Bus parameters that are fixed before scheduling starts.
@@ -115,20 +86,38 @@ class FlexRayConfig:
 @dataclass(frozen=True)
 class Signal:
     """One periodic message: transmitting node, period, length and the
-    release/deadline pair constraining its first instance."""
+    release/deadline pair constraining its first instance.  Construction
+    raises InstanceError for the first field that breaks the model's rules."""
 
     id: str
     node: NodeId
     period_us: int
     length_bits: int
-    release_us: int = 0
-    deadline_us: int = 0
+    release_us: int
+    deadline_us: int
 
     def __post_init__(self):
-        _check_signal(
-            self.id, self.node, self.period_us, self.length_bits,
-            self.release_us, self.deadline_us,
-        )
+        sid = self.id
+        if not isinstance(sid, str) or not sid:
+            raise InstanceError("signal id must be a non-empty string")
+        if not is_node_id(self.node):
+            raise InstanceError(
+                f"signal {sid}: node must be an integer or a non-empty "
+                f"string, not {self.node!r}"
+            )
+        period, length = self.period_us, self.length_bits
+        release, deadline = self.release_us, self.deadline_us
+        if not (type(period) is type(length) is type(release) is type(deadline) is int):
+            name, value = _first_non_int({f: getattr(self, f) for f in _SIGNAL_FIELDS[2:]})
+            raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
+        if period <= 0:
+            raise InstanceError(f"signal {sid}: period must be positive")
+        if length < 1:
+            raise InstanceError(f"signal {sid}: length must be >= 1 bit")
+        if release < 0:
+            raise InstanceError(f"signal {sid}: release must be >= 0")
+        if deadline <= 0:
+            raise InstanceError(f"signal {sid}: deadline must be positive")
 
 
 @dataclass(frozen=True)
@@ -205,8 +194,9 @@ def load_instance(doc: dict) -> Instance:
     """Build a validated Instance from a parsed instance document.
 
     The config section and each signal record take only the fields of
-    `FlexRayConfig` and `Signal`; unknown top-level keys (e.g. generator
-    metadata) are ignored.
+    `FlexRayConfig` and `Signal`, whose constructors check their values; a
+    record's `release_us` defaults to 0 and its `deadline_us` to its period.
+    Unknown top-level keys (e.g. generator metadata) are ignored.
     """
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
@@ -235,8 +225,6 @@ def load_instance(doc: dict) -> Instance:
     cycle = config.cycle_us
     # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
     periods = {cycle << k for k in range(config.hyperperiod_cycles.bit_length())}
-    new_signal = object.__new__
-    set_field = object.__setattr__
     signals = []
     seen = set()
     for raw in raw_signals:
@@ -251,7 +239,7 @@ def load_instance(doc: dict) -> Instance:
             deadline = raw["deadline_us"] if "deadline_us" in raw else period
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"malformed signal record: {exc}") from None
-        _check_signal(sid, node, period, length, release, deadline)
+        sig = Signal(sid, node, period, length, release, deadline)
         # the four required keys are present, so a longer record has a key
         # that no Signal field takes, such as a misspelt optional one
         if len(raw) != 4 + ("release_us" in raw) + ("deadline_us" in raw):
@@ -274,17 +262,6 @@ def load_instance(doc: dict) -> Instance:
             raise InstanceError(
                 f"signal {sid}: period {period} us exceeds the hyperperiod"
             )
-        # the fields are checked above, and Signal(...) would check them
-        # again; they are set as its frozen __init__ sets them.  Setting
-        # sig.__dict__ instead is cheaper per call, but gives each record a
-        # dict of its own: more memory and more garbage-collector passes.
-        sig = new_signal(Signal)
-        set_field(sig, "id", sid)
-        set_field(sig, "node", node)
-        set_field(sig, "period_us", period)
-        set_field(sig, "length_bits", length)
-        set_field(sig, "release_us", release)
-        set_field(sig, "deadline_us", deadline)
         signals.append(sig)
 
     members = []

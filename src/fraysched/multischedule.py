@@ -376,8 +376,9 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
     Tolerates infeasible placements (the validator needs to see them) but
     rejects documents referencing unknown signals, lacking structure or
     using keys the format does not have, and a stated `config` or slot
-    `index` that differs from the instance or the slot's position.  A
-    slot's stated `nodes` become `Slot.nodes`, for the validator to compare
+    `index` that differs from the instance or the slot's position.  An
+    unknown placement key is named before any other fault of its placement.
+    A slot's stated `nodes` become `Slot.nodes`, for the validator to compare
     with its placements' nodes; a slot that states none takes those nodes.
     No occupancy is built and every slot keeps `period` 1: the validator
     works from the records alone.
@@ -418,19 +419,13 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
         for raw in placements:
             if not isinstance(raw, dict):
                 raise ScheduleError(f"slot {i}: a placement must be an object")
-            # a placement has exactly the three keys, so the keys are
-            # checked only when their count differs or one is missing below;
-            # an unknown key is named before a missing one
-            if len(raw) != 3:
-                _check_keys(raw, _PLACEMENT_KEYS, where)
+            _check_keys(raw, _PLACEMENT_KEYS, where)
             sid = raw.get("signal")
             if not isinstance(sid, str) or sid not in by_id:
-                _check_keys(raw, _PLACEMENT_KEYS, where)
                 raise ScheduleError(f"schedule references unknown signal {sid!r}")
             try:
                 first, offset = raw["first_cycle"], raw["offset_bits"]
             except KeyError as exc:
-                _check_keys(raw, _PLACEMENT_KEYS, where)
                 raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
             # bool is an int subclass: JSON true/false are not cycles or offsets
             if type(first) is not int or type(offset) is not int:

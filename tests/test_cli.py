@@ -297,9 +297,13 @@ class TestValidateCommand:
             (lambda d: d["slots"][0]["placements"][0].update(
                 sig=d["slots"][0]["placements"][0].pop("signal")),
              "slot 0: placement: unknown key 'sig'"),
+            (lambda d: d["slots"][0]["placements"][0].update(
+                signal="QQ", offset=d["slots"][0]["placements"][0].pop("offset_bits")),
+             "slot 0: placement: unknown key 'offset'"),
         ],
         ids=["placement-typo", "document-key", "slot-key", "placement-key",
-             "placement-key-for-missing", "signal-key-for-missing"],
+             "placement-key-for-missing", "signal-key-for-missing",
+             "placement-key-before-unknown-signal"],
     )
     def test_unknown_key_exits_2_with_one_line(
         self, tmp_path, ex1, example1_schedule_doc, capsys, edit, message
@@ -614,12 +618,27 @@ class TestBenchCommand:
         ff_rows = [int(r["slot_count"]) for r in rows if r["strategy"] == "ff"]
         assert float(agg_rows[1][1]) == pytest.approx(sum(ff_rows) / len(ff_rows))
 
-    def test_zero_repeats_gives_empty_table(self, tmp_path):
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--repeats", 0, "--repeats must be >= 1, not 0"),
+            ("--repeats", -2, "--repeats must be >= 1, not -2"),
+            ("--profiles", "", "--profiles and --strategies must each name at least one"),
+            ("--strategies", " , ", "--profiles and --strategies must each name at least one"),
+        ],
+        ids=["zero-repeats", "negative-repeats", "no-profile", "no-strategy"],
+    )
+    def test_nothing_to_run_exits_2_with_one_line(
+        self, tmp_path, capsys, option, value, message
+    ):
         out = tmp_path / "rows.csv"
-        assert run(["bench", "--profiles", "set1", "--strategies", "ff",
-                    "--repeats", 0, "--out", out]) == 0
-        with open(out) as fh:
-            assert list(csv.DictReader(fh)) == []
+        argv = ["bench", "--profiles", "set1", "--strategies", "ff", "--repeats", 1,
+                "--out", out]
+        argv[argv.index(option) + 1] = value
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_rows_match_direct_schedule(self, tmp_path):
         # each row's figures are those of scheduling the generated instance

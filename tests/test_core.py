@@ -186,8 +186,9 @@ X_RECORD = {"id": "X", "node": 1, "period_us": 10000, "length_bits": 8,
 
 
 class TestLoaderAndConstructorAgree:
-    """`load_instance` checks each record's fields without calling
-    `Signal(...)`; both must apply the same rules with the same text."""
+    """`load_instance` builds each record with `Signal(...)`, so a bad field
+    gets the constructor's text; the rules that need the whole record or
+    the config are the loader's own."""
 
     @pytest.mark.parametrize(
         "key, value",
@@ -237,6 +238,19 @@ class TestLoaderAndConstructorAgree:
         with pytest.raises(InstanceError) as loaded:
             load_instance(make_doc(signals=[record]))
         assert str(loaded.value) == message
+
+    def test_bad_field_named_before_unknown_key(self):
+        record = dict(X_RECORD, length_bits=0, note="x")
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(make_doc(signals=[record]))
+        assert str(loaded.value) == "signal X: length must be >= 1 bit"
+
+    def test_every_field_is_required(self):
+        # a defaulted deadline of 0 would fail on a value the caller never gave
+        with pytest.raises(TypeError):
+            Signal("A", 1, 5000, 8)
+        with pytest.raises(TypeError):
+            Signal("A", 1, 5000, 8, 0)
 
     def test_duplicate_id(self):
         doc = make_doc(signals=[X_RECORD, dict(X_RECORD, node=2)])
