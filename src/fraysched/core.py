@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 NodeId = Union[int, str]
 
@@ -120,8 +120,7 @@ class Signal:
             raise InstanceError(f"signal {sid}: deadline must be positive")
 
 
-@dataclass(frozen=True)
-class CycleWindow:
+class CycleWindow(NamedTuple):
     """Admissible first-job cycles of a signal, at cycle granularity.
 
     Any first cycle in [release_cycle, deadline_cycle] yields exactly

@@ -67,22 +67,21 @@ def compute_mems(
 Matrix = list[list[bool]]
 
 
-def _co_used_rows(masks: list[int], diagonal: bool) -> Iterator[str]:
-    """Rows of the matrix whose entry (i, k) is 1 iff masks i and k share a
-    bit, `diagonal` on the diagonal, each as a string of '0' and '1'.
+def _co_used_rows(variant_lists: list[list[int]], diagonal: bool) -> Iterator[str]:
+    """Rows of the matrix whose entry (i, k) is 1 iff lists i and k share a
+    variant index, `diagonal` on the diagonal, each as a string of '0' and '1'.
 
-    Row i is the OR of one n-bit int per bit j of mask i, the set of items
-    whose masks have bit j, so a row costs a few big-int ORs and only one
-    row is held at a time.
+    Row i is the OR of one n-bit int per variant j in list i, the set of
+    lists that hold j, so a row costs a few big-int ORs and only one row is
+    held at a time.
     """
-    bits_of = [[j for j, c in enumerate(bin(m)[:1:-1]) if c == "1"] for m in masks]
     users: dict[int, int] = defaultdict(int)
-    for k, bits in enumerate(bits_of):
-        for j in bits:
+    for k, js in enumerate(variant_lists):
+        for j in js:
             users[j] |= 1 << k
-    width = "0%db" % len(masks)
-    for i, bits in enumerate(bits_of):
-        row = reduce(or_, map(users.__getitem__, bits), 0)
+    width = "0%db" % len(variant_lists)
+    for i, js in enumerate(variant_lists):
+        row = reduce(or_, map(users.__getitem__, js), 0)
         row = row | 1 << i if diagonal else row & ~(1 << i)
         # format() puts bit 0 last
         yield format(row, width)[::-1]
@@ -91,10 +90,13 @@ def _co_used_rows(masks: list[int], diagonal: bool) -> Iterator[str]:
 def _matrix_rows(mems: ConflictModel) -> tuple[Iterator[str], Iterator[str]]:
     """Row iterators of SMEM and NMEM, signals and nodes in the model's
     order."""
-    signal_masks = [sum(1 << j for j in vs) for vs in mems.variants_of.values()]
+    node_lists = [
+        [j for j in range(mems.variant_count) if mask >> j & 1]
+        for mask in mems.node_mask.values()
+    ]
     return (
-        _co_used_rows(signal_masks, True),
-        _co_used_rows(list(mems.node_mask.values()), False),
+        _co_used_rows(list(mems.variants_of.values()), True),
+        _co_used_rows(node_lists, False),
     )
 
 

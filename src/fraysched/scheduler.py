@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
 from .exclusion import ConflictModel, compute_mems
@@ -40,8 +39,7 @@ class OrderingStrategy(Enum):
             ) from None
 
 
-@dataclass
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     multischedule: Multischedule
     wall_time_s: float
     # the variant membership the placement used; the natives are grouped from it
@@ -49,6 +47,20 @@ class ScheduleResult:
 
     # the minimization objective: static slots allocated
     slot_count = property(lambda self: len(self.multischedule.slots))
+
+
+# each strategy's sort key, from a signal and its cycle window; FF's is
+# constant, and a stable sort then keeps input order
+_ORDER_KEYS = {
+    OrderingStrategy.FF: lambda s, w: 0,
+    OrderingStrategy.FFP: lambda s, w: s.period_us,
+    OrderingStrategy.FFW: lambda s, w: w.span,
+    OrderingStrategy.FFL: lambda s, w: -s.length_bits,
+    # int and str node ids may mix; ints sort first, in their own order
+    OrderingStrategy.FFC: lambda s, w: (
+        (isinstance(s.node, str), s.node), s.period_us, w.span, -s.length_bits
+    ),
+}
 
 
 def sort_signals(
@@ -59,22 +71,8 @@ def sort_signals(
     All sorts are stable, so equal keys keep input order and results are
     reproducible.  FFW and FFC read the span of each signal's cycle window.
     """
-    sl = list(signals)
-    if strategy is OrderingStrategy.FF:
-        return sl
-    if strategy is OrderingStrategy.FFP:
-        sl.sort(key=lambda s: s.period_us)
-        return sl
-    if strategy is OrderingStrategy.FFW:
-        sl.sort(key=lambda s: windows[s.id].span)
-        return sl
-    if strategy is OrderingStrategy.FFL:
-        sl.sort(key=lambda s: s.length_bits, reverse=True)
-        return sl
-    # FFC: int and str node ids may mix; ints sort first, in their own order
-    sl.sort(key=lambda s: ((isinstance(s.node, str), s.node), s.period_us,
-                           windows[s.id].span, -s.length_bits))
-    return sl
+    key = _ORDER_KEYS[strategy]
+    return sorted(signals, key=lambda s: key(s, windows[s.id]))
 
 
 def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:

@@ -22,8 +22,8 @@ sharing a slot or two signals overlapping is fine exactly when no variant
 combines them), which makes them equivalent to per-variant native checks.
 
 Node exclusivity is read from one pass over the records, which unites per
-slot the variant sets of each node's signals: a variant in two nodes'
-unions sees both nodes.  Frame overlap is pairwise, and a feasible
+slot the sets of variant indices of each node's signals: a variant in two
+nodes' unions sees both nodes.  Frame overlap is pairwise, and a feasible
 schedule has no pair to report, so it is first screened per slot and
 checked exactly only on the slots the screen flags:
 
@@ -48,15 +48,13 @@ checked exactly only on the slots the screen flags:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Instance
 from .multischedule import Multischedule
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     message: str
     signal: Optional[str] = None
@@ -65,12 +63,7 @@ class Violation:
     cycle: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {"rule": self.rule, "message": self.message}
-        for key in ("signal", "slot", "variant", "cycle"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def _overlapping_pairs(entries: list[tuple]) -> list[tuple[int, int]]:
@@ -101,15 +94,11 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     hyper = cfg.hyperperiod_cycles
     width = cfg.payload_bits
 
-    # variants of each signal, ascending, and the same set as a bit mask
+    # variants of each signal, ascending
     var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
     for j, group in enumerate(instance.variants):
         for sid in group:
             var_lists[sid].append(j)
-    variant_bits = [1 << j for j in range(len(instance.variants))]
-    var_masks = {
-        sid: sum(map(variant_bits.__getitem__, js)) for sid, js in var_lists.items()
-    }
 
     violations: list[Violation] = []
     out = violations.append
@@ -145,9 +134,9 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     starts: dict[tuple[int, int], tuple[int, int]] = {}
     # slot -> per variant, the H * W occupied bits and the bits placed there
     occ: dict[int, tuple[list[int], list[int]]] = {}
-    no_bits = [0] * len(variant_bits)
+    no_bits = [0] * len(instance.variants)
     overlap_slots: set[int] = set()
-    slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant masks
+    slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant sets
     for sig, pos in ms.placement_records:
         sid = sig.id
         slot, first, offset = pos
@@ -198,7 +187,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
         nodes = slot_nodes.get(slot)
         if nodes is None:
             nodes = slot_nodes[slot] = {}
-        nodes[sig.node] = nodes.get(sig.node, 0) | var_masks[sid]
+        nodes.setdefault(sig.node, set()).update(var_lists[sid])
 
         if slot in overlap_slots:
             continue
@@ -248,40 +237,35 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     # overlapping bit ranges are only allowed between signals that never
     # ride in the same variant; reported in entry order per frame
     for (slot, c), entries in grid.items():
-        clashes = sorted(
-            (i, k)
-            for i, k in _overlapping_pairs(entries)
-            if var_masks[entries[i][0]] & var_masks[entries[k][0]]
-        )
-        for i, k in clashes:
+        for i, k in sorted(_overlapping_pairs(entries)):
             sid_a, sid_b = entries[i][0], entries[k][0]
-            common = var_masks[sid_a] & var_masks[sid_b]
-            shared = (common & -common).bit_length() - 1
+            common = set(var_lists[sid_a]).intersection(var_lists[sid_b])
+            if not common:
+                continue
+            j = min(common)
             out(
                 Violation(
                     "frame-overlap",
                     f"signals {sid_a} and {sid_b} overlap in slot "
-                    f"{slot} cycle {c} but share variant {shared}",
+                    f"{slot} cycle {c} but share variant {j}",
                     signal=sid_a,
                     slot=slot,
-                    variant=shared,
+                    variant=j,
                     cycle=c,
                 )
             )
 
-    # one node per slot, judged per variant: a variant bit held by two
-    # nodes' unions is a variant that sees both, and its carriers are the
-    # nodes whose union holds it
+    # one node per slot, judged per variant: a variant held by two nodes'
+    # unions is a variant that sees both, and its carriers are the nodes
+    # whose union holds it
     for slot, nodes in slot_nodes.items():
-        seen = shared = 0
-        for mask in nodes.values():
-            shared |= seen & mask
-            seen |= mask
-        while shared:
-            bit = shared & -shared
-            shared ^= bit
-            j = bit.bit_length() - 1
-            carriers = [node for node, mask in nodes.items() if mask & bit]
+        seen: set[int] = set()
+        shared: set[int] = set()
+        for js in nodes.values():
+            shared |= seen & js
+            seen |= js
+        for j in sorted(shared):
+            carriers = [node for node, js in nodes.items() if j in js]
             out(
                 Violation(
                     "node-exclusivity",

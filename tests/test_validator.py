@@ -213,7 +213,8 @@ def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
 
 
 # Hand-made frame edge cases on a 4-cycle, 8-bit bus.  a, b and d share
-# variant 0, c alone rides in variant 1; d sits on a third node.
+# variant 0, c alone rides in variant 1; d sits on a third node.  e and f
+# share only variant 64, past 62 empty ones, beyond one 64-bit word.
 EDGE_INSTANCE = {
     "config": {"cycle_us": 1000, "hyperperiod_cycles": 4, "payload_bits": 8},
     "signals": [
@@ -221,8 +222,10 @@ EDGE_INSTANCE = {
         {"id": "b", "node": 1, "period_us": 2000, "length_bits": 4},
         {"id": "c", "node": 2, "period_us": 1000, "length_bits": 4},
         {"id": "d", "node": 3, "period_us": 2000, "length_bits": 4},
+        {"id": "e", "node": 1, "period_us": 1000, "length_bits": 4},
+        {"id": "f", "node": 1, "period_us": 2000, "length_bits": 4},
     ],
-    "variants": [["a", "b", "d"], ["c"]],
+    "variants": [["a", "b", "d"], ["c"]] + [[]] * 62 + [["e", "f"]],
 }
 
 EDGE_CASES = {
@@ -247,6 +250,7 @@ EDGE_CASES = {
     ),
     "two nodes without a shared variant": ([("a", 0, 0), ("c", 0, 0)], set()),
     "two nodes sharing a variant": ([("a", 0, 0), ("d", 0, 4)], {"node-exclusivity"}),
+    "overlap in variant 64": ([("e", 0, 0), ("f", 1, 2)], {"frame-overlap"}),
 }
 
 
@@ -273,15 +277,17 @@ def test_edge_cases_match_reference(case):
 
 # Node exclusivity on a one-cycle, 16-bit bus.  p and q share only variant
 # 1, q and r only variant 2, p and r none; q1 and q2 are q's node in one
-# variant each; i and s sit on nodes 1 and "1", which share variant 0.
+# variant each; i and s sit on nodes 1 and "1", which share variant 0; u
+# and w share only variant 64, past 61 empty ones.
 NODE_INSTANCE = {
     "config": {"cycle_us": 1000, "hyperperiod_cycles": 1, "payload_bits": 16},
     "signals": [
         {"id": sid, "node": node, "period_us": 1000, "length_bits": 4}
         for sid, node in (("p", "p"), ("q", "q"), ("r", "r"), ("q1", "q"),
-                          ("q2", "q"), ("i", 1), ("s", "1"))
+                          ("q2", "q"), ("i", 1), ("s", "1"), ("u", "u"), ("w", "w"))
     ],
-    "variants": [["i", "s"], ["p", "q", "q1"], ["q", "r", "q2"]],
+    "variants": [["i", "s"], ["p", "q", "q1"], ["q", "r", "q2"]]
+    + [[]] * 61 + [["u", "w"]],
 }
 
 NODE_CASES = {
@@ -293,6 +299,7 @@ NODE_CASES = {
         ["p", "q1", "q2", "r"], [(1, "['p', 'q']"), (2, "['q', 'r']")]
     ),
     "int and str node ids": (["i", "s"], [(0, "['1', '1']")]),
+    "two nodes sharing only variant 64": (["u", "w"], [(64, "['u', 'w']")]),
 }
 
 
