@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import benchgen, core, exclusion, multischedule, validator
+from . import core, exclusion, multischedule, validator
 from .scheduler import OrderingStrategy, schedule
 
 
@@ -23,6 +23,8 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import benchgen
+
     profile = benchgen.PROFILES.get(args.profile.lower())
     if profile is None:
         return _fail(
@@ -106,7 +108,7 @@ def cmd_validate(args) -> int:
     try:
         instance = core.read_instance(path)
         path = args.schedule
-        ms = multischedule.schedule_from_dict(core.read_json(path), instance)
+        parsed = multischedule.schedule_from_dict(core.read_json(path), instance)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
     except (OSError, UnicodeDecodeError) as exc:
@@ -114,7 +116,7 @@ def cmd_validate(args) -> int:
     except (core.InstanceError, multischedule.ScheduleError) as exc:
         return _fail(str(exc))
 
-    violations = validator.validate_multischedule(ms, instance)
+    violations = validator.validate_multischedule(*parsed, instance)
     for v in violations:
         print(json.dumps(v.to_dict(), sort_keys=True))
     if violations:
@@ -131,7 +133,10 @@ _BENCH_FIELDS = ("profile", "seed", "strategy", "signal_count", "variant_count",
 def cmd_bench(args) -> int:
     import csv
 
-    profiles = [p.strip().lower() for p in args.profiles.split(",") if p.strip()]
+    from . import benchgen
+
+    names = ",".join(sorted(benchgen.PROFILES)) if args.profiles is None else args.profiles
+    profiles = [p.strip().lower() for p in names.split(",") if p.strip()]
     strategies = [s.strip().lower() for s in args.strategies.split(",") if s.strip()]
     if not profiles or not strategies:
         return _fail("--profiles and --strategies must each name at least one")
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="batch-run generated benchmarks")
-    p.add_argument("--profiles", default=",".join(sorted(benchgen.PROFILES)))
+    p.add_argument("--profiles", help="comma-separated (default: every profile)")
     p.add_argument("--strategies", default="ff,ffp,ffw,ffl,ffc")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0)

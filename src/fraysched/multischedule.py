@@ -71,7 +71,7 @@ class ScheduleError(ValueError):
 class Placement(NamedTuple):
     """Position of a signal's first job; the remaining jobs repeat it every
     period_cycles at the same slot and offset.  A tuple, because the engine
-    makes one per probe and a document rebuild one per placement."""
+    makes one per probe and the document reader one per placement."""
 
     slot: int
     first_cycle: int
@@ -83,14 +83,12 @@ class Slot:
 
     `period` is the longest `period_cycles` among the slot's residents, 1
     while it has none; the free bits of every variant repeat every
-    `period` cycles.  A slot rebuilt by `schedule_from_dict` is never
-    placed into, so its `period` stays 1.
+    `period` cycles.
     """
 
-    __slots__ = ("nodes", "free", "period")
+    __slots__ = ("free", "period")
 
     def __init__(self):
-        self.nodes: set = set()
         # variant -> free bits over the whole hyperperiod, cycle-major; a
         # variant without an entry has them all
         self.free: dict[int, int] = {}
@@ -100,19 +98,18 @@ class Slot:
 class Multischedule:
     """Slots and the placement records of one multischedule.
 
-    `windows` maps each signal id to its admissible cycle window; a
-    schedule rebuilt from its document is never placed into and gets an
-    empty table.  `closed[node]` has bit s set when slot s holds a node
-    that shares a variant with `node`.  `all_bits` is every bit of a slot,
-    H * W of them.
+    `windows` maps each signal id to its admissible cycle window.
+    `slot_nodes[s]` is the set of nodes with a signal in slot s, and
+    `closed[node]` has bit s set when slot s holds a node that shares a
+    variant with `node`.  `all_bits` is every bit of a slot, H * W of them.
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
         self.config = config
         self.windows = windows
         self.slots: list[Slot] = []
-        # every committed (signal, placement) pair in commit order; a
-        # document may list a signal twice, which the validator must see
+        self.slot_nodes: list[set] = []
+        # every committed (signal, placement) pair in commit order
         self.placement_records: list[tuple[Signal, Placement]] = []
         self.closed: dict[NodeId, int] = {}
         self.all_bits = (1 << (config.hyperperiod_cycles * config.payload_bits)) - 1
@@ -223,6 +220,7 @@ def place_signal_to_schedule(
     if pos is None:
         pos = Placement(len(ms.slots), window.release_cycle, 0)
         ms.slots.append(Slot())
+        ms.slot_nodes.append(set())
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
     bits = ms.pattern(window.period_cycles, signal.length_bits) << shift
     slot = ms.slots[pos.slot]
@@ -232,9 +230,9 @@ def place_signal_to_schedule(
     for v in mems.variants_of[signal.id]:
         free[v] = free.get(v, all_bits) ^ bits
     slot.period = max(slot.period, window.period_cycles)
-    node = signal.node
-    if node not in slot.nodes:
-        slot.nodes.add(node)
+    node, nodes = signal.node, ms.slot_nodes[pos.slot]
+    if node not in nodes:
+        nodes.add(node)
         # every node that meets the newcomer in some variant is shut out
         own, bit, closed = mems.node_mask[node], 1 << pos.slot, ms.closed
         for other, other_mask in mems.node_mask.items():
@@ -298,8 +296,8 @@ def _document(ms: Multischedule, items, tail: str = "") -> str:
     """Document text over (slot, fragment, node) items in commit order.
     Every slot of the grid is listed, so slot indices line up across all
     documents of one multischedule; a slot's nodes are those of its items."""
-    rows: list[list[str]] = [[] for _ in ms.slots]
-    nodes: list[set] = [set() for _ in ms.slots]
+    rows: list[list[str]] = [[] for _ in ms.slot_nodes]
+    nodes: list[set] = [set() for _ in ms.slot_nodes]
     for slot, fragment, node in items:
         rows[slot].append(fragment)
         nodes[slot].add(node)
@@ -370,18 +368,17 @@ def _check_keys(raw: dict, known: frozenset, where: str) -> None:
         raise ScheduleError(f"{where}: unknown key {key!r}")
 
 
-def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
-    """Rebuild a Multischedule's placement records from its document form.
+def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
+    """The placement records and slot nodes a schedule document states.
 
-    Tolerates infeasible placements (the validator needs to see them) but
-    rejects documents referencing unknown signals, lacking structure or
-    using keys the format does not have, and a stated `config` or slot
+    Records are (signal, `Placement`) pairs in document order, as the
+    engine keeps them; slot s's nodes are its stated `nodes`, or its
+    placements' nodes when it states none.  Infeasible placements and a
+    signal listed twice pass (the validator needs to see them), but a
+    document referencing unknown signals, lacking structure or using keys
+    the format does not have is rejected, as is a stated `config` or slot
     `index` that differs from the instance or the slot's position.  An
     unknown placement key is named before any other fault of its placement.
-    A slot's stated `nodes` become `Slot.nodes`, for the validator to compare
-    with its placements' nodes; a slot that states none takes those nodes.
-    No occupancy is built and every slot keeps `period` 1: the validator
-    works from the records alone.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")
@@ -394,10 +391,8 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
             f"schedule config {stated!r} differs from the instance config {config!r}"
         )
     by_id = {s.id: s for s in instance.signals}
-    ms = Multischedule(instance.config, {})
+    records, slot_nodes = [], []
     for i, raw_slot in enumerate(doc["slots"]):
-        slot = Slot()
-        ms.slots.append(slot)
         placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
         if not isinstance(placements, list):
             raise ScheduleError(
@@ -408,13 +403,12 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
         if type(index) is not int or index != i:
             raise ScheduleError(f"slot {i}: index is {index!r}, expected {i}")
         nodes_stated = "nodes" in raw_slot
-        if nodes_stated:
-            nodes = raw_slot["nodes"]
-            if not isinstance(nodes, list) or not all(map(is_node_id, nodes)):
-                raise ScheduleError(
-                    f"slot {i}: nodes must be a list of node ids, not {nodes!r}"
-                )
-            slot.nodes = set(nodes)
+        nodes = raw_slot.get("nodes", [])
+        if not isinstance(nodes, list) or not all(map(is_node_id, nodes)):
+            raise ScheduleError(
+                f"slot {i}: nodes must be a list of node ids, not {nodes!r}"
+            )
+        slot_nodes.append(set(nodes))
         where = f"slot {i}: placement"
         for raw in placements:
             if not isinstance(raw, dict):
@@ -434,7 +428,7 @@ def schedule_from_dict(doc: dict, instance: Instance) -> Multischedule:
                     f"must be integers, not {first!r} and {offset!r}"
                 )
             signal = by_id[sid]
-            ms.placement_records.append((signal, Placement(i, first, offset)))
+            records.append((signal, Placement(i, first, offset)))
             if not nodes_stated:
-                slot.nodes.add(signal.node)
-    return ms
+                slot_nodes[i].add(signal.node)
+    return records, slot_nodes

@@ -1,11 +1,12 @@
 """Independent feasibility checker for multischedules.
 
-Deliberately shares no code with the placement engine: variant
-co-occurrence and node conflicts are recomputed here from the raw variant
-matrix, occupancy is rebuilt from the placement records with this module's
-own bit packing, and the admissible cycle windows are re-derived with plain
-arithmetic.  Violations carry machine-readable coordinates so tests can
-assert on rule identity.
+Deliberately shares no code with the placement engine and imports only
+`core`.  It reads (signal, placement) records and each slot's stated
+nodes, from a parsed document or an engine result.  Variant co-occurrence
+and node conflicts are recomputed from the raw variant matrix, occupancy
+from the records with this module's own bit packing, and the admissible
+cycle windows with plain arithmetic.  Violations carry machine-readable
+coordinates so tests can assert on rule identity.
 
 Rule ids:
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import Instance
-from .multischedule import Multischedule
 
 
 class Violation(NamedTuple):
@@ -87,7 +87,7 @@ def _overlapping_pairs(entries: list[tuple]) -> list[tuple[int, int]]:
     return pairs
 
 
-def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violation]:
+def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Violation]:
     """All rule violations of the schedule; an empty list means feasible."""
     cfg = instance.config
     cycle_us = cfg.cycle_us
@@ -104,7 +104,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     out = violations.append
 
     counts: dict[str, int] = {}
-    for sig, _pos in ms.placement_records:
+    for sig, _pos in records:
         counts[sig.id] = counts.get(sig.id, 0) + 1
     for sid, n in counts.items():
         if n > 1:
@@ -136,8 +136,8 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     occ: dict[int, tuple[list[int], list[int]]] = {}
     no_bits = [0] * len(instance.variants)
     overlap_slots: set[int] = set()
-    slot_nodes: dict[int, dict] = {}  # slot -> node -> union of variant sets
-    for sig, pos in ms.placement_records:
+    slot_unions: dict[int, dict] = {}  # slot -> node -> union of variant sets
+    for sig, pos in records:
         sid = sig.id
         slot, first, offset = pos
         length = sig.length_bits
@@ -184,9 +184,9 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
                 )
             )
 
-        nodes = slot_nodes.get(slot)
+        nodes = slot_unions.get(slot)
         if nodes is None:
-            nodes = slot_nodes[slot] = {}
+            nodes = slot_unions[slot] = {}
         nodes.setdefault(sig.node, set()).update(var_lists[sid])
 
         if slot in overlap_slots:
@@ -226,7 +226,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     # orders them
     grid: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
     if overlap_slots:
-        for sig, pos in ms.placement_records:
+        for sig, pos in records:
             slot = pos.slot
             if slot in overlap_slots:
                 entry = (sig.id, pos.offset_bits, sig.length_bits)
@@ -258,7 +258,7 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
     # one node per slot, judged per variant: a variant held by two nodes'
     # unions is a variant that sees both, and its carriers are the nodes
     # whose union holds it
-    for slot, nodes in slot_nodes.items():
+    for slot, nodes in slot_unions.items():
         seen: set[int] = set()
         shared: set[int] = set()
         for js in nodes.values():
@@ -277,13 +277,13 @@ def validate_multischedule(ms: Multischedule, instance: Instance) -> list[Violat
             )
 
     # the nodes a slot states (a document's `nodes`) are its signals' nodes
-    for i, slot in enumerate(ms.slots):
-        carried = set(slot_nodes.get(i, ()))
-        if slot.nodes != carried:
+    for i, stated in enumerate(slot_nodes):
+        carried = set(slot_unions.get(i, ()))
+        if stated != carried:
             out(
                 Violation(
                     "slot-nodes",
-                    f"slot {i} states nodes {sorted(map(str, slot.nodes))} "
+                    f"slot {i} states nodes {sorted(map(str, stated))} "
                     f"but carries {sorted(map(str, carried))}",
                     slot=i,
                 )

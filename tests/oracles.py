@@ -396,7 +396,7 @@ def native_doc(ms, variant: int, variants) -> dict:
     }
 
 
-def frame_overlaps(ms, instance: Instance) -> list:
+def frame_overlaps(placement_records, instance: Instance) -> list:
     """Every pair of co-used signals whose bit ranges intersect in a frame,
     as (signal a, signal b, slot, cycle, lowest shared variant), frames in
     first-use order and pairs in record order inside a frame.  Compares
@@ -406,7 +406,7 @@ def frame_overlaps(ms, instance: Instance) -> list:
     varsets, _, _, _ = conflict_tables(instance)
     length = {s.id: s.length_bits for s in instance.signals}
     frames: dict[tuple[int, int], list] = {}
-    for sig, pos in ms.placement_records:
+    for sig, pos in placement_records:
         period = windows[sig.id][2]
         for c in range(max(pos.first_cycle, 0), H, period):
             frames.setdefault((pos.slot, c), []).append((sig.id, pos.offset_bits))
@@ -447,7 +447,7 @@ def _overlapping_pairs(entries: list[tuple]) -> list[tuple[int, int]]:
     return pairs
 
 
-def reference_violations(ms, instance: Instance) -> list[dict]:
+def reference_violations(placement_records, slot_nodes, instance: Instance) -> list[dict]:
     """Every rule violation of the schedule, as `Violation.to_dict()` gives
     them, in the validator's order.  Builds the per-(slot, cycle) entry
     list of every job and sweeps every frame and every slot, with no
@@ -467,7 +467,7 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
     out = violations.append
 
     counts: dict[str, int] = {}
-    for sig, _pos in ms.placement_records:
+    for sig, _pos in placement_records:
         counts[sig.id] = counts.get(sig.id, 0) + 1
     for sid, n in counts.items():
         if n > 1:
@@ -495,7 +495,7 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
     # per-placement checks and frame grid reconstruction
     grid: dict[tuple[int, int], list[tuple]] = {}
     slot_members: dict[int, list[str]] = {}
-    for sig, pos in ms.placement_records:
+    for sig, pos in placement_records:
         sid = sig.id
         period = sig.period_us // cycle_us
 
@@ -587,13 +587,13 @@ def reference_violations(ms, instance: Instance) -> list[dict]:
                 )
 
     # a slot's stated nodes against the nodes of the signals it carries
-    for i, slot in enumerate(ms.slots):
+    for i, stated in enumerate(slot_nodes):
         carried = {by_id[sid].node for sid in slot_members.get(i, ())}
-        if slot.nodes != carried:
+        if stated != carried:
             out(
                 _violation(
                     "slot-nodes",
-                    f"slot {i} states nodes {sorted(map(str, slot.nodes))} "
+                    f"slot {i} states nodes {sorted(map(str, stated))} "
                     f"but carries {sorted(map(str, carried))}",
                     slot=i,
                 )

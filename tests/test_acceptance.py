@@ -64,7 +64,9 @@ def test_criterion_2_example1_ffp_schedule(example1):
 
     res = schedule(example1, OrderingStrategy.FFP)
     assert res.slot_count == 3
-    assert validate_multischedule(res.multischedule, example1) == []
+    assert validate_multischedule(
+        res.multischedule.placement_records, res.multischedule.slot_nodes, example1
+    ) == []
 
     # G and H (nodes 2 and 3, never co-variant) share one slot
     placements = {s.id: p for s, p in res.multischedule.placement_records}
@@ -105,7 +107,9 @@ def test_criterion_3_randomized_oracle_suite():
         counts = {}
         for strat in STRATEGIES:
             res = schedule(inst, strat)
-            violations = validate_multischedule(res.multischedule, inst)
+            violations = validate_multischedule(
+                res.multischedule.placement_records, res.multischedule.slot_nodes, inst
+            )
             assert violations == [], (instances, strat, violations)
             counts[strat] = res.slot_count
             runs += 1
@@ -159,7 +163,9 @@ def test_criterion_5_large_single_node_runtime():
     assert inst.config.payload_bits == 128
     res = schedule(inst, OrderingStrategy.FFC)
     assert res.wall_time_s < 5.0
-    assert validate_multischedule(res.multischedule, inst) == []
+    assert validate_multischedule(
+        res.multischedule.placement_records, res.multischedule.slot_nodes, inst
+    ) == []
     print(
         f"\nACCEPTANCE 5 PASS: {len(inst.signals)} signals scheduled with FFC "
         f"in {res.wall_time_s:.2f} s ({res.slot_count} slots)"
@@ -226,8 +232,8 @@ def test_criterion_6_property_suite(example1):
     def mutate(fn):
         doc = json.loads(json.dumps(base))
         fn(doc)
-        ms = schedule_from_dict(doc, example1)
-        return {v.rule for v in validate_multischedule(ms, example1)}
+        parsed = schedule_from_dict(doc, example1)
+        return {v.rule for v in validate_multischedule(*parsed, example1)}
 
     def move(doc, sid, to_slot):
         for slot in doc["slots"]:

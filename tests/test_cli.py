@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fraysched import cli
+from fraysched import benchgen, cli
 from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.cli import main
 from fraysched.core import load_instance
@@ -558,14 +558,15 @@ def test_unparsable_json_exits_2_with_one_line(
 
 def test_cli_import_loads_no_numpy_csv_or_process_pool():
     # the CLI's cold start pays for none of these; csv is imported only by
-    # the bench command, and nothing starts a process pool
+    # the bench command, the generator (and its random) only by generate
+    # and bench, and nothing starts a process pool
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import fraysched.cli\n"
-        "heavy = ('numpy', 'csv', 'concurrent.futures')\n"
+        "heavy = ('numpy', 'csv', 'concurrent.futures', 'fraysched.benchgen')\n"
         "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
     )
     done = subprocess.run(
@@ -668,7 +669,7 @@ class TestBenchCommand:
     def test_failed_cells_are_recorded_and_the_batch_goes_on(self, tmp_path, monkeypatch):
         # seed 1 fails to generate, so both of its rows fail; ff fails to
         # schedule, so only its own row of seed 0 fails
-        generate = cli.benchgen.generate_instance
+        generate = benchgen.generate_instance
 
         def flaky_generate(profile, seed):
             if seed == 1:
@@ -680,7 +681,7 @@ class TestBenchCommand:
                 raise RuntimeError("no schedule")
             return schedule(instance, ordering)
 
-        monkeypatch.setattr(cli.benchgen, "generate_instance", flaky_generate)
+        monkeypatch.setattr(benchgen, "generate_instance", flaky_generate)
         monkeypatch.setattr(cli, "schedule", flaky_schedule)
         out = tmp_path / "rows.csv"
         assert run(["bench", "--profiles", "set1", "--strategies", "ff,ffc",

@@ -82,7 +82,9 @@ class TestSchedule:
     def test_example1_ffp_three_slots(self, example1):
         res = schedule(example1, OrderingStrategy.FFP)
         assert res.slot_count == 3
-        assert validate_multischedule(res.multischedule, example1) == []
+        assert validate_multischedule(
+            res.multischedule.placement_records, res.multischedule.slot_nodes, example1
+        ) == []
 
     def test_empty_instance(self):
         inst = load_instance(
@@ -145,7 +147,9 @@ class TestSchedule:
             wins = windows_of(inst)
             for strat in OrderingStrategy:
                 res = schedule(inst, strat)
-                assert validate_multischedule(res.multischedule, inst) == []
+                assert validate_multischedule(
+                    res.multischedule.placement_records, res.multischedule.slot_nodes, inst
+                ) == []
                 order = sort_signals(inst.signals, strat, wins)
                 ref_placements, ref_slots = reference_schedule(inst, order)
                 got = {
@@ -162,7 +166,9 @@ class TestSchedule:
             wins = windows_of(inst)
             for strat in OrderingStrategy:
                 res = schedule(inst, strat)
-                assert validate_multischedule(res.multischedule, inst) == []
+                assert validate_multischedule(
+                    res.multischedule.placement_records, res.multischedule.slot_nodes, inst
+                ) == []
                 order = sort_signals(inst.signals, strat, wins)
                 ref_placements, ref_slots = reference_schedule(inst, order)
                 got = {

@@ -1,9 +1,13 @@
 import copy
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fraysched import validator
 from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.core import load_instance
 from fraysched.multischedule import ScheduleError, schedule_from_dict, schedule_to_dict
@@ -25,28 +29,45 @@ def find_placement(doc, signal):
     raise AssertionError(f"{signal} not placed")
 
 
-def matches_reference(ms, instance) -> list[dict]:
-    """The validator's violations, checked against the unscreened
-    all-frames reference: same rules, messages, coordinates and order."""
-    got = [v.to_dict() for v in validate_multischedule(ms, instance)]
-    assert got == reference_violations(ms, instance)
+def matches_reference(parsed, instance) -> list[dict]:
+    """The validator's violations on parsed (records, slot nodes),
+    checked against the unscreened all-frames reference: same rules,
+    messages, coordinates and order."""
+    got = [v.to_dict() for v in validate_multischedule(*parsed, instance)]
+    assert got == reference_violations(*parsed, instance)
     return got
 
 
 def rules_of(doc, instance):
-    ms = schedule_from_dict(doc, instance)
-    return {v.rule for v in validate_multischedule(ms, instance)}
+    parsed = schedule_from_dict(doc, instance)
+    return {v.rule for v in validate_multischedule(*parsed, instance)}
 
 
 def test_reference_schedule_is_feasible(example1, example1_schedule_doc):
-    ms = schedule_from_dict(example1_schedule_doc, example1)
-    assert validate_multischedule(ms, example1) == []
+    parsed = schedule_from_dict(example1_schedule_doc, example1)
+    assert validate_multischedule(*parsed, example1) == []
 
 
 def test_scheduler_output_is_feasible(example1):
     for strat in OrderingStrategy:
-        res = schedule(example1, strat)
-        assert validate_multischedule(res.multischedule, example1) == []
+        ms = schedule(example1, strat).multischedule
+        assert validate_multischedule(ms.placement_records, ms.slot_nodes, example1) == []
+
+
+def test_validator_import_loads_no_engine_module():
+    # the checker stands apart from the engine whose output it re-reads
+    src = str(Path(validator.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import fraysched.validator\n"
+        "engine = ('multischedule', 'scheduler', 'exclusion')\n"
+        "print(sorted(m for m in engine if 'fraysched.' + m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestSingleFaultDetection:
@@ -58,8 +79,8 @@ class TestSingleFaultDetection:
         slot_h, p_h = find_placement(doc, "H")
         slot_h["placements"].remove(p_h)
         doc["slots"][0]["placements"].append(p_h)
-        ms = schedule_from_dict(doc, example1)
-        violations = validate_multischedule(ms, example1)
+        parsed = schedule_from_dict(doc, example1)
+        violations = validate_multischedule(*parsed, example1)
         assert any(
             v.rule == "node-exclusivity" and v.variant == 1 for v in violations
         )
@@ -98,8 +119,8 @@ class TestSingleFaultDetection:
         doc = ffp_doc(example1)
         slot_g, p_g = find_placement(doc, "G")
         slot_g["placements"].remove(p_g)
-        ms = schedule_from_dict(doc, example1)
-        violations = validate_multischedule(ms, example1)
+        parsed = schedule_from_dict(doc, example1)
+        violations = validate_multischedule(*parsed, example1)
         assert any(v.rule == "coverage" and v.signal == "G" for v in violations)
 
     def test_all_six_rules_detectable(self, example1):
@@ -127,8 +148,8 @@ def test_violations_serialize_with_coordinates(example1):
     doc = ffp_doc(example1)
     _, p_d = find_placement(doc, "D")
     p_d["first_cycle"] = 0
-    ms = schedule_from_dict(doc, example1)
-    violations = validate_multischedule(ms, example1)
+    parsed = schedule_from_dict(doc, example1)
+    violations = validate_multischedule(*parsed, example1)
     payload = [v.to_dict() for v in violations]
     assert all("rule" in d and "message" in d for d in payload)
     json.dumps(payload)  # must be JSON-serializable
@@ -145,8 +166,8 @@ def test_random_mutations_of_valid_schedules_are_flagged():
             continue
         res = schedule(inst, OrderingStrategy.FFP)
         doc = schedule_to_dict(res.multischedule)
-        ms_ok = schedule_from_dict(doc, inst)
-        assert validate_multischedule(ms_ok, inst) == []
+        parsed = schedule_from_dict(doc, inst)
+        assert validate_multischedule(*parsed, inst) == []
 
         mutated = copy.deepcopy(doc)
         slots = [s for s in mutated["slots"] if s["placements"]]
@@ -164,8 +185,7 @@ def test_random_mutations_of_valid_schedules_are_flagged():
             victim["first_cycle"] += rng.choice([-1, 1, 2])
         else:
             victim["offset_bits"] += rng.choice([1, 3, inst.config.payload_bits])
-        ms_mut = schedule_from_dict(mutated, inst)
-        if matches_reference(ms_mut, inst):
+        if matches_reference(schedule_from_dict(mutated, inst), inst):
             flagged += 1
     # most random perturbations break something; a few may stay feasible
     assert flagged > 60
@@ -197,10 +217,10 @@ def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
                         moved.append(dict(p))
         for p in moved:
             slots[rng.randrange(min(2, len(slots)))]["placements"].append(p)
-        ms = schedule_from_dict(doc, inst)
-        matches_reference(ms, inst)
-        got = [v for v in validate_multischedule(ms, inst) if v.rule == "frame-overlap"]
-        want = frame_overlaps(ms, inst)
+        parsed = schedule_from_dict(doc, inst)
+        matches_reference(parsed, inst)
+        got = [v for v in validate_multischedule(*parsed, inst) if v.rule == "frame-overlap"]
+        want = frame_overlaps(parsed[0], inst)
         assert [(v.signal, v.slot, v.cycle, v.variant) for v in got] == [
             (a, slot, c, j) for a, _b, slot, c, j in want
         ]
