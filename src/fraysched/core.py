@@ -8,7 +8,8 @@ indices are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -28,10 +29,10 @@ class InfeasibleSignalError(ValueError):
     """Raised when a signal's time constraints leave no complete cycle."""
 
 
-def _first_non_int(fields: dict):
-    """(name, value) of the first field that is not an int, or None.
+def _first_non_int(names, values):
+    """(name, value) of the first value that is not an int, or None.
     bool is an int subclass, so JSON true/false are not ints here."""
-    for name, value in fields.items():
+    for name, value in zip(names, values):
         if type(value) is not int:
             return name, value
     return None
@@ -45,8 +46,20 @@ def is_node_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class FlexRayConfig:
+# A NamedTuple class cannot define __new__, so each checked record below is
+# a subclass of its plain field tuple whose __new__ checks the values.
+# `_make`, and so `_replace`, goes through that check too.
+
+
+class _ConfigFields(NamedTuple):
+    cycle_us: int
+    hyperperiod_cycles: int
+    payload_bits: int
+    static_slots: int = 0
+    slot_us: int = 0
+
+
+class FlexRayConfig(_ConfigFields):
     """Bus parameters that are fixed before scheduling starts.
 
     `static_slots` is the slot count declared by the network designer; the
@@ -54,41 +67,38 @@ class FlexRayConfig:
     is informational only.
     """
 
-    cycle_us: int
-    hyperperiod_cycles: int
-    payload_bits: int
-    static_slots: int = 0
-    slot_us: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = _first_non_int(self.__dict__)
+    def __new__(cls, cycle_us, hyperperiod_cycles, payload_bits, static_slots=0, slot_us=0):
+        values = (cycle_us, hyperperiod_cycles, payload_bits, static_slots, slot_us)
+        bad = _first_non_int(cls._fields, values)
         if bad:
             name, value = bad
             raise InstanceError(f"config: {name} must be an integer, not {value!r}")
-        if self.cycle_us <= 0:
+        if cycle_us <= 0:
             raise InstanceError("config: cycle_us must be positive")
-        if self.hyperperiod_cycles not in ALLOWED_HYPERPERIODS:
+        if hyperperiod_cycles not in ALLOWED_HYPERPERIODS:
             raise InstanceError(
                 "config: hyperperiod_cycles must be one of %s"
                 % (ALLOWED_HYPERPERIODS,)
             )
-        if not 1 <= self.payload_bits <= MAX_PAYLOAD_BITS:
+        if not 1 <= payload_bits <= MAX_PAYLOAD_BITS:
             raise InstanceError(
                 f"config: payload_bits must be between 1 and {MAX_PAYLOAD_BITS} "
-                f"(254 bytes), not {self.payload_bits}"
+                f"(254 bytes), not {payload_bits}"
             )
-        if self.static_slots < 0:
+        if static_slots < 0:
             raise InstanceError("config: static_slots must be >= 0")
-        if self.slot_us < 0:
+        if slot_us < 0:
             raise InstanceError("config: slot_us must be >= 0")
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Signal:
-    """One periodic message: transmitting node, period, length and the
-    release/deadline pair constraining its first instance.  Construction
-    raises InstanceError for the first field that breaks the model's rules."""
-
+class _SignalFields(NamedTuple):
     id: str
     node: NodeId
     period_us: int
@@ -96,28 +106,40 @@ class Signal:
     release_us: int
     deadline_us: int
 
-    def __post_init__(self):
-        sid = self.id
-        if not isinstance(sid, str) or not sid:
+
+class Signal(_SignalFields):
+    """One periodic message: transmitting node, period, length and the
+    release/deadline pair constraining its first instance.  Construction
+    raises InstanceError for the first field that breaks the model's rules."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, node, period_us, length_bits, release_us, deadline_us):
+        if not isinstance(id, str) or not id:
             raise InstanceError("signal id must be a non-empty string")
-        if not is_node_id(self.node):
+        if not is_node_id(node):
             raise InstanceError(
-                f"signal {sid}: node must be an integer or a non-empty "
-                f"string, not {self.node!r}"
+                f"signal {id}: node must be an integer or a non-empty "
+                f"string, not {node!r}"
             )
-        period, length = self.period_us, self.length_bits
-        release, deadline = self.release_us, self.deadline_us
-        if not (type(period) is type(length) is type(release) is type(deadline) is int):
-            name, value = _first_non_int({f: getattr(self, f) for f in _SIGNAL_FIELDS[2:]})
-            raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
-        if period <= 0:
-            raise InstanceError(f"signal {sid}: period must be positive")
-        if length < 1:
-            raise InstanceError(f"signal {sid}: length must be >= 1 bit")
-        if release < 0:
-            raise InstanceError(f"signal {sid}: release must be >= 0")
-        if deadline <= 0:
-            raise InstanceError(f"signal {sid}: deadline must be positive")
+        numbers = (period_us, length_bits, release_us, deadline_us)
+        if not (type(period_us) is type(length_bits) is type(release_us)
+                is type(deadline_us) is int):
+            name, value = _first_non_int(cls._fields[2:], numbers)
+            raise InstanceError(f"signal {id}: {name} must be an integer, not {value!r}")
+        if period_us <= 0:
+            raise InstanceError(f"signal {id}: period must be positive")
+        if length_bits < 1:
+            raise InstanceError(f"signal {id}: length must be >= 1 bit")
+        if release_us < 0:
+            raise InstanceError(f"signal {id}: release must be >= 0")
+        if deadline_us <= 0:
+            raise InstanceError(f"signal {id}: deadline must be positive")
+        return tuple.__new__(cls, (id, node) + numbers)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class CycleWindow(NamedTuple):
@@ -136,8 +158,7 @@ class CycleWindow(NamedTuple):
         return self.deadline_cycle - self.release_cycle
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     config: FlexRayConfig
     signals: tuple[Signal, ...]
     variants: tuple[frozenset[str], ...]  # the signal ids of each variant
@@ -185,45 +206,56 @@ def _bad_variant_member(j: int, group: list, seen: set) -> InstanceError:
 
 
 # the keys of a config section and of a signal record: the fields they fill
-_CONFIG_FIELDS = {f.name: f for f in fields(FlexRayConfig)}
-_SIGNAL_FIELDS = tuple(f.name for f in fields(Signal))
+_CONFIG_FIELDS = FlexRayConfig._fields
+_CONFIG_REQUIRED = tuple(f for f in _CONFIG_FIELDS if f not in FlexRayConfig._field_defaults)
+_SIGNAL_FIELDS = frozenset(Signal._fields)
+_REQUIRED_SIGNAL_KEYS = itemgetter("id", "node", "period_us", "length_bits")
 
 
-def load_instance(doc: dict) -> Instance:
-    """Build a validated Instance from a parsed instance document.
+def _screened_signals(raw_signals: list, config: FlexRayConfig, periods: set):
+    """(signals, ids) when every record passes every rule, or None.
 
-    The config section and each signal record take only the fields of
-    `FlexRayConfig` and `Signal`, whose constructors check their values; a
-    record's `release_us` defaults to 0 and its `deadline_us` to its period.
-    Unknown top-level keys (e.g. generator metadata) are ignored.
+    The rules are checked column by column, and the records are then built
+    without a check of their own; on None the per-record loop runs and
+    names the first fault.  Only exact JSON types pass: a subclass of dict,
+    str or int leaves its record to the loop.
     """
-    if not isinstance(doc, dict):
-        raise InstanceError("instance document must be a JSON object")
+    if not raw_signals:
+        return (), set()
+    if set(map(type, raw_signals)) != {dict}:
+        return None
+    if not set().union(*raw_signals) <= _SIGNAL_FIELDS:
+        return None
     try:
-        raw_cfg = doc["config"]
-        raw_signals = doc["signals"]
-        raw_variants = doc["variants"]
-    except KeyError as exc:
-        raise InstanceError(f"instance document missing key {exc}") from None
+        ids, nodes, period_col, lengths = zip(*map(_REQUIRED_SIGNAL_KEYS, raw_signals))
+    except KeyError:
+        return None
+    releases = tuple(map(dict.get, raw_signals, repeat("release_us"), repeat(0)))
+    # only a missing deadline means "the period", as in the loop
+    deadlines = tuple(map(dict.get, raw_signals, repeat("deadline_us"), period_col))
+    if set(map(type, ids)) != {str}:
+        return None
+    if set(map(type, chain(period_col, lengths, releases, deadlines))) != {int}:
+        return None
+    seen = set(ids)
+    if len(seen) < len(ids) or "" in seen:
+        return None
+    if not set(map(type, nodes)) <= {int, str} or "" in nodes:
+        return None
+    if not set(period_col) <= periods:
+        return None
+    if min(lengths) < 1 or max(lengths) > config.payload_bits:
+        return None
+    if min(releases) < 0 or min(deadlines) <= 0:
+        return None
+    columns = zip(ids, nodes, period_col, lengths, releases, deadlines)
+    return tuple(map(tuple.__new__, repeat(Signal), columns)), seen
 
-    if not isinstance(raw_cfg, dict):
-        raise InstanceError("config must be a JSON object")
-    if not isinstance(raw_signals, list):
-        raise InstanceError("signals must be a list of signal records")
-    if not isinstance(raw_variants, list):
-        raise InstanceError("variants must be a list of signal-id lists")
 
-    for key in raw_cfg:
-        if key not in _CONFIG_FIELDS:
-            raise InstanceError(f"config: unknown key {key!r}")
-    for name, field in _CONFIG_FIELDS.items():
-        if field.default is MISSING and name not in raw_cfg:
-            raise InstanceError(f"malformed config section: {name!r}")
-    config = FlexRayConfig(**raw_cfg)
-
+def _record_signals(raw_signals: list, config: FlexRayConfig, periods: set):
+    """(signals, ids) built one record at a time with `Signal(...)`; the
+    first record that breaks a rule raises InstanceError."""
     cycle = config.cycle_us
-    # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
-    periods = {cycle << k for k in range(config.hyperperiod_cycles.bit_length())}
     signals = []
     seen = set()
     for raw in raw_signals:
@@ -262,6 +294,47 @@ def load_instance(doc: dict) -> Instance:
                 f"signal {sid}: period {period} us exceeds the hyperperiod"
             )
         signals.append(sig)
+    return signals, seen
+
+
+def load_instance(doc: dict) -> Instance:
+    """Build a validated Instance from a parsed instance document.
+
+    The config section and each signal record take only the fields of
+    `FlexRayConfig` and `Signal`, whose constructors check their values; a
+    record's `release_us` defaults to 0 and its `deadline_us` to its period.
+    The signal records are screened column by column first, and only a
+    failed screen runs the per-record loop that names the first fault.
+    Unknown top-level keys (e.g. generator metadata) are ignored.
+    """
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
+    try:
+        raw_cfg = doc["config"]
+        raw_signals = doc["signals"]
+        raw_variants = doc["variants"]
+    except KeyError as exc:
+        raise InstanceError(f"instance document missing key {exc}") from None
+
+    if not isinstance(raw_cfg, dict):
+        raise InstanceError("config must be a JSON object")
+    if not isinstance(raw_signals, list):
+        raise InstanceError("signals must be a list of signal records")
+    if not isinstance(raw_variants, list):
+        raise InstanceError("variants must be a list of signal-id lists")
+
+    for key in raw_cfg:
+        if key not in _CONFIG_FIELDS:
+            raise InstanceError(f"config: unknown key {key!r}")
+    for name in _CONFIG_REQUIRED:
+        if name not in raw_cfg:
+            raise InstanceError(f"malformed config section: {name!r}")
+    config = FlexRayConfig(**raw_cfg)
+
+    # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
+    periods = {config.cycle_us << k for k in range(config.hyperperiod_cycles.bit_length())}
+    screened = _screened_signals(raw_signals, config, periods)
+    signals, seen = screened or _record_signals(raw_signals, config, periods)
 
     members = []
     for j, group in enumerate(raw_variants):
@@ -291,7 +364,7 @@ def load_instance(doc: dict) -> Instance:
 
 def config_to_dict(config: FlexRayConfig) -> dict:
     """The config's fields in field order, as a new dict."""
-    return dict(vars(config))
+    return config._asdict()
 
 
 def read_json(path: Union[str, Path]):

@@ -30,21 +30,21 @@ checked exactly only on the slots the screen flags:
 
   frame-overlap     one pass over the records keeps, per (slot, variant),
                     one int of H * W bits where cycle c owns bits
-                    [c * W, (c + 1) * W), and the number of bits its
-                    records hold.  A record's bits are its range repeated
-                    at each of its jobs, jobs * length bits in all; it is
-                    ORed into the int and its bit count added for each of
-                    its variants.  The slot is flagged when, for some
-                    variant, the int's popcount falls short of that sum
-                    (two of its records share a bit), or when a record lies
-                    outside its frame (negative offset or first cycle, or
-                    past W), so that no int grows past H * W bits.  Two
-                    co-used signals that overlap in a frame share a
-                    variant, so their slot is flagged; a false flag only
-                    costs the exact path.  Flagged slots get the per-frame
-                    sweep, over their records in record order, which
-                    reports frames and pairs in the order a sweep over
-                    all frames would.
+                    [c * W, (c + 1) * W), and per slot the number of bits
+                    placed.  A record's bits are its range repeated at each
+                    of its jobs, jobs * length bits in all; it is ORed into
+                    the int of each of its variants, and its bit count times
+                    its variant count is added to the slot's total.  The
+                    slot is flagged when the popcounts of its ints sum to
+                    less than that total (two records of some variant share
+                    a bit), or when a record lies outside its frame
+                    (negative offset or first cycle, or past W), so that no
+                    int grows past H * W bits.  Two co-used signals that
+                    overlap in a frame share a variant, so their slot is
+                    flagged; a false flag only costs the exact path.
+                    Flagged slots get the per-frame sweep, over their
+                    records in record order, which reports frames and pairs
+                    in the order a sweep over all frames would.
 """
 
 from __future__ import annotations
@@ -132,8 +132,10 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
     # per-placement checks and both screens, in one pass over the records
     # (first cycle, period) -> (bit c * W of each job's cycle c, job count)
     starts: dict[tuple[int, int], tuple[int, int]] = {}
-    # slot -> per variant, the H * W occupied bits and the bits placed there
-    occ: dict[int, tuple[list[int], list[int]]] = {}
+    # slot -> per variant, the H * W occupied bits; and the bits placed in
+    # the slot, counted once per variant of each record
+    occ: dict[int, list[int]] = {}
+    placed: dict[int, int] = {}
     no_bits = [0] * len(instance.variants)
     overlap_slots: set[int] = set()
     slot_unions: dict[int, dict] = {}  # slot -> node -> union of variant sets
@@ -187,7 +189,12 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
         nodes = slot_unions.get(slot)
         if nodes is None:
             nodes = slot_unions[slot] = {}
-        nodes.setdefault(sig.node, set()).update(var_lists[sid])
+        own = var_lists[sid]
+        union = nodes.get(sig.node)
+        if union is None:
+            nodes[sig.node] = set(own)
+        else:
+            union.update(own)
 
         if slot in overlap_slots:
             continue
@@ -203,22 +210,20 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
             cached = starts[key] = (sum(1 << (c * width) for c in cycles), len(cycles))
         job_bits, job_count = cached
         bits = job_bits * ((1 << length) - 1) << offset
-        count = job_count * length
-        row = occ.get(slot)
-        if row is None:
-            row = occ[slot] = (no_bits.copy(), no_bits.copy())
-        held, need = row
-        for j in var_lists[sid]:
+        held = occ.get(slot)
+        if held is None:
+            held = occ[slot] = no_bits.copy()
+            placed[slot] = 0
+        for j in own:
             held[j] |= bits
-            need[j] += count
+        placed[slot] += job_count * length * len(own)
 
     # a record's bits are disjoint (one range per job, each inside its own
-    # cycle), so a (slot, variant) popcount below the summed counts means
-    # two of its records share a bit
-    for slot, (held, need) in occ.items():
-        if slot not in overlap_slots and any(
-            bits.bit_count() != count for bits, count in zip(held, need)
-        ):
+    # cycle), so each (slot, variant) popcount is at most the bits placed
+    # there, and equals it only when no two of its records share a bit:
+    # the slot's popcounts sum to its placed total exactly when none do
+    for slot, held in occ.items():
+        if slot not in overlap_slots and sum(map(int.bit_count, held)) != placed[slot]:
             overlap_slots.add(slot)
 
     # exact overlap checks on the flagged slots only, over their records in

@@ -11,7 +11,6 @@ conflict model live here too, because only the tests use them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from typing import NamedTuple
@@ -347,10 +346,8 @@ def make_random_instance(rng: random.Random, max_signals=12, max_nodes=3,
 def with_mixed_nodes(instance):
     """The instance with every even node id turned into a string."""
     rename = lambda n: f"n{n}" if n % 2 == 0 else n
-    signals = tuple(
-        dataclasses.replace(s, node=rename(s.node)) for s in instance.signals
-    )
-    return dataclasses.replace(instance, signals=signals)
+    signals = tuple(s._replace(node=rename(s.node)) for s in instance.signals)
+    return instance._replace(signals=signals)
 
 
 def _node_order(node):

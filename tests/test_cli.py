@@ -559,14 +559,15 @@ def test_unparsable_json_exits_2_with_one_line(
 def test_cli_import_loads_no_numpy_csv_or_process_pool():
     # the CLI's cold start pays for none of these; csv is imported only by
     # the bench command, the generator (and its random) only by generate
-    # and bench, and nothing starts a process pool
+    # and bench, and nothing starts a process pool; the instance records are
+    # named tuples, so dataclasses (and its inspect) stays unloaded too
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import fraysched.cli\n"
-        "heavy = ('numpy', 'csv', 'concurrent.futures', 'fraysched.benchgen')\n"
+        "heavy = ('numpy', 'csv', 'concurrent.futures', 'fraysched.benchgen', 'dataclasses')\n"
         "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
     )
     done = subprocess.run(

@@ -1,10 +1,12 @@
-import dataclasses
 import json
+import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraysched import core
 from fraysched.core import (
     FlexRayConfig,
     InfeasibleSignalError,
@@ -164,7 +166,7 @@ class TestLoadInstance:
         config = FlexRayConfig(5000, 4, 16, 75, 40)
         doc = config_to_dict(config)
         assert list(doc.items()) == [
-            (f.name, getattr(config, f.name)) for f in dataclasses.fields(FlexRayConfig)
+            (name, getattr(config, name)) for name in FlexRayConfig._fields
         ]
         doc["cycle_us"] = 1
         doc["extra"] = 2
@@ -278,15 +280,180 @@ class TestLoaderAndConstructorAgree:
                 for r in doc["signals"]
             )
             assert loaded == built
-            assert [vars(s) for s in loaded] == [vars(s) for s in built]
+            assert [s._asdict() for s in loaded] == [s._asdict() for s in built]
             assert {hash(s) for s in loaded} == {hash(s) for s in built}
         sig = loaded[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             sig.node = 99
-        moved = dataclasses.replace(sig, node=99)
+        moved = sig._replace(node=99)
         assert moved.node == 99 and moved.id == sig.id and sig.node != 99
         with pytest.raises(InstanceError, match="length must be >= 1 bit"):
-            dataclasses.replace(sig, length_bits=0)
+            sig._replace(length_bits=0)
+
+    def test_every_way_to_make_a_record_checks(self):
+        sig = Signal("A", 1, 5000, 8, 0, 5000)
+        bad = dict(sig._asdict(), length_bits=0)
+        for make in (
+            lambda: Signal(**bad),
+            lambda: Signal._make(bad.values()),
+            lambda: sig._replace(length_bits=0),
+        ):
+            with pytest.raises(InstanceError, match="length must be >= 1 bit"):
+                make()
+        for make in (
+            lambda: FlexRayConfig._make([0, 4, 16]),
+            lambda: EX1_CONFIG._replace(cycle_us=0),
+        ):
+            with pytest.raises(InstanceError, match="cycle_us must be positive"):
+                make()
+        for value in (sig, EX1_CONFIG):
+            again = pickle.loads(pickle.dumps(value))
+            assert again == value and type(again) is type(value)
+        assert FlexRayConfig(5000, 4, 16) == (5000, 4, 16, 0, 0)
+
+
+SCREEN_CONFIG = {"cycle_us": 5000, "hyperperiod_cycles": 4, "payload_bits": 16}
+
+# per field, values that break a field rule or a config rule (a bool, a
+# float or a string for a number; off the period grid; past the payload),
+# and a few valid ones
+BAD_VALUES = {
+    "id": ["", 5, True, None, "S0"],  # "S0" is a duplicate on any other record
+    "node": ["", True, False, 1.5, None, [1], "ecu", 7],
+    "period_us": [True, 5000.0, "5000", None, 0, -5000, 2500, 7000, 15000,
+                  40000, 80000],
+    "length_bits": [True, 8.0, "8", 0, -1, 16, 17],
+    "release_us": [False, 0.0, "0", -1, 5000],
+    "deadline_us": [True, 5000.0, "5000", None, 0, -1, 1],
+}
+
+
+@st.composite
+def signal_records(draw):
+    records = []
+    for i in range(draw(st.integers(1, 5))):
+        period = draw(st.sampled_from([5000, 10000, 20000]))
+        record = {"id": f"S{i}", "node": draw(st.sampled_from([1, 2, "ecu"])),
+                  "period_us": period, "length_bits": draw(st.integers(1, 16))}
+        if draw(st.booleans()):
+            record["release_us"] = draw(st.integers(0, period))
+        if draw(st.booleans()):
+            record["deadline_us"] = draw(st.integers(1, period))
+        records.append(record)
+    return records
+
+
+# every edit of one record that the tests below apply
+SIGNAL_EDITS = (
+    [("set", key, value) for key, values in BAD_VALUES.items() for value in values]
+    + [("drop", key) for key in Signal._fields]
+    + [("misspell", key) for key in Signal._fields]
+    + [("extra", "note"), ("not-a-record", []), ("not-a-record", "S"), ("not-a-record", 1)]
+)
+
+
+def edited(record, op):
+    kind, arg = op[0], op[1]
+    if not isinstance(record, dict):
+        return record
+    record = dict(record)
+    if kind == "set":
+        record[arg] = op[2]
+    elif kind == "drop":
+        record.pop(arg, None)
+    elif kind == "misspell":
+        if arg in record:
+            record[arg + "s"] = record.pop(arg)
+    elif kind == "extra":
+        record[arg] = 1
+    else:
+        return arg
+    return record
+
+
+def load_outcome(doc):
+    try:
+        instance = load_instance(doc)
+    except InstanceError as exc:
+        return "error", str(exc)
+    return instance, [type(s) for s in instance.signals]
+
+
+def assert_screen_agrees(records, variants):
+    """The screened loader and the per-record loop alone give equal
+    instances of Signal values, or the same first error."""
+    doc = {"config": SCREEN_CONFIG, "signals": records, "variants": variants}
+    screened = load_outcome(doc)
+    with mock.patch.object(core, "_screened_signals", return_value=None):
+        reference = load_outcome(doc)
+    assert screened == reference
+
+
+class TestScreenedLoader:
+    """`load_instance` screens the signal records column by column and
+    builds them in one pass; the per-record loop, which runs only when the
+    screen fails, is the reference."""
+
+    # a full record, one with both optional keys absent, one with a deadline only
+    RECORDS = [
+        {"id": "S0", "node": 1, "period_us": 5000, "length_bits": 8,
+         "release_us": 0, "deadline_us": 5000},
+        {"id": "S1", "node": "ecu", "period_us": 10000, "length_bits": 1},
+        {"id": "S2", "node": 2, "period_us": 20000, "length_bits": 16,
+         "deadline_us": 15000},
+    ]
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("op", SIGNAL_EDITS, ids=repr)
+    def test_one_edit_agrees_with_the_per_record_loop(self, op, at):
+        records = list(self.RECORDS)
+        records[at] = edited(records[at], op)
+        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        signal_records(),
+        st.lists(st.tuples(st.integers(0, 4), st.sampled_from(SIGNAL_EDITS)), max_size=3),
+    )
+    def test_edits_agree_with_the_per_record_loop(self, records, edits):
+        variants = [[r["id"] for r in records]]
+        for i, op in edits:
+            i %= len(records)
+            records[i] = edited(records[i], op)
+        assert_screen_agrees(records, variants)
+
+    def test_valid_documents_skip_the_loop(self, example1_instance_path):
+        from fraysched import benchgen
+
+        docs = [
+            json.loads(example1_instance_path.read_text()),
+            benchgen.generate_instance(benchgen.PROFILES["set5"], 0),
+            make_doc(signals=[], variants=[]),
+        ]
+        for doc in docs:
+            with mock.patch.object(core, "_record_signals") as loop:
+                screened = load_instance(doc)
+            assert not loop.called
+            with mock.patch.object(core, "_screened_signals", return_value=None):
+                assert screened == load_instance(doc)
+            assert all(type(s) is Signal for s in screened.signals)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.update(id=type("Id", (str,), {})("X")),
+            lambda r: r.update(node=type("Node", (int,), {})(1)),
+        ],
+        ids=["str-subclass-id", "int-subclass-node"],
+    )
+    def test_subclassed_values_take_the_loop(self, edit):
+        # the screen passes exact JSON types only; the loop's isinstance
+        # tests accept these, and the loop builds the record
+        record = dict(X_RECORD)
+        edit(record)
+        screened = core._screened_signals([record], EX1_CONFIG, {5000, 10000, 20000})
+        assert screened is None
+        assert load_instance(make_doc(signals=[record])).signals == (Signal(**record),)
 
 
 class TestRounding:

@@ -156,7 +156,7 @@ def node_split_instances(draw):
         for j in mine or [rng.choice(allowed[sig.node])]:
             members[j].add(sig.id)
     variants = tuple(frozenset(g) for g in members)
-    return dataclasses.replace(inst, variants=variants)
+    return inst._replace(variants=variants)
 
 
 class TestOpenSlots:
