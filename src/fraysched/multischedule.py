@@ -46,7 +46,7 @@ The natives are grouped by the conflict model's per-signal variant lists.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice, repeat
 from operator import and_
 from json.encoder import encode_basestring_ascii
@@ -112,7 +112,13 @@ class Multischedule:
         # every committed (signal, placement) pair in commit order
         self.placement_records: list[tuple[Signal, Placement]] = []
         self.closed: dict[NodeId, int] = {}
-        self.all_bits = (1 << (config.hyperperiod_cycles * config.payload_bits)) - 1
+        width = config.payload_bits
+        self.all_bits = (1 << (config.hyperperiod_cycles * width)) - 1
+        # heads[d] is every bit of frames 0..d, where a window ending at
+        # cycle d has its first job
+        self.heads = [
+            (1 << ((d + 1) * width)) - 1 for d in range(config.hyperperiod_cycles)
+        ]
         self._patterns: dict[tuple[int, int], int] = {}
 
     def pattern(self, period_cycles: int, length: int) -> int:
@@ -133,19 +139,28 @@ class Multischedule:
         return bits
 
 
-def _run_starts(free: int, length: int) -> int:
-    """Bits b of `free` with free[b : b + length] all set.
+@cache
+def _run_shifts(length: int) -> tuple[int, ...]:
+    """The shifts that turn free bits into `length`-bit run starts.
 
     Run doubling: while bit b stands for a run of `run` set bits, ANDing
     with a copy shifted by step <= run makes it stand for run + step bits,
-    so about log2(length) big-int steps suffice.
+    so about log2(length) steps suffice.
     """
+    steps = []
     run = 1
     while run * 2 <= length:
-        free &= free >> run
+        steps.append(run)
         run *= 2
     if run < length:
-        free &= free >> (length - run)
+        steps.append(length - run)
+    return tuple(steps)
+
+
+def _run_starts(free: int, length: int) -> int:
+    """Bits b of `free` with free[b : b + length] all set."""
+    for step in _run_shifts(length):
+        free &= free >> step
     return free
 
 
@@ -168,11 +183,14 @@ def find_position_for_signal(
     width = ms.config.payload_bits
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
-    fits = ms.pattern(1, width - length + 1)
     release = window.release_cycle
+    # the offsets at which the signal fits a frame, in the window's frames
+    # and above; the AND below drops the frames past the deadline
+    fits = ms.pattern(1, width - length + 1) << (release * width)
+    shifts = _run_shifts(length)
     all_bits = ms.all_bits
-    # every bit of frames 0..deadline_cycle
-    head = all_bits >> ((ms.config.hyperperiod_cycles - 1 - window.deadline_cycle) * width)
+    fill = repeat(all_bits)
+    head = ms.heads[window.deadline_cycle]
     period = window.period_cycles
     pattern = ms.pattern(period, length)
     slots = ms.slots
@@ -183,26 +201,26 @@ def find_position_for_signal(
         open_slots &= open_slots - 1
         slot = slots[si]
         free = slot.free
-        usable = reduce(and_, map(free.get, variants, repeat(all_bits)), head)
-        # the window's frames moved down to bit 0: bit c * W + o is set when
-        # the first job fits at (release + c, o)
-        hits = _run_starts(usable >> (release * width), length) & fits
+        hits = reduce(and_, map(free.get, variants, fill), head)
+        for step in shifts:
+            hits &= hits >> step
+        # bit c * W + o is set when the first job fits at (c, o)
+        hits &= fits
         whole = None
         while hits:
-            c, offset = divmod((hits & -hits).bit_length() - 1, width)
-            cycle = release + c
+            cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
             # every resident's period divides the signal's, so each later
             # job's frame has the same free bits as the first job's
             if slot.period <= period:
                 return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
             if whole is None:
-                whole = reduce(and_, map(free.get, variants, repeat(all_bits)), all_bits)
+                whole = reduce(and_, map(free.get, variants, fill), all_bits)
             jobs = pattern << (cycle * width + offset)
             if whole & jobs == jobs:
                 return Placement(si, cycle, offset)
-            # only a frame's lowest offset is a candidate: drop frames 0..c
-            hits &= -(1 << ((c + 1) * width))
+            # only a frame's lowest offset is a candidate: drop frames 0..cycle
+            hits &= -(1 << ((cycle + 1) * width))
     return None
 
 
@@ -248,25 +266,21 @@ def place_signal_to_schedule(
 # rendered here directly, because that call runs the pure-Python encoder
 # (the C one serves only indent=None) and would re-encode a shared
 # placement in every native that holds it.  Each placement is rendered
-# once, at its fixed depth, and every document joins those fragments
-# inside fixed slot and document templates.
+# once, at its fixed depth and with the separator that precedes it, and
+# each document is one join over fixed slot pieces and those fragments.
 
 _PLACEMENT = (
+    ",\n"
     "        {\n"
     '          "first_cycle": %d,\n'
     '          "offset_bits": %d,\n'
     '          "signal": %s\n'
     "        }"
 )
-_SLOT = '    {\n      "index": %d,\n      "nodes": %s,\n      "placements": %s\n    }'
-_DOCUMENT = '{\n  "config": {\n%s\n  },\n  "slots": %s%s\n}\n'
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """JSON array of already rendered items, closed at `indent`."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+_SLOT_OPEN = '    {\n      "index": %d,\n      "nodes": '
+_SLOT_EMPTY = '[],\n      "placements": []\n    }'
+_PLACEMENTS_OPEN = ',\n      "placements": [\n'
+_SLOT_CLOSE = "\n      ]\n    }"
 
 
 def _node_key(node) -> tuple:
@@ -275,48 +289,33 @@ def _node_key(node) -> tuple:
     return str(node), isinstance(node, str)
 
 
-def _node_text(node) -> str:
-    return encode_basestring_ascii(node) if isinstance(node, str) else "%d" % node
+def _node_list(nodes) -> str:
+    """JSON array of a slot's nodes, closed at the slot's depth."""
+    if not nodes:
+        return "[]"
+    return "[\n" + ",\n".join(
+        "        " + (encode_basestring_ascii(n) if isinstance(n, str) else "%d" % n)
+        for n in sorted(nodes, key=_node_key)
+    ) + "\n      ]"
 
 
-def _items(ms: Multischedule) -> list[tuple]:
-    """(slot, rendered placement, node) per placement record, in commit
-    order."""
-    return [
-        (
-            pos.slot,
-            _PLACEMENT % (pos.first_cycle, pos.offset_bits, encode_basestring_ascii(sig.id)),
-            sig.node,
-        )
-        for sig, pos in ms.placement_records
-    ]
-
-
-def _document(ms: Multischedule, items, tail: str = "") -> str:
-    """Document text over (slot, fragment, node) items in commit order.
-    Every slot of the grid is listed, so slot indices line up across all
-    documents of one multischedule; a slot's nodes are those of its items."""
-    rows: list[list[str]] = [[] for _ in ms.slot_nodes]
-    nodes: list[set] = [set() for _ in ms.slot_nodes]
-    for slot, fragment, node in items:
-        rows[slot].append(fragment)
-        nodes[slot].add(node)
-    slots = [
-        _SLOT
-        % (
-            i,
-            _json_list(
-                ["        " + _node_text(n) for n in sorted(nodes[i], key=_node_key)],
-                "      ",
-            ),
-            _json_list(rows[i], "      "),
-        )
-        for i in range(len(rows))
-    ]
-    config = ",\n".join(
-        '    "%s": %d' % item for item in sorted(config_to_dict(ms.config).items())
-    )
-    return _DOCUMENT % (config, _json_list(slots, "  "), tail)
+def _document(head: str, opens: list, empties: list, rows: list, nodes: list,
+              tail: str) -> str:
+    """Document text: `head`, then per slot s its placement fragments
+    rows[s] under the node list text nodes[s] (or the slot's empty text
+    when it has none), then `tail`.  `opens[s]` and `empties[s]` start
+    with the separator that precedes slot s."""
+    pieces = [head]
+    for s, row in enumerate(rows):
+        if row:
+            # the first fragment follows the opening bracket, not a comma
+            pieces += (opens[s], nodes[s], _PLACEMENTS_OPEN, row[0][2:])
+            pieces += row[1:]
+            pieces.append(_SLOT_CLOSE)
+        else:
+            pieces.append(empties[s])
+    pieces.append(tail)
+    return "".join(pieces)
 
 
 def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
@@ -324,22 +323,62 @@ def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
     `mems` is given, of each variant's native schedule in variant order.
 
     A native is the multischedule with foreign signals dropped; slots
-    hosting none of the variant's signals stay in it, empty.  Placements
-    are rendered once for all documents, the records are grouped by
-    variant in one pass over the model's per-signal variant lists, and
-    each text is built only when it is asked for.
+    hosting none of the variant's signals stay in it, empty.  One pass
+    over the placement records renders each placement once and files it
+    in its slot's row of every document that holds it.  A native's nodes
+    in a slot are tracked only where the slot holds two or more nodes: in
+    a one-node slot they are that node when the native has rows there.
+    Each node list is rendered once per distinct node set, and each text
+    is built only when it is asked for.
     """
-    items = _items(ms)
-    yield _document(ms, items)
-    if mems is None:
-        return
-    variants_of = mems.variants_of
-    picked: list[list[tuple]] = [[] for _ in range(mems.variant_count)]
-    for (sig, _pos), item in zip(ms.placement_records, items):
-        for j in variants_of[sig.id]:
-            picked[j].append(item)
+    count = len(ms.slot_nodes)
+    variants_of, variant_count = ({}, 0) if mems is None else (
+        mems.variants_of, mems.variant_count
+    )
+    rows: list[list[str]] = [[] for _ in range(count)]
+    # picked[j][s] is the fragments of variant j's native in slot s
+    picked = [[[] for _ in range(count)] for _ in range(variant_count)]
+    # slot -> each variant's nodes there, for the slots shared by nodes
+    shared = {
+        s: [set() for _ in picked] for s, nodes in enumerate(ms.slot_nodes) if len(nodes) > 1
+    }
+    for sig, (s, first, offset) in ms.placement_records:
+        fragment = _PLACEMENT % (first, offset, encode_basestring_ascii(sig.id))
+        rows[s].append(fragment)
+        sets = shared.get(s)
+        if sets is None:
+            for j in variants_of.get(sig.id, ()):
+                picked[j][s].append(fragment)
+        else:
+            node = sig.node
+            for j in variants_of.get(sig.id, ()):
+                picked[j][s].append(fragment)
+                sets[j].add(node)
+
+    config = ",\n".join(
+        '    "%s": %d' % item for item in sorted(config_to_dict(ms.config).items())
+    )
+    head = '{\n  "config": {\n' + config + '\n  },\n  "slots": '
+    opens = [(",\n" if s else "[\n") + _SLOT_OPEN % s for s in range(count)]
+    empties = [text + _SLOT_EMPTY for text in opens]
+    close = "\n  ]" if count else "[]"
+    node_lists: dict[frozenset, str] = {}
+
+    def node_list(nodes) -> str:
+        key = frozenset(nodes)
+        text = node_lists.get(key)
+        if text is None:
+            text = node_lists[key] = _node_list(key)
+        return text
+
+    whole = [node_list(nodes) for nodes in ms.slot_nodes]
+    yield _document(head, opens, empties, rows, whole, close + "\n}\n")
     for j, native in enumerate(picked):
-        yield _document(ms, native, ',\n  "variant": %d' % j)
+        nodes = whole.copy()
+        for s, sets in shared.items():
+            nodes[s] = node_list(sets[j])
+        tail = close + ',\n  "variant": %d\n}\n' % j
+        yield _document(head, opens, empties, native, nodes, tail)
 
 
 def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
@@ -49,18 +50,9 @@ class ScheduleResult(NamedTuple):
     slot_count = property(lambda self: len(self.multischedule.slots))
 
 
-# each strategy's sort key, from a signal and its cycle window; FF's is
-# constant, and a stable sort then keeps input order
-_ORDER_KEYS = {
-    OrderingStrategy.FF: lambda s, w: 0,
-    OrderingStrategy.FFP: lambda s, w: s.period_us,
-    OrderingStrategy.FFW: lambda s, w: w.span,
-    OrderingStrategy.FFL: lambda s, w: -s.length_bits,
-    # int and str node ids may mix; ints sort first, in their own order
-    OrderingStrategy.FFC: lambda s, w: (
-        (isinstance(s.node, str), s.node), s.period_us, w.span, -s.length_bits
-    ),
-}
+def _in_order(signals: Sequence[Signal], keys: list[int]) -> list[Signal]:
+    """`signals` stably sorted by `keys`, one int per signal."""
+    return [signals[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def sort_signals(
@@ -70,9 +62,40 @@ def sort_signals(
 
     All sorts are stable, so equal keys keep input order and results are
     reproducible.  FFW and FFC read the span of each signal's cycle window.
+    Each strategy sorts one int per signal; FFC packs its four keys into
+    it, each in a bit field wide enough for its largest value.
     """
-    key = _ORDER_KEYS[strategy]
-    return sorted(signals, key=lambda s: key(s, windows[s.id]))
+    if strategy is OrderingStrategy.FF:
+        return list(signals)
+    if strategy is OrderingStrategy.FFP:
+        return sorted(signals, key=attrgetter("period_us"))
+    if strategy is OrderingStrategy.FFL:
+        # a reverse sort keeps equal keys in input order too
+        return sorted(signals, key=attrgetter("length_bits"), reverse=True)
+    spans = [
+        w.deadline_cycle - w.release_cycle
+        for w in map(windows.__getitem__, map(attrgetter("id"), signals))
+    ]
+    if strategy is OrderingStrategy.FFW:
+        return _in_order(signals, spans)
+    if not signals:
+        return []
+    # FFC: node, period, span, then length descending; int and str node
+    # ids may mix, ints first, each kind in its own order
+    nodes = list(map(attrgetter("node"), signals))
+    ranked = sorted(set(nodes), key=lambda n: (isinstance(n, str), n))
+    rank = {n: r for r, n in enumerate(ranked)}
+    periods = list(map(attrgetter("period_us"), signals))
+    lengths = list(map(attrgetter("length_bits"), signals))
+    longest = max(lengths)
+    length_bits = longest.bit_length()
+    span_bits = max(spans).bit_length()
+    period_bits = max(periods).bit_length()
+    keys = [
+        (((rank[n] << period_bits | p) << span_bits | w) << length_bits) | (longest - l)
+        for n, p, w, l in zip(nodes, periods, spans, lengths)
+    ]
+    return _in_order(signals, keys)
 
 
 def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
@@ -80,15 +103,22 @@ def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
 
     The wall time covers the algorithm only (conflict model, sorting,
     placement); parsing and serialization are measured elsewhere.
-    Propagates InfeasibleSignalError when a signal's window is empty.
+    Propagates InfeasibleSignalError when a signal's window is empty,
+    naming the first such signal in input order.
     """
     t0 = time.perf_counter()
-    mems = compute_mems(instance.signals, instance.variants)
-    windows = {
-        s.id: round_time_constraints(s, instance.config) for s in instance.signals
-    }
-    ordered = sort_signals(instance.signals, strategy, windows)
-    ms = Multischedule(instance.config, windows)
+    signals, config = instance.signals, instance.config
+    mems = compute_mems(signals, instance.variants)
+    # a window depends on the signal's period, release and deadline only,
+    # so it is rounded once per distinct triple, in input order
+    keys = list(map(attrgetter("period_us", "release_us", "deadline_us"), signals))
+    rounded: dict[tuple, CycleWindow] = {}
+    for sig, key in zip(signals, keys):
+        if key not in rounded:
+            rounded[key] = round_time_constraints(sig, config)
+    windows = dict(zip(map(attrgetter("id"), signals), map(rounded.__getitem__, keys)))
+    ordered = sort_signals(signals, strategy, windows)
+    ms = Multischedule(config, windows)
     for sig in ordered:
         place_signal_to_schedule(ms, sig, mems)
     return ScheduleResult(ms, time.perf_counter() - t0, mems)

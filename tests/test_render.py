@@ -20,7 +20,13 @@ from fraysched.multischedule import (
 )
 from fraysched.scheduler import OrderingStrategy, schedule
 
-from oracles import instance_to_dict, make_random_instance, native_doc, schedule_doc
+from oracles import (
+    instance_to_dict,
+    make_random_instance,
+    native_doc,
+    schedule_doc,
+    with_mixed_nodes,
+)
 
 
 def dumped(doc: dict) -> str:
@@ -91,6 +97,36 @@ def test_tied_node_names_list_the_int_first():
         assert '"nodes": [\n        1,\n        "1"\n      ],' in next(render_documents(ms))
     # the set the nodes come from may iterate either way round
     assert sorted(["1", 1], key=_node_key) == sorted([1, "1"], key=_node_key) == [1, "1"]
+
+
+def test_native_node_lists_in_a_shared_slot():
+    # a (node 1) and b (node "n2") never meet in a variant, so they share
+    # slot 0; c (node 3) meets a in variant 0, so it opens slot 1.  Native
+    # 0 sees only node 1 in slot 0, native 1 only "n2", native 2 has no
+    # row in slot 0, and variant 3 is empty.
+    inst = with_mixed_nodes(load_instance({
+        "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+        "signals": [
+            {"id": sid, "node": node, "period_us": 1000, "length_bits": 4}
+            for sid, node in (("a", 1), ("b", 2), ("c", 3))
+        ],
+        "variants": [["a", "c"], ["b"], ["c"], []],
+    }))
+    res = schedule(inst, OrderingStrategy.FF)
+    ms = res.multischedule
+    assert ms.slot_nodes == [{1, "n2"}, {3}]
+    texts = list(render_documents(ms, res.mems))
+    assert texts == [dumped(schedule_doc(ms))] + [
+        dumped(native_doc(ms, j, inst.variants)) for j in range(4)
+    ]
+    nodes = [[slot["nodes"] for slot in json.loads(text)["slots"]] for text in texts]
+    assert nodes == [
+        [[1, "n2"], [3]],
+        [[1], [3]],
+        [["n2"], []],
+        [[], [3]],
+        [[], []],
+    ]
 
 
 def test_empty_schedule_renders_empty_slot_list():

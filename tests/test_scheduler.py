@@ -1,9 +1,19 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fraysched.core import load_instance, round_time_constraints
+from fraysched.core import (
+    CycleWindow,
+    InfeasibleSignalError,
+    Signal,
+    load_instance,
+    round_time_constraints,
+)
+from fraysched import scheduler
 from fraysched.multischedule import schedule_to_dict
 from fraysched.scheduler import OrderingStrategy, schedule, sort_signals
 from fraysched.validator import validate_multischedule
@@ -20,6 +30,47 @@ def windows_of(instance):
     return {
         s.id: round_time_constraints(s, instance.config) for s in instance.signals
     }
+
+
+# each strategy's sort key as one tuple per signal, from the signal and its
+# window: the reference for the one int per signal that sort_signals sorts
+TUPLE_KEYS = {
+    OrderingStrategy.FF: lambda s, w: 0,
+    OrderingStrategy.FFP: lambda s, w: s.period_us,
+    OrderingStrategy.FFW: lambda s, w: w.span,
+    OrderingStrategy.FFL: lambda s, w: -s.length_bits,
+    OrderingStrategy.FFC: lambda s, w: (
+        (isinstance(s.node, str), s.node), s.period_us, w.span, -s.length_bits
+    ),
+}
+
+
+def tuple_order(signals, strategy, windows):
+    key = TUPLE_KEYS[strategy]
+    return sorted(signals, key=lambda s: key(s, windows[s.id]))
+
+
+@st.composite
+def signals_and_windows(draw):
+    """Up to 12 signals with few distinct values per key, so that every key
+    ties often; int nodes, negative ones too, mix with str nodes, among
+    them "1" beside 1."""
+    node = st.one_of(st.sampled_from([-2, 1, "1", "a"]), st.integers(-3, 3), st.just("-1"))
+    signals, windows = [], {}
+    for i in range(draw(st.integers(0, 12))):
+        sig = Signal(
+            f"s{i}",
+            draw(node),
+            draw(st.sampled_from([1000, 2000, 64000])),
+            draw(st.one_of(st.integers(1, 5), st.sampled_from([8, 2032]))),
+            0,
+            1000,
+        )
+        release = draw(st.integers(0, 2))
+        span = draw(st.one_of(st.integers(0, 3), st.just(63)))
+        windows[sig.id] = CycleWindow(release, release + span, 64)
+        signals.append(sig)
+    return tuple(signals), windows
 
 
 class TestSortSignals:
@@ -72,6 +123,40 @@ class TestSortSignals:
         keys = [(isinstance(s.node, str), s.node) for s in got]
         assert keys == sorted(keys)
 
+    @given(case=signals_and_windows(), strategy=st.sampled_from(list(OrderingStrategy)))
+    @settings(max_examples=400, deadline=None)
+    # 5 - 1 = 4 needs the length field's third bit: one bit fewer and s1
+    # ties with s0
+    @example(
+        case=(
+            (Signal("s0", 1, 1000, 5, 0, 1000), Signal("s1", 1, 1000, 1, 0, 1000)),
+            {"s0": CycleWindow(0, 1, 64), "s1": CycleWindow(0, 0, 64)},
+        ),
+        strategy=OrderingStrategy.FFC,
+    )
+    def test_int_keys_order_as_the_tuple_keys(self, case, strategy):
+        signals, windows = case
+        got = sort_signals(signals, strategy, windows)
+        assert [s.id for s in got] == [s.id for s in tuple_order(signals, strategy, windows)]
+
+    def test_int_keys_order_as_the_tuple_keys_on_instances(self):
+        rng = random.Random(13)
+        for i in range(40):
+            inst = make_random_instance(rng, max_nodes=4)
+            if i % 2:
+                inst = with_mixed_nodes(inst)
+            wins = windows_of(inst)
+            for strat in OrderingStrategy:
+                got = sort_signals(inst.signals, strat, wins)
+                assert got == tuple_order(inst.signals, strat, wins)
+
+    def test_one_signal_and_none(self):
+        sig = Signal("x", "gw", 2000, 4, 0, 1000)
+        wins = {"x": CycleWindow(0, 0, 2)}
+        for strat in OrderingStrategy:
+            assert sort_signals((sig,), strat, wins) == [sig]
+            assert sort_signals((), strat, {}) == []
+
     def test_strategy_parsing(self):
         assert OrderingStrategy.from_name("FFC") is OrderingStrategy.FFC
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -113,8 +198,6 @@ class TestSchedule:
         assert res.slot_count == n
 
     def test_infeasible_signal_propagates(self):
-        from fraysched.core import InfeasibleSignalError
-
         inst = load_instance(
             {
                 "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
@@ -127,6 +210,45 @@ class TestSchedule:
         )
         with pytest.raises(InfeasibleSignalError):
             schedule(inst, OrderingStrategy.FF)
+
+    def test_windows_are_rounded_once_per_triple(self, monkeypatch):
+        # random instances repeat (period, release, deadline) triples, which
+        # share one rounded window
+        calls = []
+
+        def counted(signal, config):
+            calls.append(signal.id)
+            return round_time_constraints(signal, config)
+
+        monkeypatch.setattr(scheduler, "round_time_constraints", counted)
+        rng = random.Random(21)
+        for _ in range(40):
+            inst = make_random_instance(rng, max_signals=20)
+            triples = {(s.period_us, s.release_us, s.deadline_us) for s in inst.signals}
+            for strat in (OrderingStrategy.FF, OrderingStrategy.FFC):
+                calls.clear()
+                assert schedule(inst, strat).multischedule.windows == windows_of(inst)
+                assert len(calls) == len(triples)
+
+    def test_first_infeasible_signal_in_input_order_is_named(self):
+        # x and y share an infeasible triple, z has another one, and f and
+        # g share a feasible one; whatever the input order, the first of x,
+        # y and z is named
+        triples = {"f": (0, 1000), "g": (0, 1000), "x": (0, 999), "y": (0, 999),
+                   "z": (500, 1000)}
+        for ids in itertools.permutations(triples):
+            inst = load_instance({
+                "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+                "signals": [
+                    {"id": sid, "node": 1, "period_us": 2000, "length_bits": 2,
+                     "release_us": triples[sid][0], "deadline_us": triples[sid][1]}
+                    for sid in ids
+                ],
+                "variants": [list(ids)],
+            })
+            first = next(sid for sid in ids if sid in "xyz")
+            with pytest.raises(InfeasibleSignalError, match=f"^signal {first}: "):
+                schedule(inst, OrderingStrategy.FFC)
 
     def test_deterministic_output_bytes(self):
         rng = random.Random(8)
