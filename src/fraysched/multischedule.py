@@ -18,8 +18,9 @@ node that shares a variant with node p stays shut to p; the commit that
 brings a node into slot s sets bit s of `closed[p]` for every such p.
 `find_position_for_signal` walks the slots still open to the signal's node
 in allocation order.  Its first job lies in frames 0..deadline_cycle, so
-the AND starts from the mask of just those frames and costs no more than
-they do (an AND of non-negative ints is as long as the shorter one).  One
+the AND starts from `Multischedule.heads[deadline_cycle]`, the mask of
+just those frames, and costs no more than they do (an AND of
+non-negative ints is as long as the shorter one).  One
 candidate mask per slot visit holds the offsets of the window's frames at
 which the first job fits; its lowest bit is the earliest cycle and the
 lowest offset inside it.  Periods are powers of two and windows keep
@@ -101,7 +102,9 @@ class Multischedule:
     `windows` maps each signal id to its admissible cycle window.
     `slot_nodes[s]` is the set of nodes with a signal in slot s, and
     `closed[node]` has bit s set when slot s holds a node that shares a
-    variant with `node`.  `all_bits` is every bit of a slot, H * W of them.
+    variant with `node`.  `all_bits` is every bit of a slot, H * W of them,
+    and `heads[d]` every bit of frames 0..d, where a window ending at
+    cycle d has its first job.
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
@@ -114,8 +117,6 @@ class Multischedule:
         self.closed: dict[NodeId, int] = {}
         width = config.payload_bits
         self.all_bits = (1 << (config.hyperperiod_cycles * width)) - 1
-        # heads[d] is every bit of frames 0..d, where a window ending at
-        # cycle d has its first job
         self.heads = [
             (1 << ((d + 1) * width)) - 1 for d in range(config.hyperperiod_cycles)
         ]
