@@ -37,10 +37,10 @@ and every frame below it leave the mask.
 the commit clears the jobs' bits with XOR, which is exact because they are
 free in every one of the signal's variants, and raises the slot's `period`
 to the signal's when that is longer.
-Every bit pattern comes from one table, `Multischedule.pattern(period,
-length)`: a signal's jobs, shifted to its position, and the in-frame start
-offsets of a length, so the search and the commit of one signal read the
-same entry.
+Every bit pattern comes from one table, `Multischedule.patterns`, with
+one entry per (period, length): a signal's jobs, to be shifted to its
+position, and the in-frame start offsets of its length, so the search and
+the commit of one signal each read it with one subscript.
 The natives are grouped by the conflict model's per-signal variant lists.
 """
 
@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import json
 from functools import cache, reduce
-from itertools import islice, repeat
-from operator import and_
+from itertools import chain, islice, repeat
+from operator import and_, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional
 
@@ -96,6 +96,31 @@ class Slot:
         self.period = 1
 
 
+class _Patterns(dict):
+    """(period, length) -> (pattern(period, length), pattern(1, W - length
+    + 1)): a signal's jobs and the offsets at which it fits a frame, each
+    entry made on its first lookup.  It keeps the bus sizes, not its
+    multischedule, so that the two form no reference cycle."""
+
+    __slots__ = ("width", "hyper")
+
+    def __init__(self, config: FlexRayConfig):
+        super().__init__()
+        self.width = config.payload_bits
+        self.hyper = config.hyperperiod_cycles
+
+    def pattern(self, period_cycles: int, length: int) -> int:
+        starts = sum(1 << (c * self.width) for c in range(0, self.hyper, period_cycles))
+        return starts * ((1 << length) - 1)
+
+    def __missing__(self, key):
+        period, length = key
+        entry = self[key] = (
+            self.pattern(period, length), self.pattern(1, self.width - length + 1)
+        )
+        return entry
+
+
 class Multischedule:
     """Slots and the placement records of one multischedule.
 
@@ -104,7 +129,9 @@ class Multischedule:
     `closed[node]` has bit s set when slot s holds a node that shares a
     variant with `node`.  `all_bits` is every bit of a slot, H * W of them,
     and `heads[d]` every bit of frames 0..d, where a window ending at
-    cycle d has its first job.
+    cycle d has its first job.  `patterns` is the table of bit patterns
+    that the search and the commit of a signal read, one entry per
+    (period, length).
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
@@ -120,7 +147,7 @@ class Multischedule:
         self.heads = [
             (1 << ((d + 1) * width)) - 1 for d in range(config.hyperperiod_cycles)
         ]
-        self._patterns: dict[tuple[int, int], int] = {}
+        self.patterns = _Patterns(config)
 
     def pattern(self, period_cycles: int, length: int) -> int:
         """A `length`-bit run at offset 0 of cycles 0, period, 2 * period, ...
@@ -130,14 +157,7 @@ class Multischedule:
         keep first_cycle below the period, so they stay in the hyperperiod.
         pattern(1, W - L + 1) marks the offsets at which L bits fit a frame.
         """
-        key = (period_cycles, length)
-        bits = self._patterns.get(key)
-        if bits is None:
-            width = self.config.payload_bits
-            hyper = self.config.hyperperiod_cycles
-            starts = sum(1 << (c * width) for c in range(0, hyper, period_cycles))
-            bits = self._patterns[key] = starts * ((1 << length) - 1)
-        return bits
+        return self.patterns.pattern(period_cycles, length)
 
 
 @cache
@@ -185,15 +205,15 @@ def find_position_for_signal(
     length = signal.length_bits
     variants = mems.variants_of[signal.id]
     release = window.release_cycle
+    period = window.period_cycles
+    pattern, fits = ms.patterns[period, length]
     # the offsets at which the signal fits a frame, in the window's frames
     # and above; the AND below drops the frames past the deadline
-    fits = ms.pattern(1, width - length + 1) << (release * width)
+    fits <<= release * width
     shifts = _run_shifts(length)
     all_bits = ms.all_bits
     fill = repeat(all_bits)
     head = ms.heads[window.deadline_cycle]
-    period = window.period_cycles
-    pattern = ms.pattern(period, length)
     slots = ms.slots
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
@@ -241,7 +261,7 @@ def place_signal_to_schedule(
         ms.slots.append(Slot())
         ms.slot_nodes.append(set())
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
-    bits = ms.pattern(window.period_cycles, signal.length_bits) << shift
+    bits = ms.patterns[window.period_cycles, signal.length_bits][0] << shift
     slot = ms.slots[pos.slot]
     # the search found `bits` free in every one of the signal's variants,
     # so XOR clears exactly them
@@ -408,31 +428,61 @@ def _check_keys(raw: dict, known: frozenset, where: str) -> None:
         raise ScheduleError(f"{where}: unknown key {key!r}")
 
 
-def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
-    """The placement records and slot nodes a schedule document states.
+# a slot and a placement as the renderer writes them, key for key
+_SLOT_COLUMNS = itemgetter("index", "nodes", "placements")
+_PLACEMENT_COLUMNS = itemgetter("signal", "first_cycle", "offset_bits")
 
-    Records are (signal, `Placement`) pairs in document order, as the
-    engine keeps them; slot s's nodes are its stated `nodes`, or its
-    placements' nodes when it states none.  Infeasible placements and a
-    signal listed twice pass (the validator needs to see them), but a
-    document referencing unknown signals, lacking structure or using keys
-    the format does not have is rejected, as is a stated `config` or slot
-    `index` that differs from the instance or the slot's position.  An
-    unknown placement key is named before any other fault of its placement.
+
+def _screened_slots(raw_slots: list, by_id: dict):
+    """(records, slot_nodes) when every slot and placement passes every
+    rule, or None.
+
+    The rules are checked column by column, and the records are then built
+    in one pass; on None the per-placement loop runs and names the first
+    fault.  Only the renderer's form passes: exact JSON types, each slot
+    with exactly `index`, `nodes` and `placements`, each placement with
+    exactly its three keys.
     """
-    if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
-        raise ScheduleError("schedule document must be an object with a 'slots' list")
-    _check_keys(doc, _DOCUMENT_KEYS, "schedule document")
-    config = config_to_dict(instance.config)
-    stated = doc.get("config", config)
-    # bool is an int subclass and 16.0 == 16: neither is the instance's value
-    if stated != config or any(type(v) is not int for v in stated.values()):
-        raise ScheduleError(
-            f"schedule config {stated!r} differs from the instance config {config!r}"
-        )
-    by_id = {s.id: s for s in instance.signals}
+    if not raw_slots:
+        return [], []
+    if set(map(type, raw_slots)) != {dict} or set(map(len, raw_slots)) != {3}:
+        return None
+    try:
+        indices, node_lists, placement_lists = zip(*map(_SLOT_COLUMNS, raw_slots))
+    except KeyError:
+        return None
+    # bool is an int subclass and 1.0 == 1: neither is an index
+    if set(map(type, indices)) != {int} or indices != tuple(range(len(indices))):
+        return None
+    if set(map(type, chain(node_lists, placement_lists))) != {list}:
+        return None
+    nodes = list(chain.from_iterable(node_lists))
+    if not set(map(type, nodes)) <= {int, str} or "" in nodes:
+        return None
+    slot_nodes = list(map(set, node_lists))
+    raw = list(chain.from_iterable(placement_lists))
+    if not raw:
+        return [], slot_nodes
+    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {3}:
+        return None
+    try:
+        sids, firsts, offsets = zip(*map(_PLACEMENT_COLUMNS, raw))
+    except KeyError:
+        return None
+    if set(map(type, sids)) != {str} or not by_id.keys() >= set(sids):
+        return None
+    if set(map(type, chain(firsts, offsets))) != {int}:
+        return None
+    slots = chain.from_iterable(map(repeat, range(len(raw_slots)), map(len, placement_lists)))
+    positions = map(tuple.__new__, repeat(Placement), zip(slots, firsts, offsets))
+    return list(zip(map(by_id.__getitem__, sids), positions)), slot_nodes
+
+
+def _record_slots(raw_slots: list, by_id: dict):
+    """(records, slot_nodes) read one slot and one placement at a time; the
+    first fault raises ScheduleError."""
     records, slot_nodes = [], []
-    for i, raw_slot in enumerate(doc["slots"]):
+    for i, raw_slot in enumerate(raw_slots):
         placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
         if not isinstance(placements, list):
             raise ScheduleError(
@@ -472,3 +522,32 @@ def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
             if not nodes_stated:
                 slot_nodes[i].add(signal.node)
     return records, slot_nodes
+
+
+def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
+    """The placement records and slot nodes a schedule document states.
+
+    Records are (signal, `Placement`) pairs in document order, as the
+    engine keeps them; slot s's nodes are its stated `nodes`, or its
+    placements' nodes when it states none.  Infeasible placements and a
+    signal listed twice pass (the validator needs to see them), but a
+    document referencing unknown signals, lacking structure or using keys
+    the format does not have is rejected, as is a stated `config` or slot
+    `index` that differs from the instance or the slot's position.  An
+    unknown placement key is named before any other fault of its placement.
+    The slots are screened column by column first, and only a failed
+    screen runs the per-placement loop that names the first fault.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
+        raise ScheduleError("schedule document must be an object with a 'slots' list")
+    _check_keys(doc, _DOCUMENT_KEYS, "schedule document")
+    config = config_to_dict(instance.config)
+    stated = doc.get("config", config)
+    # bool is an int subclass and 16.0 == 16: neither is the instance's value
+    if stated != config or any(type(v) is not int for v in stated.values()):
+        raise ScheduleError(
+            f"schedule config {stated!r} differs from the instance config {config!r}"
+        )
+    by_id = {s.id: s for s in instance.signals}
+    raw_slots = doc["slots"]
+    return _screened_slots(raw_slots, by_id) or _record_slots(raw_slots, by_id)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -574,6 +575,59 @@ def test_cli_import_loads_no_numpy_csv_or_process_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def parse(parser, argv, capsys):
+    """(namespace or None, stdout, stderr, exit code) of one parse."""
+    capsys.readouterr()
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return args, captured.out, captured.err, code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--help"] for command in cli._COMMANDS]
+    + [
+        ["--help"],
+        ["validate"],
+        ["validate", "a"],
+        ["schedule"],
+        ["generate"],
+        ["validate", "a", "b", "--bogus"],
+        ["schedule", "a", "--native-dir"],
+        [],
+        ["bogus"],
+        ["bogus", "a", "b"],
+        ["--bogus", "validate"],
+        ["validate", "a", "b"],
+        ["schedule", "a", "--strategy", "ff", "--stats", "s.json"],
+        ["generate", "--profile", "set1", "--seed", "3"],
+        ["bench", "--repeats", "2"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_per_command_parser_matches_the_full_parser(argv, capsys):
+    # main builds only the named command's sub-parser; help, usage lines,
+    # errors, exit codes and parsed arguments must be those of all four
+    full = parse(cli.build_parser(), argv, capsys)
+    assert parse(cli.build_parser(argv), argv, capsys) == full
+    if full[0] is None:
+        # and main, which parses with it, exits as the full parser does
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert (exited.value.code, *capsys.readouterr()) == (full[3], full[1], full[2])
+
+
+def test_per_command_parser_builds_one_sub_parser():
+    sub = next(
+        a for a in cli.build_parser(["validate", "a", "b"])._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(sub.choices) == ["validate"]
 
 
 class TestGenerateCommand:

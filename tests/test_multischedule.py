@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import json
 import random
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,12 @@ from fraysched.core import (
     round_time_constraints,
 )
 from fraysched.benchgen import PROFILES, generate_instance
+from fraysched import multischedule
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multischedule,
     Placement,
+    ScheduleError,
     _run_starts,
     extract_native_schedule,
     find_position_for_signal,
@@ -563,6 +568,23 @@ class TestBitPrimitives:
         assert (None if found is None else found[1]) == expected
 
 
+def test_multischedule_is_freed_without_the_collector(example1):
+    # the CLI schedules with the cyclic collector paused, so a reference
+    # cycle through the multischedule (such as its pattern table holding a
+    # bound method of it) would keep every slot's bits alive
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        ms = schedule(example1, OrderingStrategy.FFL).multischedule
+        assert ms.patterns
+        ref = weakref.ref(ms)
+        del ms
+        assert ref() is None
+    finally:
+        if was:
+            gc.enable()
+
+
 def test_slot_count(example1):
     ms, mems, sig = build(example1)
     assert len(ms.slots) == 0
@@ -585,3 +607,129 @@ def test_document_roundtrip(example1, strategy):
         records, slot_nodes = schedule_from_dict(doc, inst)
         assert records == sorted(ms.placement_records, key=lambda r: r[1].slot)
         assert slot_nodes == ms.slot_nodes
+
+
+# One fault at a time for the schedule reader: each edit takes a seeded rng
+# and a rendered document and changes one thing in place (a few edits,
+# such as a dropped slot key or a duplicate placement, leave it readable).
+_DOC_KEYS = ("config", "slots")
+_SLOT_KEYS = ("index", "nodes", "placements")
+_PLACEMENT_KEYS = ("signal", "first_cycle", "offset_bits")
+_OTHER_VALUES = (None, True, False, 1.5, "7", 7, -1, [], [7], {}, {"k": 1})
+
+
+def _a_slot(rng, doc):
+    return rng.choice(doc["slots"])
+
+
+def _a_placement(rng, doc):
+    return rng.choice([p for s in doc["slots"] for p in s["placements"]])
+
+
+def _drop(target, keys):
+    return lambda rng, doc: target(rng, doc).pop(rng.choice(keys))
+
+
+def _rename(target, keys):
+    def edit(rng, doc):
+        holder, key = target(rng, doc), rng.choice(keys)
+        holder[rng.choice([key + "s", key[:-1], key.upper()])] = holder.pop(key)
+    return edit
+
+
+def _retype(target, keys):
+    def edit(rng, doc):
+        target(rng, doc)[rng.choice(keys)] = rng.choice(_OTHER_VALUES)
+    return edit
+
+
+def _renumber(rng, doc):
+    # a number of the same value in another JSON type: bool, float or str
+    placement = _a_placement(rng, doc)
+    key = rng.choice(("first_cycle", "offset_bits"))
+    value = placement[key]
+    placement[key] = rng.choice([bool(value), not value, float(value), str(value)])
+
+
+def _replace_item(rng, items):
+    items[rng.randrange(len(items))] = rng.choice([[], 1, None, "x", [{}]])
+
+
+READER_EDITS = {
+    "drop a document key": _drop(lambda rng, doc: doc, _DOC_KEYS),
+    "rename a document key": _rename(lambda rng, doc: doc, _DOC_KEYS),
+    "retype a document key": _retype(lambda rng, doc: doc, _DOC_KEYS),
+    "drop a slot key": _drop(_a_slot, _SLOT_KEYS),
+    "rename a slot key": _rename(_a_slot, _SLOT_KEYS),
+    "retype a slot key": _retype(_a_slot, _SLOT_KEYS),
+    "drop a placement key": _drop(_a_placement, _PLACEMENT_KEYS),
+    "rename a placement key": _rename(_a_placement, _PLACEMENT_KEYS),
+    "retype a placement key": _retype(_a_placement, _PLACEMENT_KEYS),
+    "extra slot key": lambda rng, doc: _a_slot(rng, doc).update(bogus=1),
+    "extra placement key": lambda rng, doc: _a_placement(rng, doc).update(bogus=1),
+    "bool, float or str number": _renumber,
+    "bool, float or str index": lambda rng, doc: _a_slot(rng, doc).update(
+        index=rng.choice([True, False, 0.0, 1.0, "0", "1"])
+    ),
+    "unknown signal": lambda rng, doc: _a_placement(rng, doc).update(
+        signal=rng.choice(["zz", "", "T00"])
+    ),
+    "index mismatch": lambda rng, doc: _a_slot(rng, doc).__setitem__(
+        "index", rng.choice([-1, len(doc["slots"]), len(doc["slots"]) + 5])
+    ),
+    "nodes missing": lambda rng, doc: _a_slot(rng, doc).pop("nodes"),
+    "nodes not a list": lambda rng, doc: _a_slot(rng, doc).update(
+        nodes=rng.choice([1, "1", None, {"1": 1}, (1,)])
+    ),
+    "nodes holding true": lambda rng, doc: _a_slot(rng, doc)["nodes"].insert(0, True),
+    "nodes holding an empty string": lambda rng, doc: _a_slot(rng, doc)["nodes"].append(""),
+    "non-dict slot": lambda rng, doc: _replace_item(rng, doc["slots"]),
+    "non-dict placement": lambda rng, doc: _replace_item(
+        rng, rng.choice([s for s in doc["slots"] if s["placements"]])["placements"]
+    ),
+    "empty placements": lambda rng, doc: _a_slot(rng, doc).update(placements=[]),
+    "duplicate placement": lambda rng, doc: rng.choice(doc["slots"])["placements"].append(
+        dict(_a_placement(rng, doc))
+    ),
+    "no slots": lambda rng, doc: doc.update(slots=[]),
+    "no edit": lambda rng, doc: None,
+}
+
+
+def _read(doc, inst):
+    """(records, slot_nodes) of the document, or its ScheduleError text."""
+    try:
+        return schedule_from_dict(doc, inst)
+    except ScheduleError as exc:
+        return str(exc)
+
+
+class TestScreenedReader:
+    @given(
+        seed=st.integers(0, 10**6),
+        edit=st.sampled_from(sorted(READER_EDITS)),
+        strategy=st.sampled_from(list(OrderingStrategy)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_screen_agrees_with_the_per_placement_loop(self, seed, edit, strategy):
+        rng = random.Random(seed)
+        inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4))
+        doc = json.loads(json.dumps(schedule_to_dict(schedule(inst, strategy).multischedule)))
+        READER_EDITS[edit](rng, doc)
+        got = _read(doc, inst)
+        with mock.patch.object(multischedule, "_screened_slots", return_value=None):
+            assert _read(doc, inst) == got
+        if not isinstance(got, str):
+            assert all(type(pos) is Placement for _sig, pos in got[0])
+
+    def test_rendered_documents_pass_the_screen(self):
+        # the screen is the common path: every rendered document takes it
+        rng = random.Random(2025)
+        for _ in range(40):
+            inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4))
+            ms = schedule(inst, OrderingStrategy.FFC).multischedule
+            doc = json.loads(next(multischedule.render_documents(ms)))
+            by_id = {s.id: s for s in inst.signals}
+            records, slot_nodes = multischedule._screened_slots(doc["slots"], by_id)
+            assert records == sorted(ms.placement_records, key=lambda r: r[1].slot)
+            assert slot_nodes == ms.slot_nodes

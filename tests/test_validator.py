@@ -4,13 +4,19 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from fraysched import validator
 from fraysched.benchgen import PROFILES, generate_instance
-from fraysched.core import load_instance
-from fraysched.multischedule import ScheduleError, schedule_from_dict, schedule_to_dict
+from fraysched.core import FlexRayConfig, Instance, Signal, load_instance
+from fraysched.multischedule import (
+    Placement,
+    ScheduleError,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from fraysched.scheduler import OrderingStrategy, schedule
 from fraysched.validator import validate_multischedule
 
@@ -419,3 +425,110 @@ def test_planted_faults_match_reference_on_benchmark_sized_schedules(profile):
         "frame-overlap", "node-exclusivity", "payload-bound", "periodicity",
         "time-window", "slot-nodes",
     }
+
+
+# The column screen of the placement rules, on a 4-cycle, 8-bit bus.  r's
+# window is [2, 2] inside its 4-cycle period; q's deadline reaches cycle 3
+# but its 2-cycle period clips its window to [0, 1].  a and c (nodes 1 and
+# 2) share variant 0; b (node 2) rides only in variant 1.
+COLUMN_INSTANCE = {
+    "config": {"cycle_us": 1000, "hyperperiod_cycles": 4, "payload_bits": 8},
+    "signals": [
+        {"id": "r", "node": 1, "period_us": 4000, "length_bits": 4,
+         "release_us": 2000, "deadline_us": 1000},
+        {"id": "q", "node": 1, "period_us": 2000, "length_bits": 4,
+         "deadline_us": 4000},
+        {"id": "a", "node": 1, "period_us": 1000, "length_bits": 2},
+        {"id": "b", "node": 2, "period_us": 1000, "length_bits": 2},
+        {"id": "c", "node": 2, "period_us": 1000, "length_bits": 2},
+    ],
+    "variants": [["r", "q", "a", "c"], ["r", "b"]],
+}
+CLEAN = {"r": (2, 0), "q": (0, 0), "a": (0, 0), "b": (0, 0), "c": (0, 0)}
+
+COLUMN_FAULTS = {
+    # one record's (first_cycle, offset_bits) -> a rule it must break
+    "first cycle below the release": ("r", 1, 0, "time-window"),
+    "first cycle past the deadline": ("r", 3, 0, "time-window"),
+    "first cycle at the period": ("q", 2, 0, "time-window"),
+    "first cycle past the hyperperiod": ("q", 5, 0, "periodicity"),
+    "negative first cycle": ("q", -1, 0, "periodicity"),
+    "negative offset": ("a", 0, -1, "payload-bound"),
+    "offset and length past W": ("a", 0, 7, "payload-bound"),
+}
+
+
+def _one_per_slot(inst, placed):
+    """Records with each (signal id, first_cycle, offset_bits) of `placed`
+    in a slot of its own, and the slots' nodes."""
+    by_id = {s.id: s for s in inst.signals}
+    records = [
+        (by_id[sid], Placement(i, first, offset))
+        for i, (sid, first, offset) in enumerate(placed)
+    ]
+    return records, [{sig.node} for sig, _pos in records]
+
+
+def _rule_loop_runs(records, slot_nodes, inst):
+    """The violations, checked against the reference, and whether the
+    per-record rule loop ran."""
+    with mock.patch.object(validator, "_record_rules", wraps=validator._record_rules) as loop:
+        got = matches_reference((records, slot_nodes), inst)
+    return got, loop.called
+
+
+@pytest.mark.parametrize("among", [False, True], ids=["alone", "among-clean"])
+@pytest.mark.parametrize("fault", COLUMN_FAULTS)
+def test_screened_rule_columns_match_reference(fault, among):
+    inst = load_instance(COLUMN_INSTANCE)
+    sid, first, offset, rule = COLUMN_FAULTS[fault]
+    placed = [(sid, first, offset)]
+    if among:
+        # the faulty record in the middle of clean ones, each in its slot
+        clean = [(s, *CLEAN[s]) for s in CLEAN if s != sid]
+        placed = clean[:2] + placed + clean[2:]
+    got, looped = _rule_loop_runs(*_one_per_slot(inst, placed), inst)
+    assert looped
+    assert rule in {v["rule"] for v in got}
+    assert {v["rule"] for v in got} <= {"time-window", "periodicity", "payload-bound",
+                                        "coverage"}
+    assert ("coverage" in {v["rule"] for v in got}) == (not among)
+
+
+def test_period_longer_than_the_hyperperiod_matches_reference():
+    # load_instance admits no such period, but an Instance built directly
+    # may hold one: first cycle 5 is inside its 8-cycle period and past H
+    cfg = FlexRayConfig(1000, 4, 8)
+    sig = Signal("x", 1, 8000, 4, 0, 8000)
+    inst = Instance(cfg, (sig,), (frozenset({"x"}),))
+    for first in (0, 3, 5):
+        got, looped = _rule_loop_runs([(sig, Placement(0, first, 0))], [{1}], inst)
+        assert looped
+        assert [v["rule"] for v in got] == (["time-window"] if first > 3 else [])
+
+
+def test_clean_rule_columns_skip_the_rule_loop():
+    inst = load_instance(COLUMN_INSTANCE)
+    records, slot_nodes = _one_per_slot(inst, [(s, *CLEAN[s]) for s in CLEAN])
+    assert _rule_loop_runs(records, slot_nodes, inst) == ([], False)
+
+
+@pytest.mark.parametrize(
+    "partner, want",
+    [("b", []), ("c", [(0, "['1', '2']")])],
+    ids=["two-nodes-sharing-no-variant", "two-nodes-sharing-a-variant"],
+)
+def test_two_node_slot_on_the_screened_path(partner, want):
+    # a and its partner share slot 0 at offsets 0 and 2, every record clean
+    inst = load_instance(COLUMN_INSTANCE)
+    by_id = {s.id: s for s in inst.signals}
+    others = [s for s in CLEAN if s not in ("a", partner)]
+    records = [(by_id["a"], Placement(0, 0, 0)), (by_id[partner], Placement(0, 0, 2))]
+    records += [(by_id[s], Placement(i + 1, *CLEAN[s])) for i, s in enumerate(others)]
+    slot_nodes = [{1, 2}] + [{by_id[s].node} for s in others]
+    got, looped = _rule_loop_runs(records, slot_nodes, inst)
+    assert not looped
+    assert [(v["rule"], v["slot"], v["variant"], v["message"]) for v in got] == [
+        ("node-exclusivity", 0, j, f"slot 0 carries nodes {nodes} in variant {j}")
+        for j, nodes in want
+    ]
