@@ -3,15 +3,20 @@
 All values are immutable after construction and can be shared freely
 between concurrent scheduler runs.  Times are integer microseconds; cycle
 indices are 0-based.
+
+The rules of a signal record are one ordered table, and `first_fault`
+runs such a table over records column by column (see there).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Union
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Union
 
 NodeId = Union[int, str]
 
@@ -44,6 +49,49 @@ def is_node_id(value) -> bool:
     if isinstance(value, str):
         return value != ""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _first_failing(check, records, count: int) -> int:
+    """The first record that breaks `check`, which the first `count`
+    records break: a bisection for the shortest failing prefix."""
+    good, bad = 0, count
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if check(records, mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def first_fault(rules, records, count: int) -> tuple[Optional[str], int]:
+    """The error text of the first fault of the rule table `rules` over
+    the first `count` records, and the number of records before it: None
+    and `count` when they keep every rule.
+
+    A rule is (check, message): check(records, k) tells whether the first
+    k records keep it, given that they keep every rule above it, and
+    message(records, i) is the text for record i.  A check that fails
+    still fails on a longer prefix, so a failing rule is bisected for its
+    first faulty record, and the rules below it run only over the records
+    before that one.  The fault found is a per-record loop's: the lowest
+    record that breaks a rule, then the first rule in table order.
+    """
+    fault = None
+    for check, message in rules:
+        if not check(records, count):
+            count = _first_failing(check, records, count)
+            fault = message(records, count)
+    return fault, count
+
+
+def _check(rules, fields, config=None) -> None:
+    """Raise InstanceError for the first fault of the signal rules `rules`
+    over signals, given as `fields`, one column per Signal field."""
+    records = SimpleNamespace(fields=fields, config=config)
+    fault, _ = first_fault(rules, records, len(fields.id))
+    if fault:
+        raise InstanceError(fault)
 
 
 # A NamedTuple class cannot define __new__, so each checked record below is
@@ -107,6 +155,109 @@ class _SignalFields(NamedTuple):
     deadline_us: int
 
 
+# a signal record's keys: the Signal fields, the first four required
+_SIGNAL_KEYS = frozenset(_SignalFields._fields)
+_NUMBER_FIELDS = _SignalFields._fields[2:]
+_MISSING = object()
+
+
+def columns(rows, keys, defaults) -> list:
+    """The `keys` columns of `rows`, a default where a key is absent; a row
+    that is not a mapping has no keys.  `defaults` holds an iterable per
+    key, read again when a row is not a dict (a `repeat` or a range)."""
+    try:
+        return [tuple(map(dict.get, rows, repeat(k), d)) for k, d in zip(keys, defaults)]
+    except TypeError:
+        rows = [dict(row) if isinstance(row, Mapping) else {} for row in rows]
+        return columns(rows, keys, defaults)
+
+
+def _record_columns(rows) -> _SignalFields:
+    """One column per Signal field, from signal records: a missing required
+    key reads as _MISSING, a missing release as 0, and only a missing
+    deadline as the period."""
+    defaults = [repeat(_MISSING)] * 4 + [repeat(0)]
+    *required, releases = columns(rows, _SignalFields._fields[:5], defaults)
+    (deadlines,) = columns(rows, ("deadline_us",), (required[2],))
+    return _SignalFields(*required, releases, deadlines)
+
+
+def _says(template: str):
+    """The message builder that fills `template` from record i's fields
+    and the bus `config`."""
+    return lambda c, i: template.format(
+        config=c.config, **{f: col[i] for f, col in c.fields._asdict().items()}
+    )
+
+
+def _malformed(c, i):
+    try:
+        # a record-by-record read looks the required keys up in this order
+        itemgetter("period_us", "id", "node", "length_bits")(c.rows[i])
+    except (KeyError, TypeError) as exc:
+        return f"malformed signal record: {exc}"
+    return "malformed signal record: not an object"
+
+
+def _off_grid(c, i):
+    sid, period, cycle = c.fields.id[i], c.fields.period_us[i], c.config.cycle_us
+    if period % cycle or (period // cycle) & (period // cycle - 1):
+        return f"signal {sid}: period {period} us is not cycle * 2^n (cycle = {cycle} us)"
+    return f"signal {sid}: period {period} us exceeds the hyperperiod"
+
+
+def _nodes(c, k):
+    nodes = c.fields.node[:k]
+    # exact JSON types are screened at C speed; any other type takes is_node_id
+    return "" not in nodes and (
+        set(map(type, nodes)) <= {int, str} or all(map(is_node_id, nodes))
+    )
+
+
+# The signal table, in the order a record-by-record read checks a record:
+# its shape, its fields and its keys (the record rules), then the rules
+# that need other records or the bus (the instance rules).  `Signal` runs
+# the field rules over one record, the loader the record rules over a
+# document, and `Instance` the instance rules over the signals it is given.
+_FIELD_RULES = (
+    # every id a str, and none of them empty
+    (lambda c, k: all(map(isinstance, c.fields.id[:k], repeat(str)))
+     and all(c.fields.id[:k]), _says("signal id must be a non-empty string")),
+    (_nodes,
+     _says("signal {id}: node must be an integer or a non-empty string, not {node!r}")),
+    (lambda c, k: set(map(type, chain(*(col[:k] for col in c.fields[2:])))) <= {int},
+     lambda c, i: "signal %s: %s must be an integer, not %r" % (
+         c.fields.id[i], *_first_non_int(_NUMBER_FIELDS, [col[i] for col in c.fields[2:]])
+     )),
+    (lambda c, k: min(c.fields.period_us[:k], default=1) > 0,
+     _says("signal {id}: period must be positive")),
+    (lambda c, k: min(c.fields.length_bits[:k], default=1) > 0,
+     _says("signal {id}: length must be >= 1 bit")),
+    (lambda c, k: min(c.fields.release_us[:k], default=0) >= 0,
+     _says("signal {id}: release must be >= 0")),
+    (lambda c, k: min(c.fields.deadline_us[:k], default=1) > 0,
+     _says("signal {id}: deadline must be positive")),
+)
+_INSTANCE_RULES = (
+    (lambda c, k: len(set(c.fields.id[:k])) == k, _says("duplicate signal id {id!r}")),
+    (lambda c, k: max(c.fields.length_bits[:k], default=0) <= c.config.payload_bits,
+     _says("signal {id}: signal exceeds frame payload "
+           "({length_bits} > {config.payload_bits} bits)")),
+    # cycle * 2^n for every 2^n up to the hyperperiod (itself a power of two)
+    (lambda c, k: set(c.fields.period_us[:k]) <= {
+        c.config.cycle_us << n for n in range(c.config.hyperperiod_cycles.bit_length())
+    }, _off_grid),
+)
+_RECORD_RULES = (
+    # a record that is not a mapping reads as one without keys
+    (lambda c, k: _MISSING not in chain(*(col[:k] for col in c.fields[:4])), _malformed),
+    *_FIELD_RULES,
+    (lambda c, k: set().union(*c.rows[:k]) <= _SIGNAL_KEYS,
+     lambda c, i: "signal %s: unknown key %r"
+     % (c.fields.id[i], next(k for k in c.rows[i] if k not in _SIGNAL_KEYS))),
+)
+
+
 class Signal(_SignalFields):
     """One periodic message: transmitting node, period, length and the
     release/deadline pair constraining its first instance.  Construction
@@ -115,27 +266,9 @@ class Signal(_SignalFields):
     __slots__ = ()
 
     def __new__(cls, id, node, period_us, length_bits, release_us, deadline_us):
-        if not isinstance(id, str) or not id:
-            raise InstanceError("signal id must be a non-empty string")
-        if not is_node_id(node):
-            raise InstanceError(
-                f"signal {id}: node must be an integer or a non-empty "
-                f"string, not {node!r}"
-            )
-        numbers = (period_us, length_bits, release_us, deadline_us)
-        if not (type(period_us) is type(length_bits) is type(release_us)
-                is type(deadline_us) is int):
-            name, value = _first_non_int(cls._fields[2:], numbers)
-            raise InstanceError(f"signal {id}: {name} must be an integer, not {value!r}")
-        if period_us <= 0:
-            raise InstanceError(f"signal {id}: period must be positive")
-        if length_bits < 1:
-            raise InstanceError(f"signal {id}: length must be >= 1 bit")
-        if release_us < 0:
-            raise InstanceError(f"signal {id}: release must be >= 0")
-        if deadline_us <= 0:
-            raise InstanceError(f"signal {id}: deadline must be positive")
-        return tuple.__new__(cls, (id, node) + numbers)
+        values = (id, node, period_us, length_bits, release_us, deadline_us)
+        _check(_FIELD_RULES, _SignalFields(*zip(values)))
+        return tuple.__new__(cls, values)
 
     @classmethod
     def _make(cls, iterable):
@@ -153,19 +286,56 @@ class CycleWindow(NamedTuple):
     deadline_cycle: int
     period_cycles: int
 
-    @property
-    def span(self) -> int:
-        return self.deadline_cycle - self.release_cycle
 
-
-class Instance(NamedTuple):
+class _InstanceFields(NamedTuple):
     config: FlexRayConfig
     signals: tuple[Signal, ...]
     variants: tuple[frozenset[str], ...]  # the signal ids of each variant
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+class Instance(_InstanceFields):
+    """A bus, its signals and the signal ids of each variant.
+
+    Construction raises InstanceError for the first signal fault across
+    records or against the bus (a duplicate id, a length past the payload,
+    a period off the cycle grid or past the hyperperiod), then for the
+    first variant that is not a collection of known signal ids, then for
+    the first signal in no variant.  Each variant is kept as a frozenset.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, config, signals, variants):
+        signals = tuple(signals)
+        fields = _SignalFields(*(tuple(zip(*signals)) or ((),) * 6))
+        _check(_INSTANCE_RULES, fields, config)
+        ids = set(fields.id)
+        members = []
+        for j, group in enumerate(variants):
+            if not isinstance(group, (list, tuple, set, frozenset)):
+                raise InstanceError(
+                    f"variant {j} must be a list of signal ids, not {group!r}"
+                )
+            try:
+                member_set = frozenset(group)
+                known = member_set <= ids
+            except TypeError:  # an unhashable entry
+                known = False
+            if not known:
+                sid = next(s for s in group if not isinstance(s, str) or s not in ids)
+                if isinstance(sid, str):
+                    raise InstanceError(f"variant {j} references unknown signal {sid!r}")
+                raise InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
+            members.append(member_set)
+        uncovered = ids.difference(*members)
+        if uncovered:
+            sid = next(s for s in fields.id if s in uncovered)
+            raise InstanceError(f"signal {sid} not assigned to any variant")
+        return tuple.__new__(cls, (config, signals, tuple(members)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def round_time_constraints(signal: Signal, config: FlexRayConfig) -> CycleWindow:
@@ -196,115 +366,21 @@ def round_time_constraints(signal: Signal, config: FlexRayConfig) -> CycleWindow
     return CycleWindow(release_cycle, deadline_cycle, period_cycles)
 
 
-def _bad_variant_member(j: int, group: list, seen: set) -> InstanceError:
-    """The error for the first entry of variant j that is not a known
-    signal id; looked up only once the set test has failed."""
-    sid = next(s for s in group if not isinstance(s, str) or s not in seen)
-    if isinstance(sid, str):
-        return InstanceError(f"variant {j} references unknown signal {sid!r}")
-    return InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
-
-
-# the keys of a config section and of a signal record: the fields they fill
+# the keys of a config section: the fields they fill
 _CONFIG_FIELDS = FlexRayConfig._fields
 _CONFIG_REQUIRED = tuple(f for f in _CONFIG_FIELDS if f not in FlexRayConfig._field_defaults)
-_SIGNAL_FIELDS = frozenset(Signal._fields)
-_REQUIRED_SIGNAL_KEYS = itemgetter("id", "node", "period_us", "length_bits")
-
-
-def _screened_signals(raw_signals: list, config: FlexRayConfig, periods: set):
-    """(signals, ids) when every record passes every rule, or None.
-
-    The rules are checked column by column, and the records are then built
-    without a check of their own; on None the per-record loop runs and
-    names the first fault.  Only exact JSON types pass: a subclass of dict,
-    str or int leaves its record to the loop.
-    """
-    if not raw_signals:
-        return (), set()
-    if set(map(type, raw_signals)) != {dict}:
-        return None
-    if not set().union(*raw_signals) <= _SIGNAL_FIELDS:
-        return None
-    try:
-        ids, nodes, period_col, lengths = zip(*map(_REQUIRED_SIGNAL_KEYS, raw_signals))
-    except KeyError:
-        return None
-    releases = tuple(map(dict.get, raw_signals, repeat("release_us"), repeat(0)))
-    # only a missing deadline means "the period", as in the loop
-    deadlines = tuple(map(dict.get, raw_signals, repeat("deadline_us"), period_col))
-    if set(map(type, ids)) != {str}:
-        return None
-    if set(map(type, chain(period_col, lengths, releases, deadlines))) != {int}:
-        return None
-    seen = set(ids)
-    if len(seen) < len(ids) or "" in seen:
-        return None
-    if not set(map(type, nodes)) <= {int, str} or "" in nodes:
-        return None
-    if not set(period_col) <= periods:
-        return None
-    if min(lengths) < 1 or max(lengths) > config.payload_bits:
-        return None
-    if min(releases) < 0 or min(deadlines) <= 0:
-        return None
-    columns = zip(ids, nodes, period_col, lengths, releases, deadlines)
-    return tuple(map(tuple.__new__, repeat(Signal), columns)), seen
-
-
-def _record_signals(raw_signals: list, config: FlexRayConfig, periods: set):
-    """(signals, ids) built one record at a time with `Signal(...)`; the
-    first record that breaks a rule raises InstanceError."""
-    cycle = config.cycle_us
-    signals = []
-    seen = set()
-    for raw in raw_signals:
-        try:
-            period = raw["period_us"]
-            sid = raw["id"]
-            node = raw["node"]
-            length = raw["length_bits"]
-            release = raw.get("release_us", 0)
-            # only a missing deadline means "the period"; an explicit 0 is
-            # rejected like any other non-positive value
-            deadline = raw["deadline_us"] if "deadline_us" in raw else period
-        except (KeyError, TypeError) as exc:
-            raise InstanceError(f"malformed signal record: {exc}") from None
-        sig = Signal(sid, node, period, length, release, deadline)
-        # the four required keys are present, so a longer record has a key
-        # that no Signal field takes, such as a misspelt optional one
-        if len(raw) != 4 + ("release_us" in raw) + ("deadline_us" in raw):
-            key = next(k for k in raw if k not in _SIGNAL_FIELDS)
-            raise InstanceError(f"signal {sid}: unknown key {key!r}")
-        if sid in seen:
-            raise InstanceError(f"duplicate signal id {sid!r}")
-        seen.add(sid)
-        if length > config.payload_bits:
-            raise InstanceError(
-                f"signal {sid}: signal exceeds frame payload "
-                f"({length} > {config.payload_bits} bits)"
-            )
-        if period not in periods:
-            if period % cycle != 0 or not _is_power_of_two(period // cycle):
-                raise InstanceError(
-                    f"signal {sid}: period {period} us is not "
-                    f"cycle * 2^n (cycle = {cycle} us)"
-                )
-            raise InstanceError(
-                f"signal {sid}: period {period} us exceeds the hyperperiod"
-            )
-        signals.append(sig)
-    return signals, seen
 
 
 def load_instance(doc: dict) -> Instance:
-    """Build a validated Instance from a parsed instance document.
+    """Build a checked Instance from a parsed instance document.
 
     The config section and each signal record take only the fields of
-    `FlexRayConfig` and `Signal`, whose constructors check their values; a
-    record's `release_us` defaults to 0 and its `deadline_us` to its period.
-    The signal records are screened column by column first, and only a
-    failed screen runs the per-record loop that names the first fault.
+    `FlexRayConfig` and `Signal`; a record's `release_us` defaults to 0 and
+    its `deadline_us` to its period.  The records go through the record
+    rules of the signal table, and the built signals through `Instance`,
+    which runs the instance rules and checks the variants.  A record fault
+    comes after any instance fault of the records before it, so the error
+    names the fault that a record-by-record read would meet first.
     Unknown top-level keys (e.g. generator metadata) are ignored.
     """
     if not isinstance(doc, dict):
@@ -331,40 +407,15 @@ def load_instance(doc: dict) -> Instance:
             raise InstanceError(f"malformed config section: {name!r}")
     config = FlexRayConfig(**raw_cfg)
 
-    # cycle * 2^k for every 2^k up to the hyperperiod (itself a power of two)
-    periods = {config.cycle_us << k for k in range(config.hyperperiod_cycles.bit_length())}
-    screened = _screened_signals(raw_signals, config, periods)
-    signals, seen = screened or _record_signals(raw_signals, config, periods)
-
-    members = []
-    for j, group in enumerate(raw_variants):
-        if not isinstance(group, list):
-            raise InstanceError(
-                f"variant {j} must be a list of signal ids, not {group!r}"
-            )
-        try:
-            member_set = frozenset(group)
-            known = member_set <= seen
-        except TypeError:  # an unhashable entry
-            known = False
-        if not known:
-            raise _bad_variant_member(j, group, seen)
-        members.append(member_set)
-    variants = tuple(members)
-
-    # every variant holds known ids only, so all are covered when the
-    # union is as large as the id set
-    covered = set().union(*members)
-    if len(covered) < len(seen):
-        sid = next(s.id for s in signals if s.id not in covered)
-        raise InstanceError(f"signal {sid} not assigned to any variant")
-
-    return Instance(config, tuple(signals), variants)
-
-
-def config_to_dict(config: FlexRayConfig) -> dict:
-    """The config's fields in field order, as a new dict."""
-    return config._asdict()
+    fields = _record_columns(raw_signals)
+    records = SimpleNamespace(rows=raw_signals, fields=fields, config=config)
+    fault, kept = first_fault(_RECORD_RULES, records, len(raw_signals))
+    if fault:
+        # a record's instance rules come after its record rules, so only the
+        # records before the fault can break one of them first
+        raise InstanceError(first_fault(_INSTANCE_RULES, records, kept)[0] or fault)
+    signals = tuple(map(tuple.__new__, repeat(Signal), zip(*fields)))
+    return Instance(config, signals, raw_variants)
 
 
 def read_json(path: Union[str, Path]):

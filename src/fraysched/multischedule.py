@@ -49,8 +49,9 @@ from __future__ import annotations
 import json
 from functools import cache, reduce
 from itertools import chain, islice, repeat
-from operator import and_, itemgetter
+from operator import and_
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
 from .core import (
@@ -59,7 +60,8 @@ from .core import (
     Instance,
     NodeId,
     Signal,
-    config_to_dict,
+    columns,
+    first_fault,
     is_node_id,
 )
 from .exclusion import ConflictModel, compute_mems
@@ -110,6 +112,13 @@ class _Patterns(dict):
         self.hyper = config.hyperperiod_cycles
 
     def pattern(self, period_cycles: int, length: int) -> int:
+        """A `length`-bit run at offset 0 of cycles 0, period, 2 * period, ...
+
+        Shifted left by cycle * W + offset, pattern(period, L) is the jobs
+        of an L-bit signal whose first job is at (cycle, offset); windows
+        keep first_cycle below the period, so they stay in the hyperperiod.
+        pattern(1, W - L + 1) marks the offsets at which L bits fit a frame.
+        """
         starts = sum(1 << (c * self.width) for c in range(0, self.hyper, period_cycles))
         return starts * ((1 << length) - 1)
 
@@ -148,16 +157,6 @@ class Multischedule:
             (1 << ((d + 1) * width)) - 1 for d in range(config.hyperperiod_cycles)
         ]
         self.patterns = _Patterns(config)
-
-    def pattern(self, period_cycles: int, length: int) -> int:
-        """A `length`-bit run at offset 0 of cycles 0, period, 2 * period, ...
-
-        Shifted left by cycle * W + offset, pattern(period, L) is the jobs
-        of an L-bit signal whose first job is at (cycle, offset); windows
-        keep first_cycle below the period, so they stay in the hyperperiod.
-        pattern(1, W - L + 1) marks the offsets at which L bits fit a frame.
-        """
-        return self.patterns.pattern(period_cycles, length)
 
 
 @cache
@@ -377,7 +376,7 @@ def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
                 sets[j].add(node)
 
     config = ",\n".join(
-        '    "%s": %d' % item for item in sorted(config_to_dict(ms.config).items())
+        '    "%s": %d' % item for item in sorted(ms.config._asdict().items())
     )
     head = '{\n  "config": {\n' + config + '\n  },\n  "slots": '
     opens = [(",\n" if s else "[\n") + _SLOT_OPEN % s for s in range(count)]
@@ -416,112 +415,54 @@ def schedule_to_dict(ms: Multischedule) -> dict:
 
 # the keys a schedule document may use, at each level
 _DOCUMENT_KEYS = frozenset(("config", "slots"))
-_SLOT_KEYS = frozenset(("index", "nodes", "placements"))
-_PLACEMENT_KEYS = frozenset(("signal", "first_cycle", "offset_bits"))
+_SLOT_ORDER = ("index", "nodes", "placements")
+_SLOT_KEYS = frozenset(_SLOT_ORDER)
+_PLACEMENT_ORDER = ("signal", "first_cycle", "offset_bits")
+_PLACEMENT_KEYS = frozenset(_PLACEMENT_ORDER)
 
 
-def _check_keys(raw: dict, known: frozenset, where: str) -> None:
-    """Reject a key the document format does not have, such as a misspelt
-    one that would otherwise read as an absent optional key."""
-    if not raw.keys() <= known:
-        key = next(k for k in raw if k not in known)
-        raise ScheduleError(f"{where}: unknown key {key!r}")
+def _unknown_key(raw: dict, known: frozenset, where: str) -> str:
+    """The error for a key the document format does not have, such as a
+    misspelt one that would otherwise read as an absent optional key."""
+    return "%s: unknown key %r" % (where, next(k for k in raw if k not in known))
 
 
-# a slot and a placement as the renderer writes them, key for key
-_SLOT_COLUMNS = itemgetter("index", "nodes", "placements")
-_PLACEMENT_COLUMNS = itemgetter("signal", "first_cycle", "offset_bits")
-
-
-def _screened_slots(raw_slots: list, by_id: dict):
-    """(records, slot_nodes) when every slot and placement passes every
-    rule, or None.
-
-    The rules are checked column by column, and the records are then built
-    in one pass; on None the per-placement loop runs and names the first
-    fault.  Only the renderer's form passes: exact JSON types, each slot
-    with exactly `index`, `nodes` and `placements`, each placement with
-    exactly its three keys.
-    """
-    if not raw_slots:
-        return [], []
-    if set(map(type, raw_slots)) != {dict} or set(map(len, raw_slots)) != {3}:
-        return None
-    try:
-        indices, node_lists, placement_lists = zip(*map(_SLOT_COLUMNS, raw_slots))
-    except KeyError:
-        return None
+# The slot table and the placement table, each in the order a reader of
+# one slot and then its placements checks them.  The columns of a slot
+# are its index, nodes and placements, those of a placement its signal,
+# first_cycle and offset_bits.
+_SLOT_RULES = (
+    (lambda c, k: all(map(isinstance, c.rows[:k], repeat(dict)))
+     and all(map(isinstance, c.fields[2][:k], repeat(list))),
+     lambda c, i: f"slot {i}: a slot must be an object with a 'placements' list"),
+    (lambda c, k: set().union(*c.rows[:k]) <= _SLOT_KEYS,
+     lambda c, i: _unknown_key(c.rows[i], _SLOT_KEYS, f"slot {i}")),
     # bool is an int subclass and 1.0 == 1: neither is an index
-    if set(map(type, indices)) != {int} or indices != tuple(range(len(indices))):
-        return None
-    if set(map(type, chain(node_lists, placement_lists))) != {list}:
-        return None
-    nodes = list(chain.from_iterable(node_lists))
-    if not set(map(type, nodes)) <= {int, str} or "" in nodes:
-        return None
-    slot_nodes = list(map(set, node_lists))
-    raw = list(chain.from_iterable(placement_lists))
-    if not raw:
-        return [], slot_nodes
-    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {3}:
-        return None
-    try:
-        sids, firsts, offsets = zip(*map(_PLACEMENT_COLUMNS, raw))
-    except KeyError:
-        return None
-    if set(map(type, sids)) != {str} or not by_id.keys() >= set(sids):
-        return None
-    if set(map(type, chain(firsts, offsets))) != {int}:
-        return None
-    slots = chain.from_iterable(map(repeat, range(len(raw_slots)), map(len, placement_lists)))
-    positions = map(tuple.__new__, repeat(Placement), zip(slots, firsts, offsets))
-    return list(zip(map(by_id.__getitem__, sids), positions)), slot_nodes
-
-
-def _record_slots(raw_slots: list, by_id: dict):
-    """(records, slot_nodes) read one slot and one placement at a time; the
-    first fault raises ScheduleError."""
-    records, slot_nodes = [], []
-    for i, raw_slot in enumerate(raw_slots):
-        placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
-        if not isinstance(placements, list):
-            raise ScheduleError(
-                f"slot {i}: a slot must be an object with a 'placements' list"
-            )
-        _check_keys(raw_slot, _SLOT_KEYS, f"slot {i}")
-        index = raw_slot.get("index", i)
-        if type(index) is not int or index != i:
-            raise ScheduleError(f"slot {i}: index is {index!r}, expected {i}")
-        nodes_stated = "nodes" in raw_slot
-        nodes = raw_slot.get("nodes", [])
-        if not isinstance(nodes, list) or not all(map(is_node_id, nodes)):
-            raise ScheduleError(
-                f"slot {i}: nodes must be a list of node ids, not {nodes!r}"
-            )
-        slot_nodes.append(set(nodes))
-        where = f"slot {i}: placement"
-        for raw in placements:
-            if not isinstance(raw, dict):
-                raise ScheduleError(f"slot {i}: a placement must be an object")
-            _check_keys(raw, _PLACEMENT_KEYS, where)
-            sid = raw.get("signal")
-            if not isinstance(sid, str) or sid not in by_id:
-                raise ScheduleError(f"schedule references unknown signal {sid!r}")
-            try:
-                first, offset = raw["first_cycle"], raw["offset_bits"]
-            except KeyError as exc:
-                raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
-            # bool is an int subclass: JSON true/false are not cycles or offsets
-            if type(first) is not int or type(offset) is not int:
-                raise ScheduleError(
-                    f"malformed placement for {sid}: first_cycle and offset_bits "
-                    f"must be integers, not {first!r} and {offset!r}"
-                )
-            signal = by_id[sid]
-            records.append((signal, Placement(i, first, offset)))
-            if not nodes_stated:
-                slot_nodes[i].add(signal.node)
-    return records, slot_nodes
+    (lambda c, k: set(map(type, c.fields[0][:k])) <= {int}
+     and c.fields[0][:k] == tuple(range(k)),
+     lambda c, i: f"slot {i}: index is {c.fields[0][i]!r}, expected {i}"),
+    (lambda c, k: all(map(isinstance, c.fields[1][:k], repeat(list)))
+     and all(map(is_node_id, chain(*c.fields[1][:k]))),
+     lambda c, i: f"slot {i}: nodes must be a list of node ids, not {c.fields[1][i]!r}"),
+)
+_PLACEMENT_RULES = (
+    (lambda c, k: all(map(isinstance, c.rows[:k], repeat(dict))),
+     lambda c, i: f"slot {c.slot[i]}: a placement must be an object"),
+    (lambda c, k: set().union(*c.rows[:k]) <= _PLACEMENT_KEYS,
+     lambda c, i: _unknown_key(c.rows[i], _PLACEMENT_KEYS, f"slot {c.slot[i]}: placement")),
+    (lambda c, k: all(map(isinstance, c.fields[0][:k], repeat(str)))
+     and c.by_id.keys() >= set(c.fields[0][:k]),
+     lambda c, i: f"schedule references unknown signal {c.fields[0][i]!r}"),
+    # with no unknown key and a signal, a placement of fewer keys lacks a number
+    (lambda c, k: min(map(len, c.rows[:k]), default=3) == 3,
+     lambda c, i: "malformed placement for %s: %r" % (
+         c.fields[0][i], next(k for k in _PLACEMENT_ORDER[1:] if k not in c.rows[i])
+     )),
+    # bool is an int subclass: JSON true/false are not cycles or offsets
+    (lambda c, k: set(map(type, chain(c.fields[1][:k], c.fields[2][:k]))) <= {int},
+     lambda c, i: "malformed placement for %s: first_cycle and offset_bits must be "
+     "integers, not %r and %r" % tuple(column[i] for column in c.fields)),
+)
 
 
 def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
@@ -533,15 +474,16 @@ def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
     signal listed twice pass (the validator needs to see them), but a
     document referencing unknown signals, lacking structure or using keys
     the format does not have is rejected, as is a stated `config` or slot
-    `index` that differs from the instance or the slot's position.  An
-    unknown placement key is named before any other fault of its placement.
-    The slots are screened column by column first, and only a failed
-    screen runs the per-placement loop that names the first fault.
+    `index` that differs from the instance or the slot's position.  The
+    slots go through the slot table, and the placements of the slots
+    before its first fault through the placement table, so the error names
+    the first fault of a read of one slot and then its placements.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")
-    _check_keys(doc, _DOCUMENT_KEYS, "schedule document")
-    config = config_to_dict(instance.config)
+    if not doc.keys() <= _DOCUMENT_KEYS:
+        raise ScheduleError(_unknown_key(doc, _DOCUMENT_KEYS, "schedule document"))
+    config = instance.config._asdict()
     stated = doc.get("config", config)
     # bool is an int subclass and 16.0 == 16: neither is the instance's value
     if stated != config or any(type(v) is not int for v in stated.values()):
@@ -550,4 +492,30 @@ def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
         )
     by_id = {s.id: s for s in instance.signals}
     raw_slots = doc["slots"]
-    return _screened_slots(raw_slots, by_id) or _record_slots(raw_slots, by_id)
+    # an absent index reads as the slot's position
+    defaults = (range(len(raw_slots)), repeat([]), repeat([]))
+    slots = SimpleNamespace(rows=raw_slots, fields=columns(raw_slots, _SLOT_ORDER, defaults))
+    slot_fault, kept = first_fault(_SLOT_RULES, slots, len(raw_slots))
+    # a slot's placements are read after its own rules, before the next slot's
+    lists = slots.fields[2][:kept]
+    rows = list(chain.from_iterable(lists))
+    placements = SimpleNamespace(
+        rows=rows,
+        fields=columns(rows, _PLACEMENT_ORDER, (repeat(None),) * 3),
+        slot=tuple(chain.from_iterable(map(repeat, range(kept), map(len, lists)))),
+        by_id=by_id,
+    )
+    fault = first_fault(_PLACEMENT_RULES, placements, len(rows))[0] or slot_fault
+    if fault:
+        raise ScheduleError(fault)
+    sids, firsts, offsets = placements.fields
+    positions = map(tuple.__new__, repeat(Placement), zip(placements.slot, firsts, offsets))
+    records = list(zip(map(by_id.__getitem__, sids), positions))
+    slot_nodes = list(map(set, slots.fields[1]))
+    # a slot that states no nodes has its placements' nodes
+    unstated = {i for i, raw in enumerate(raw_slots) if "nodes" not in raw}
+    if unstated:
+        for sig, pos in records:
+            if pos.slot in unstated:
+                slot_nodes[pos.slot].add(sig.node)
+    return records, slot_nodes

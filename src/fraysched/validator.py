@@ -22,21 +22,11 @@ The first two rules are evaluated from the multischedule itself (two nodes
 sharing a slot or two signals overlapping is fine exactly when no variant
 combines them), which makes them equivalent to per-variant native checks.
 
-The records are unzipped into columns once, and the rules that a
-feasible schedule never breaks are screened over whole columns before any
-record is looked at alone:
-
-  duplicates and    the count of distinct signal ids against the record
-  coverage          count and the instance's signal count; the per-id
-                    loops run only when one of them falls short.
-  time-window,      compared in microseconds, column against column: first
-  payload-bound     * cycle >= release, (first + 1) * cycle <= release +
-                    deadline and <= period, 0 <= offset and offset + length
-                    <= W.  With no period (in cycles) above H, that also
-                    keeps every job in the hyperperiod, so periodicity
-                    holds too.  Only when the screen fails does the
-                    per-record rule loop run, which reports the faults in
-                    record order.
+The records are unzipped into columns once.  Duplicates and coverage
+are screened by counting distinct ids; their per-id loops run only when a
+count falls short.  Time-window, periodicity and payload-bound hold per
+record as column forms, whose `all()` is their screen; only the records
+that a column flags are formatted, in record order.
 
 Node exclusivity needs per-variant node sets only in slots that carry two
 or more nodes, which one pass over the distinct (slot, node) pairs finds.
@@ -68,7 +58,7 @@ per slot and checked exactly only on the slots the screen flags:
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import add, le, lshift, mul
+from operator import add, le, lshift, lt, mul
 from typing import NamedTuple, Optional
 
 from .core import Instance
@@ -113,63 +103,34 @@ def _unzip(rows, width: int) -> tuple:
     return tuple(zip(*rows)) or ((),) * width
 
 
-def _record_rules(records, cfg, out) -> set[int]:
-    """Report the time-window, periodicity and payload-bound faults record
-    by record; the slots with a record outside its frame (negative first
-    cycle or offset, or past W), which the overlap screen cannot pack."""
+def _record_rules(records, flags, cfg, out) -> None:
+    """Report the time-window, periodicity and payload-bound faults that
+    the rule columns flag, in record order; `flags` holds per record
+    whether it keeps each of the three rules."""
     cycle_us = cfg.cycle_us
-    hyper = cfg.hyperperiod_cycles
-    width = cfg.payload_bits
-    unpacked = set()
-    for sig, pos in records:
+    for (sig, (slot, first, offset)), held in zip(records, flags):
+        if all(held):
+            continue
         sid = sig.id
-        slot, first, offset = pos
-        length = sig.length_bits
         period = sig.period_us // cycle_us
-
         release_cycle = -(-sig.release_us // cycle_us)
         deadline_cycle = min(
             (sig.release_us + sig.deadline_us) // cycle_us - 1,
             release_cycle + period - 1,
             period - 1,
-            hyper - 1,
+            cfg.hyperperiod_cycles - 1,
         )
-        if not (release_cycle <= first <= deadline_cycle):
-            out(
-                Violation(
-                    "time-window",
-                    f"signal {sid} first job at cycle {first} outside "
-                    f"[{release_cycle}, {deadline_cycle}]",
-                    signal=sid,
-                    slot=slot,
-                    cycle=first,
-                )
-            )
-        if first < 0 or first + (hyper // period - 1) * period >= hyper:
-            out(
-                Violation(
-                    "periodicity",
-                    f"signal {sid} jobs from cycle {first} every "
-                    f"{period} cycles do not all fit the hyperperiod",
-                    signal=sid,
-                    slot=slot,
-                    cycle=first,
-                )
-            )
-        in_frame = offset >= 0 and offset + length <= width
-        if not in_frame:
-            out(
-                Violation(
-                    "payload-bound",
-                    f"signal {sid} at offset {offset} with "
-                    f"{length} bits exceeds the {width}-bit payload",
-                    signal=sid,
-                    slot=slot,
-                )
-            )
-        if not in_frame or first < 0:
-            unpacked.add(slot)
-    return unpacked
+        faults = (
+            ("time-window", f"signal {sid} first job at cycle {first} outside "
+             f"[{release_cycle}, {deadline_cycle}]", first),
+            ("periodicity", f"signal {sid} jobs from cycle {first} every "
+             f"{period} cycles do not all fit the hyperperiod", first),
+            ("payload-bound", f"signal {sid} at offset {offset} with {sig.length_bits} "
+             f"bits exceeds the {cfg.payload_bits}-bit payload", None),
+        )
+        for kept, (rule, message, cycle) in zip(held, faults):
+            if not kept:
+                out(Violation(rule, message, signal=sid, slot=slot, cycle=cycle))
 
 
 def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Violation]:
@@ -221,27 +182,42 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
                     )
                 )
 
-    # The window rules over the columns, in microseconds: with c the cycle,
-    # first >= ceil(release / c) iff first * c >= release, first <=
-    # (release + deadline) // c - 1 iff (first + 1) * c <= release +
-    # deadline, and first <= period // c - 1 iff (first + 1) * c <= period.
-    # Releases are >= 0, so then 0 <= first <= release_cycle + period - 1;
-    # and when no period (in cycles) exceeds H, first < period keeps first
-    # below H and the last job, at first + (H // period - 1) * period, in
-    # the hyperperiod.  The rule loop runs only when some record breaks a
-    # rule, and reports them in record order.
+    # The placement rules, each the AND of columns over the records, in
+    # microseconds with c the cycle.  Time-window: first >= ceil(release /
+    # c) iff first * c >= release, and first <= min((release + deadline) //
+    # c, period // c, H) - 1 iff (first + 1) * c is at most release +
+    # deadline, the period and H * c; releases are >= 0, so first <=
+    # release_cycle + period - 1 then holds too.  Periodicity: the last job,
+    # at first + (H // period - 1) * period, is in the hyperperiod iff first
+    # is below H minus that offset.  Payload-bound: the bits lie in [0, W).
     period_of = {p: p // cycle_us for p in set(periods_us)}
+    caps = {p: min(p, hyper * cycle_us) for p in period_of}
+    room = {p: hyper - (hyper // n - 1) * n for p, n in period_of.items()}
     starts = tuple(map(mul, firsts, repeat(cycle_us)))
     ends = tuple(map(add, starts, repeat(cycle_us)))
-    screened = (
-        all(0 < p <= hyper for p in period_of.values())
-        and all(map(le, releases, starts))
-        and all(map(le, ends, map(add, releases, deadlines)))
-        and all(map(le, ends, periods_us))
-        and min(offsets, default=0) >= 0
-        and max(map(add, offsets, lengths), default=0) <= width
+    in_window = lambda: (
+        map(le, releases, starts),
+        map(le, ends, map(add, releases, deadlines)),
+        map(le, ends, map(caps.__getitem__, periods_us)),
     )
-    overlap_slots = set() if screened else _record_rules(records, cfg, out)
+    periodic = lambda: (
+        map(le, repeat(0), firsts), map(lt, firsts, map(room.__getitem__, periods_us))
+    )
+    in_frame = lambda: (
+        map(le, repeat(0), offsets), map(le, map(add, offsets, lengths), repeat(width))
+    )
+    overlap_slots = set()
+    # a first cycle in its window is in [0, min(period, H)), so its last
+    # job, at most H - period cycles later, is in the hyperperiod: the
+    # screen need not read the periodicity columns
+    if not all(all(column) for rule in (in_window, in_frame) for column in rule()):
+        rules = (in_window, periodic, in_frame)
+        flags = list(zip(*(map(all, zip(*rule())) for rule in rules)))
+        _record_rules(records, flags, cfg, out)
+        # a record outside its frame cannot be packed for the overlap screen
+        overlap_slots.update(
+            slot for slot, first, flag in zip(slots, firsts, flags) if not flag[2] or first < 0
+        )
 
     # the overlap screen's columns: per packed record its bits, its
     # variants and the bits it places (its bit count per variant)

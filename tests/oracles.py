@@ -3,7 +3,8 @@
 Nothing here reuses the placement engine's data structures or search code:
 conflicts are recomputed from the variant matrix, occupancy is kept as
 plain per-frame entry lists, and offsets are found by scanning every
-position.  The document and frame-overlap references and the per-frame
+position.  The document readers read one record at a time and state
+every input rule themselves.  The document and frame-overlap references and the per-frame
 entry view (`frame_view`) read only a schedule's placement records.  Slow
 on purpose.  The instance serializer and the pairwise queries over a
 conflict model live here too, because only the tests use them.
@@ -15,7 +16,8 @@ import math
 import random
 from typing import NamedTuple
 
-from fraysched.core import Instance, config_to_dict, load_instance
+from fraysched.core import FlexRayConfig, Instance, InstanceError, Signal, load_instance
+from fraysched.multischedule import Placement, ScheduleError
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -26,7 +28,7 @@ def instance_to_dict(instance: Instance) -> dict:
     """
     order = {s.id: i for i, s in enumerate(instance.signals)}
     return {
-        "config": config_to_dict(instance.config),
+        "config": instance.config._asdict(),
         "signals": [
             {
                 "id": s.id,
@@ -382,13 +384,13 @@ def slots_doc(ms, keep=None) -> list:
 
 
 def schedule_doc(ms) -> dict:
-    return {"config": config_to_dict(ms.config), "slots": slots_doc(ms)}
+    return {"config": ms.config._asdict(), "slots": slots_doc(ms)}
 
 
 def native_doc(ms, variant: int, variants) -> dict:
     return {
         "variant": variant,
-        "config": config_to_dict(ms.config),
+        "config": ms.config._asdict(),
         "slots": slots_doc(ms, variants[variant]),
     }
 
@@ -596,3 +598,160 @@ def reference_violations(placement_records, slot_nodes, instance: Instance) -> l
                 )
             )
     return violations
+
+
+# The document readers record by record: each rule is checked where a
+# reader that knows nothing of column tables would check it, so the
+# package's first faults are compared against these.
+
+
+def _is_node_id(value) -> bool:
+    if isinstance(value, str):
+        return value != ""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _signal(sid, node, period, length, release, deadline) -> Signal:
+    """The Signal of one record's values; the first bad field raises."""
+    if not isinstance(sid, str) or not sid:
+        raise InstanceError("signal id must be a non-empty string")
+    if not _is_node_id(node):
+        raise InstanceError(
+            f"signal {sid}: node must be an integer or a non-empty string, not {node!r}"
+        )
+    numbers = (period, length, release, deadline)
+    for name, value in zip(Signal._fields[2:], numbers):
+        if type(value) is not int:
+            raise InstanceError(f"signal {sid}: {name} must be an integer, not {value!r}")
+    if period <= 0:
+        raise InstanceError(f"signal {sid}: period must be positive")
+    if length < 1:
+        raise InstanceError(f"signal {sid}: length must be >= 1 bit")
+    if release < 0:
+        raise InstanceError(f"signal {sid}: release must be >= 0")
+    if deadline <= 0:
+        raise InstanceError(f"signal {sid}: deadline must be positive")
+    return tuple.__new__(Signal, (sid, node) + numbers)
+
+
+def reference_load_instance(doc) -> Instance:
+    """`load_instance`, one signal record at a time."""
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
+    try:
+        raw_cfg, raw_signals, raw_variants = doc["config"], doc["signals"], doc["variants"]
+    except KeyError as exc:
+        raise InstanceError(f"instance document missing key {exc}") from None
+    if not isinstance(raw_cfg, dict):
+        raise InstanceError("config must be a JSON object")
+    if not isinstance(raw_signals, list):
+        raise InstanceError("signals must be a list of signal records")
+    if not isinstance(raw_variants, list):
+        raise InstanceError("variants must be a list of signal-id lists")
+    for key in raw_cfg:
+        if key not in FlexRayConfig._fields:
+            raise InstanceError(f"config: unknown key {key!r}")
+    for name in ("cycle_us", "hyperperiod_cycles", "payload_bits"):
+        if name not in raw_cfg:
+            raise InstanceError(f"malformed config section: {name!r}")
+    config = FlexRayConfig(**raw_cfg)
+    cycle, hyper = config.cycle_us, config.hyperperiod_cycles
+
+    signals, seen = [], set()
+    for raw in raw_signals:
+        try:
+            period = raw["period_us"]
+            sid, node, length = raw["id"], raw["node"], raw["length_bits"]
+            release = raw.get("release_us", 0)
+            # only a missing deadline means "the period"
+            deadline = raw["deadline_us"] if "deadline_us" in raw else period
+        except (KeyError, TypeError) as exc:
+            raise InstanceError(f"malformed signal record: {exc}") from None
+        sig = _signal(sid, node, period, length, release, deadline)
+        for key in raw:
+            if key not in Signal._fields:
+                raise InstanceError(f"signal {sid}: unknown key {key!r}")
+        if sid in seen:
+            raise InstanceError(f"duplicate signal id {sid!r}")
+        seen.add(sid)
+        if length > config.payload_bits:
+            raise InstanceError(
+                f"signal {sid}: signal exceeds frame payload "
+                f"({length} > {config.payload_bits} bits)"
+            )
+        cycles = period // cycle
+        if period % cycle or cycles & (cycles - 1):
+            raise InstanceError(
+                f"signal {sid}: period {period} us is not cycle * 2^n (cycle = {cycle} us)"
+            )
+        if cycles > hyper:
+            raise InstanceError(f"signal {sid}: period {period} us exceeds the hyperperiod")
+        signals.append(sig)
+
+    members = []
+    for j, group in enumerate(raw_variants):
+        if not isinstance(group, list):
+            raise InstanceError(f"variant {j} must be a list of signal ids, not {group!r}")
+        for sid in group:
+            if not isinstance(sid, str):
+                raise InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
+            if sid not in seen:
+                raise InstanceError(f"variant {j} references unknown signal {sid!r}")
+        members.append(frozenset(group))
+    for sig in signals:
+        if not any(sig.id in group for group in members):
+            raise InstanceError(f"signal {sig.id} not assigned to any variant")
+    return tuple.__new__(Instance, (config, tuple(signals), tuple(members)))
+
+
+def _unknown_key(raw: dict, known: tuple, where: str) -> None:
+    for key in raw:
+        if key not in known:
+            raise ScheduleError(f"{where}: unknown key {key!r}")
+
+
+def reference_schedule_from_dict(doc, instance: Instance):
+    """`schedule_from_dict`, one slot and one placement at a time."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
+        raise ScheduleError("schedule document must be an object with a 'slots' list")
+    _unknown_key(doc, ("config", "slots"), "schedule document")
+    config = instance.config._asdict()
+    stated = doc.get("config", config)
+    if stated != config or any(type(v) is not int for v in stated.values()):
+        raise ScheduleError(
+            f"schedule config {stated!r} differs from the instance config {config!r}"
+        )
+    by_id = {s.id: s for s in instance.signals}
+    records, slot_nodes = [], []
+    for i, raw_slot in enumerate(doc["slots"]):
+        placements = raw_slot.get("placements", []) if isinstance(raw_slot, dict) else None
+        if not isinstance(placements, list):
+            raise ScheduleError(f"slot {i}: a slot must be an object with a 'placements' list")
+        _unknown_key(raw_slot, ("index", "nodes", "placements"), f"slot {i}")
+        index = raw_slot.get("index", i)
+        if type(index) is not int or index != i:
+            raise ScheduleError(f"slot {i}: index is {index!r}, expected {i}")
+        nodes = raw_slot.get("nodes", [])
+        if not isinstance(nodes, list) or not all(map(_is_node_id, nodes)):
+            raise ScheduleError(f"slot {i}: nodes must be a list of node ids, not {nodes!r}")
+        slot_nodes.append(set(nodes))
+        for raw in placements:
+            if not isinstance(raw, dict):
+                raise ScheduleError(f"slot {i}: a placement must be an object")
+            _unknown_key(raw, ("signal", "first_cycle", "offset_bits"), f"slot {i}: placement")
+            sid = raw.get("signal")
+            if not isinstance(sid, str) or sid not in by_id:
+                raise ScheduleError(f"schedule references unknown signal {sid!r}")
+            try:
+                first, offset = raw["first_cycle"], raw["offset_bits"]
+            except KeyError as exc:
+                raise ScheduleError(f"malformed placement for {sid}: {exc}") from None
+            if type(first) is not int or type(offset) is not int:
+                raise ScheduleError(
+                    f"malformed placement for {sid}: first_cycle and offset_bits "
+                    f"must be integers, not {first!r} and {offset!r}"
+                )
+            records.append((by_id[sid], Placement(i, first, offset)))
+            if "nodes" not in raw_slot:
+                slot_nodes[i].add(by_id[sid].node)
+    return records, slot_nodes

@@ -205,7 +205,7 @@ def test_criterion_6_property_suite(example1):
             hits = _run_starts(
                 window_free(frame_mask(frame, mems.variants_of, s.id), width, 0),
                 s.length_bits,
-            ) & one_cycle.pattern(1, width - s.length_bits + 1)
+            ) & one_cycle.patterns.pattern(1, width - s.length_bits + 1)
             found = (hits & -hits).bit_length() - 1 if hits else None
             assert found == naive_first_fit_offset(
                 frame, s.id, s.length_bits, width, sig_conflict,

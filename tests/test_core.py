@@ -1,5 +1,6 @@
 import json
 import pickle
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -10,14 +11,14 @@ from fraysched import core
 from fraysched.core import (
     FlexRayConfig,
     InfeasibleSignalError,
+    Instance,
     InstanceError,
     Signal,
-    config_to_dict,
     load_instance,
     round_time_constraints,
 )
 
-from oracles import instance_to_dict
+from oracles import instance_to_dict, reference_load_instance
 
 EX1_CONFIG = FlexRayConfig(
     cycle_us=5000, hyperperiod_cycles=4, payload_bits=16, static_slots=75, slot_us=40
@@ -162,9 +163,9 @@ class TestLoadInstance:
             load_instance(doc)
         assert str(info.value) == f"malformed config section: {key!r}"
 
-    def test_config_to_dict_is_a_copy_in_field_order(self):
+    def test_config_asdict_is_a_copy_in_field_order(self):
         config = FlexRayConfig(5000, 4, 16, 75, 40)
-        doc = config_to_dict(config)
+        doc = config._asdict()
         assert list(doc.items()) == [
             (name, getattr(config, name)) for name in FlexRayConfig._fields
         ]
@@ -188,9 +189,9 @@ X_RECORD = {"id": "X", "node": 1, "period_us": 10000, "length_bits": 8,
 
 
 class TestLoaderAndConstructorAgree:
-    """`load_instance` builds each record with `Signal(...)`, so a bad field
-    gets the constructor's text; the rules that need the whole record or
-    the config are the loader's own."""
+    """`load_instance` and `Signal(...)` run the same field rules, so a bad
+    field gets the same text; the rules that need the whole record or the
+    config are the loader's and `Instance`'s."""
 
     @pytest.mark.parametrize(
         "key, value",
@@ -306,10 +307,62 @@ class TestLoaderAndConstructorAgree:
         ):
             with pytest.raises(InstanceError, match="cycle_us must be positive"):
                 make()
-        for value in (sig, EX1_CONFIG):
+        inst = Instance(EX1_CONFIG, (sig,), (frozenset("A"),))
+        long = sig._replace(length_bits=17)
+        for make in (
+            lambda: Instance(EX1_CONFIG, (long,), inst.variants),
+            lambda: Instance._make([EX1_CONFIG, (long,), inst.variants]),
+            lambda: inst._replace(signals=(long,)),
+        ):
+            with pytest.raises(InstanceError, match="exceeds frame payload"):
+                make()
+        for value in (sig, EX1_CONFIG, inst):
             again = pickle.loads(pickle.dumps(value))
             assert again == value and type(again) is type(value)
         assert FlexRayConfig(5000, 4, 16) == (5000, 4, 16, 0, 0)
+
+
+class TestCheckedInstance:
+    """`Instance(...)` checks what the loader checks beyond one record, so
+    the engine and the validator never meet an instance the loader would
+    have refused."""
+
+    CONFIG = FlexRayConfig(1000, 4, 8)
+
+    @pytest.mark.parametrize(
+        "signals, variants",
+        [
+            # off the cycle grid: validate_multischedule divided by a 0-cycle period
+            ([Signal("x", 1, 500, 4, 0, 500)], [["x"]]),
+            # past the payload: schedule() shifted by a negative count
+            ([Signal("x", 1, 1000, 40, 0, 1000)], [["x"]]),
+            ([Signal("x", 1, 8000, 4, 0, 1000)], [["x"]]),
+            ([Signal("x", 1, 1000, 4, 0, 1000)] * 2, [["x"]]),
+            ([Signal("x", 1, 1000, 4, 0, 1000)], [["x", "y"]]),
+            ([Signal("x", 1, 1000, 4, 0, 1000)], [["x", 5]]),
+            ([Signal("x", 1, 1000, 4, 0, 1000)], ["x"]),
+            ([Signal("x", 1, 1000, 4, 0, 1000), Signal("y", 1, 1000, 4, 0, 1000)], [["x"]]),
+        ],
+        ids=["period-off-grid", "longer-than-payload", "period-past-hyperperiod",
+             "duplicate-id", "unknown-member", "non-string-member", "string-variant",
+             "uncovered-signal"],
+    )
+    def test_bad_instance_gets_the_loader_error(self, signals, variants):
+        doc = {
+            "config": self.CONFIG._asdict(),
+            "signals": [s._asdict() for s in signals],
+            "variants": variants,
+        }
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(doc)
+        with pytest.raises(InstanceError) as built:
+            Instance(self.CONFIG, signals, variants)
+        assert str(built.value) == str(loaded.value)
+
+    def test_variants_become_frozensets(self):
+        sig = Signal("x", 1, 1000, 4, 0, 1000)
+        inst = Instance(self.CONFIG, [sig], [["x"], ("x",)])
+        assert inst == (self.CONFIG, (sig,), (frozenset("x"), frozenset("x")))
 
 
 SCREEN_CONFIG = {"cycle_us": 5000, "hyperperiod_cycles": 4, "payload_bits": 16}
@@ -371,28 +424,25 @@ def edited(record, op):
     return record
 
 
-def load_outcome(doc):
+def load_outcome(doc, load=load_instance):
     try:
-        instance = load_instance(doc)
+        instance = load(doc)
     except InstanceError as exc:
         return "error", str(exc)
     return instance, [type(s) for s in instance.signals]
 
 
 def assert_screen_agrees(records, variants):
-    """The screened loader and the per-record loop alone give equal
-    instances of Signal values, or the same first error."""
+    """The loader and the record-by-record reference give equal instances
+    of Signal values, or the same first error."""
     doc = {"config": SCREEN_CONFIG, "signals": records, "variants": variants}
-    screened = load_outcome(doc)
-    with mock.patch.object(core, "_screened_signals", return_value=None):
-        reference = load_outcome(doc)
-    assert screened == reference
+    assert load_outcome(doc) == load_outcome(doc, reference_load_instance)
 
 
 class TestScreenedLoader:
-    """`load_instance` screens the signal records column by column and
-    builds them in one pass; the per-record loop, which runs only when the
-    screen fails, is the reference."""
+    """`load_instance` runs the signal table column by column and builds
+    the records in one pass; `oracles.reference_load_instance`, which reads
+    one record at a time, is the reference."""
 
     # a full record, one with both optional keys absent, one with a deadline only
     RECORDS = [
@@ -408,6 +458,26 @@ class TestScreenedLoader:
     def test_one_edit_agrees_with_the_per_record_loop(self, op, at):
         records = list(self.RECORDS)
         records[at] = edited(records[at], op)
+        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (("set", "id", "S0"), ("set", "length_bits", 0)),
+            (("set", "length_bits", 17), ("set", "node", True)),
+            (("set", "period_us", 40000), ("extra", "note")),
+            (("set", "node", True), ("set", "id", "S0")),
+        ],
+        ids=["duplicate-then-field", "payload-then-field", "grid-then-key",
+             "field-then-duplicate"],
+    )
+    def test_rules_across_records_keep_record_order(self, before, after):
+        # a duplicate id, a length past the payload or a period off the grid
+        # in record 1 comes before a fault of record 2's own, and after one
+        # of record 1's own
+        records = list(self.RECORDS)
+        records[1] = edited(records[1], before)
+        records[2] = edited(records[2], after)
         assert_screen_agrees(records, [["S0", "S1", "S2"]])
 
     @settings(max_examples=300, deadline=None)
@@ -430,12 +500,13 @@ class TestScreenedLoader:
             benchgen.generate_instance(benchgen.PROFILES["set5"], 0),
             make_doc(signals=[], variants=[]),
         ]
+        # a valid document keeps every rule on the rule's first check, and
+        # never enters the bisection that finds a first fault
         for doc in docs:
-            with mock.patch.object(core, "_record_signals") as loop:
+            with mock.patch.object(core, "_first_failing") as bisect:
                 screened = load_instance(doc)
-            assert not loop.called
-            with mock.patch.object(core, "_screened_signals", return_value=None):
-                assert screened == load_instance(doc)
+            assert not bisect.called
+            assert screened == reference_load_instance(doc)
             assert all(type(s) is Signal for s in screened.signals)
 
     @pytest.mark.parametrize(
@@ -446,14 +517,32 @@ class TestScreenedLoader:
         ],
         ids=["str-subclass-id", "int-subclass-node"],
     )
-    def test_subclassed_values_take_the_loop(self, edit):
-        # the screen passes exact JSON types only; the loop's isinstance
-        # tests accept these, and the loop builds the record
+    def test_subclassed_values_load(self, edit):
+        # the node rule screens exact JSON types first; these subclasses
+        # take its isinstance test, which accepts them
         record = dict(X_RECORD)
         edit(record)
-        screened = core._screened_signals([record], EX1_CONFIG, {5000, 10000, 20000})
-        assert screened is None
         assert load_instance(make_doc(signals=[record])).signals == (Signal(**record),)
+
+
+    def test_mapping_records_load_as_dicts(self):
+        # the record-by-record read took any mapping as a record
+        records = [dict(r) for r in self.RECORDS]
+        records[1] = MappingProxyType(records[1])
+        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+        loaded = load_instance(make_doc(signals=records, variants=[["S0", "S1", "S2"]]))
+        assert loaded.signals[1] == Signal("S1", "ecu", 10000, 1, 0, 10000)
+
+    def test_a_subscriptable_record_that_is_no_mapping_is_refused(self):
+        # its keys cannot be listed, so neither its optional keys nor an
+        # unknown one could be read
+        class Record:
+            def __getitem__(self, key):
+                return X_RECORD[key]
+
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(make_doc(signals=[Record()]))
+        assert str(loaded.value) == "malformed signal record: not an object"
 
 
 class TestRounding:

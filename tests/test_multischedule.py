@@ -18,7 +18,7 @@ from fraysched.core import (
     round_time_constraints,
 )
 from fraysched.benchgen import PROFILES, generate_instance
-from fraysched import multischedule
+from fraysched import core, multischedule
 from fraysched.exclusion import compute_mems
 from fraysched.multischedule import (
     Multischedule,
@@ -40,6 +40,7 @@ from oracles import (
     make_random_instance,
     naive_first_fit_offset,
     reference_schedule,
+    reference_schedule_from_dict,
     signals_conflict,
     window_free,
     with_mixed_nodes,
@@ -70,7 +71,7 @@ def first_fit_offset(entries, signal, mems, width):
     one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
     mask = frame_mask(entries, mems.variants_of, signal.id)
     length = signal.length_bits
-    fits = one_cycle.pattern(1, width - length + 1)
+    fits = one_cycle.patterns.pattern(1, width - length + 1)
     found = window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
     return None if found is None else found[1]
 
@@ -259,7 +260,7 @@ class TestPlaceSignal:
         mask = 0  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
             mask |= ms.all_bits ^ ms.slots[0].free[v]
-        fits = ms.pattern(1, 8 - x.length_bits + 1)
+        fits = ms.patterns.pattern(1, 8 - x.length_bits + 1)
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
         assert window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
         pos = find_position_for_signal(ms, x, mems)
@@ -527,7 +528,7 @@ class TestBitPrimitives:
             ),
             None,
         )
-        fits = ms.pattern(1, width - length + 1)
+        fits = ms.patterns.pattern(1, width - length + 1)
         got = window_first_fit(window_free(mask, width, hi), length, width, lo, fits)
         assert got == expected
 
@@ -543,8 +544,8 @@ class TestBitPrimitives:
         )
         length = data.draw(st.integers(1, width))
         ms = Multischedule(FlexRayConfig(1000, hyper, width), {})
-        jobs = ms.pattern(period, length)
-        fits = ms.pattern(1, width - length + 1)
+        jobs = ms.patterns.pattern(period, length)
+        fits = ms.patterns.pattern(1, width - length + 1)
         frame = (1 << width) - 1
         for c in range(hyper):
             assert (jobs >> (c * width)) & frame == (
@@ -696,10 +697,10 @@ READER_EDITS = {
 }
 
 
-def _read(doc, inst):
+def _read(doc, inst, read=schedule_from_dict):
     """(records, slot_nodes) of the document, or its ScheduleError text."""
     try:
-        return schedule_from_dict(doc, inst)
+        return read(doc, inst)
     except ScheduleError as exc:
         return str(exc)
 
@@ -707,29 +708,36 @@ def _read(doc, inst):
 class TestScreenedReader:
     @given(
         seed=st.integers(0, 10**6),
-        edit=st.sampled_from(sorted(READER_EDITS)),
+        edits=st.lists(st.sampled_from(sorted(READER_EDITS)), min_size=1, max_size=2),
         strategy=st.sampled_from(list(OrderingStrategy)),
     )
     @settings(max_examples=400, deadline=None)
-    def test_screen_agrees_with_the_per_placement_loop(self, seed, edit, strategy):
+    def test_screen_agrees_with_the_per_placement_loop(self, seed, edits, strategy):
+        # two edits put a slot fault behind a placement fault of an earlier
+        # slot, or the other way round
         rng = random.Random(seed)
         inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4))
         doc = json.loads(json.dumps(schedule_to_dict(schedule(inst, strategy).multischedule)))
-        READER_EDITS[edit](rng, doc)
+        for edit in edits:
+            try:
+                READER_EDITS[edit](rng, doc)
+            except (IndexError, KeyError, AttributeError, TypeError, ValueError):
+                pass  # the first edit left nothing for the second to change
         got = _read(doc, inst)
-        with mock.patch.object(multischedule, "_screened_slots", return_value=None):
-            assert _read(doc, inst) == got
+        assert _read(doc, inst, reference_schedule_from_dict) == got
         if not isinstance(got, str):
             assert all(type(pos) is Placement for _sig, pos in got[0])
 
     def test_rendered_documents_pass_the_screen(self):
-        # the screen is the common path: every rendered document takes it
+        # a valid document keeps every rule on its first check, and never
+        # enters the bisection that finds a first fault
         rng = random.Random(2025)
         for _ in range(40):
             inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4))
             ms = schedule(inst, OrderingStrategy.FFC).multischedule
             doc = json.loads(next(multischedule.render_documents(ms)))
-            by_id = {s.id: s for s in inst.signals}
-            records, slot_nodes = multischedule._screened_slots(doc["slots"], by_id)
+            with mock.patch.object(core, "_first_failing") as bisect:
+                records, slot_nodes = schedule_from_dict(doc, inst)
+            assert not bisect.called
             assert records == sorted(ms.placement_records, key=lambda r: r[1].slot)
             assert slot_nodes == ms.slot_nodes

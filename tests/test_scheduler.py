@@ -37,10 +37,13 @@ def windows_of(instance):
 TUPLE_KEYS = {
     OrderingStrategy.FF: lambda s, w: 0,
     OrderingStrategy.FFP: lambda s, w: s.period_us,
-    OrderingStrategy.FFW: lambda s, w: w.span,
+    OrderingStrategy.FFW: lambda s, w: w.deadline_cycle - w.release_cycle,
     OrderingStrategy.FFL: lambda s, w: -s.length_bits,
     OrderingStrategy.FFC: lambda s, w: (
-        (isinstance(s.node, str), s.node), s.period_us, w.span, -s.length_bits
+        (isinstance(s.node, str), s.node),
+        s.period_us,
+        w.deadline_cycle - w.release_cycle,
+        -s.length_bits,
     ),
 }
 
@@ -91,7 +94,7 @@ class TestSortSignals:
     def test_ffw_sorts_by_window_span(self, example1):
         wins = windows_of(example1)
         sl = sort_signals(example1.signals, OrderingStrategy.FFW, wins)
-        spans = [wins[s.id].span for s in sl]
+        spans = [wins[s.id].deadline_cycle - wins[s.id].release_cycle for s in sl]
         assert spans == sorted(spans)
 
     def test_ffc_equals_composite_key_sort(self):
@@ -108,7 +111,7 @@ class TestSortSignals:
                 key=lambda s: (
                     s.node,
                     s.period_us,
-                    wins[s.id].span,
+                    wins[s.id].deadline_cycle - wins[s.id].release_cycle,
                     -s.length_bits,
                     order[s.id],
                 ),
