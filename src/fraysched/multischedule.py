@@ -6,12 +6,13 @@ signals may occupy overlapping bit ranges of the same multiframe when no
 variant uses both of them.  Per-variant (native) schedules fall out by
 dropping foreign signals.
 
-Occupancy is kept per slot and per variant as free bits: `Slot.free[v]`
-is one int of H * W bits (H cycles of the hyperperiod, W payload bits)
-where cycle c owns bits [c * W, (c + 1) * W); a variant with no entry has
-every bit free, `Multischedule.all_bits`.  Residents conflict with a
-signal exactly when they share a variant with it, so the bits a signal
-may use in a slot are the AND of free[v] over its own variants.
+Occupancy is kept per slot and per variant as free bits:
+`Multischedule.slots[s][v]` is one int of H * W bits (H cycles of the
+hyperperiod, W payload bits) where cycle c owns bits [c * W, (c + 1) * W);
+a new slot starts with every bit free in every variant,
+`Multischedule.all_bits`.  Residents conflict with a signal exactly when
+they share a variant with it, so the bits a signal may use in a slot are
+the AND of slots[s][v] over its own variants.
 
 A static slot belongs to one node in each variant, so a slot holding a
 node that shares a variant with node p stays shut to p; the commit that
@@ -25,17 +26,17 @@ candidate mask per slot visit holds the offsets of the window's frames at
 which the first job fits; its lowest bit is the earliest cycle and the
 lowest offset inside it.  Periods are powers of two and windows keep
 first_cycle < period_cycles, so a resident's jobs fill one residue class
-of cycles modulo its period, and `Slot.period`, the longest period among
-a slot's residents, is a period of every variant's free bits.  When it
-divides the signal's period, each later job's frame reads as the first
-job's and the candidate is taken as it is; FFP places signals by
+of cycles modulo its period, and `Multischedule.periods[s]`, the longest
+period among slot s's residents, is a period of every variant's free bits.
+When it divides the signal's period, each later job's frame reads as the
+first job's and the candidate is taken as it is; FFP places signals by
 non-decreasing period and FFC does so node by node, so there this is the
 common case.  Otherwise the candidate is checked against the later jobs'
 frames, with one full-width AND per slot; on a clash the candidate's frame
 and every frame below it leave the mask.
 `place_signal_to_schedule` commits the position it finds, or opens a slot;
 the commit clears the jobs' bits with XOR, which is exact because they are
-free in every one of the signal's variants, and raises the slot's `period`
+free in every one of the signal's variants, and raises the slot's period
 to the signal's when that is longer.
 Every bit pattern comes from one table, `Multischedule.patterns`, with
 one entry per (period, length): a signal's jobs, to be shifted to its
@@ -81,23 +82,6 @@ class Placement(NamedTuple):
     offset_bits: int
 
 
-class Slot:
-    """A static slot; its index is its position in `Multischedule.slots`.
-
-    `period` is the longest `period_cycles` among the slot's residents, 1
-    while it has none; the free bits of every variant repeat every
-    `period` cycles.
-    """
-
-    __slots__ = ("free", "period")
-
-    def __init__(self):
-        # variant -> free bits over the whole hyperperiod, cycle-major; a
-        # variant without an entry has them all
-        self.free: dict[int, int] = {}
-        self.period = 1
-
-
 class _Patterns(dict):
     """(period, length) -> (pattern(period, length), pattern(1, W - length
     + 1)): a signal's jobs and the offsets at which it fits a frame, each
@@ -134,7 +118,10 @@ class Multischedule:
     """Slots and the placement records of one multischedule.
 
     `windows` maps each signal id to its admissible cycle window.
-    `slot_nodes[s]` is the set of nodes with a signal in slot s, and
+    `slots[s]` holds slot s's free bits, one int per variant, and
+    `periods[s]` the longest `period_cycles` among its residents, 1 while
+    it has none; the free bits of every variant repeat every periods[s]
+    cycles.  `slot_nodes[s]` is the set of nodes with a signal in slot s, and
     `closed[node]` has bit s set when slot s holds a node that shares a
     variant with `node`.  `all_bits` is every bit of a slot, H * W of them,
     and `heads[d]` every bit of frames 0..d, where a window ending at
@@ -146,7 +133,8 @@ class Multischedule:
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
         self.config = config
         self.windows = windows
-        self.slots: list[Slot] = []
+        self.slots: list[list[int]] = []
+        self.periods: list[int] = []
         self.slot_nodes: list[set] = []
         # every committed (signal, placement) pair in commit order
         self.placement_records: list[tuple[Signal, Placement]] = []
@@ -195,7 +183,7 @@ def find_position_for_signal(
     first job's feasible offsets over the window's frames and reads
     candidates from it lowest bit first; a candidate is taken when the same
     range is also free in every later job's frame, which holds without a
-    check when the slot's `period` divides the signal's, and otherwise its
+    check when the slot's period divides the signal's, and otherwise its
     frame is dropped from the mask.  Slots closed to the signal's node are
     never visited.
     """
@@ -209,33 +197,27 @@ def find_position_for_signal(
     # the offsets at which the signal fits a frame, in the window's frames
     # and above; the AND below drops the frames past the deadline
     fits <<= release * width
-    shifts = _run_shifts(length)
     all_bits = ms.all_bits
-    fill = repeat(all_bits)
     head = ms.heads[window.deadline_cycle]
-    slots = ms.slots
+    slots, periods = ms.slots, ms.periods
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
 
     while open_slots:
         si = (open_slots & -open_slots).bit_length() - 1
         open_slots &= open_slots - 1
-        slot = slots[si]
-        free = slot.free
-        hits = reduce(and_, map(free.get, variants, fill), head)
-        for step in shifts:
-            hits &= hits >> step
+        free = slots[si].__getitem__
         # bit c * W + o is set when the first job fits at (c, o)
-        hits &= fits
+        hits = _run_starts(reduce(and_, map(free, variants), head), length) & fits
         whole = None
         while hits:
             cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
             # every resident's period divides the signal's, so each later
             # job's frame has the same free bits as the first job's
-            if slot.period <= period:
+            if periods[si] <= period:
                 return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
             if whole is None:
-                whole = reduce(and_, map(free.get, variants, fill), all_bits)
+                whole = reduce(and_, map(free, variants), all_bits)
             jobs = pattern << (cycle * width + offset)
             if whole & jobs == jobs:
                 return Placement(si, cycle, offset)
@@ -257,17 +239,17 @@ def place_signal_to_schedule(
     pos = find_position_for_signal(ms, signal, mems)
     if pos is None:
         pos = Placement(len(ms.slots), window.release_cycle, 0)
-        ms.slots.append(Slot())
+        ms.slots.append([ms.all_bits] * mems.variant_count)
+        ms.periods.append(1)
         ms.slot_nodes.append(set())
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
     bits = ms.patterns[window.period_cycles, signal.length_bits][0] << shift
-    slot = ms.slots[pos.slot]
     # the search found `bits` free in every one of the signal's variants,
     # so XOR clears exactly them
-    free, all_bits = slot.free, ms.all_bits
+    free = ms.slots[pos.slot]
     for v in mems.variants_of[signal.id]:
-        free[v] = free.get(v, all_bits) ^ bits
-    slot.period = max(slot.period, window.period_cycles)
+        free[v] ^= bits
+    ms.periods[pos.slot] = max(ms.periods[pos.slot], window.period_cycles)
     node, nodes = signal.node, ms.slot_nodes[pos.slot]
     if node not in nodes:
         nodes.add(node)

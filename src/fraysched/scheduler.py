@@ -50,11 +50,6 @@ class ScheduleResult(NamedTuple):
     slot_count = property(lambda self: len(self.multischedule.slots))
 
 
-def _in_order(signals: Sequence[Signal], keys: list[int]) -> list[Signal]:
-    """`signals` stably sorted by `keys`, one int per signal."""
-    return [signals[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
-
-
 def sort_signals(
     signals: Sequence[Signal], strategy: OrderingStrategy, windows: dict[str, CycleWindow]
 ) -> list[Signal]:
@@ -62,8 +57,8 @@ def sort_signals(
 
     All sorts are stable, so equal keys keep input order and results are
     reproducible.  FFW and FFC read the span of each signal's cycle window.
-    Each strategy sorts one int per signal; FFC packs its four keys into
-    it, each in a bit field wide enough for its largest value.
+    Each strategy is one sorted() call on a plain key per signal: FFC's is
+    the tuple (node rank, period, span, -length).
     """
     if strategy is OrderingStrategy.FF:
         return list(signals)
@@ -72,30 +67,20 @@ def sort_signals(
     if strategy is OrderingStrategy.FFL:
         # a reverse sort keeps equal keys in input order too
         return sorted(signals, key=attrgetter("length_bits"), reverse=True)
-    spans = [
-        w.deadline_cycle - w.release_cycle
-        for w in map(windows.__getitem__, map(attrgetter("id"), signals))
-    ]
+
+    def span(sig: Signal) -> int:
+        window = windows[sig.id]
+        return window.deadline_cycle - window.release_cycle
+
     if strategy is OrderingStrategy.FFW:
-        return _in_order(signals, spans)
-    if not signals:
-        return []
+        return sorted(signals, key=span)
     # FFC: node, period, span, then length descending; int and str node
     # ids may mix, ints first, each kind in its own order
-    nodes = list(map(attrgetter("node"), signals))
-    ranked = sorted(set(nodes), key=lambda n: (isinstance(n, str), n))
+    ranked = sorted({s.node for s in signals}, key=lambda n: (isinstance(n, str), n))
     rank = {n: r for r, n in enumerate(ranked)}
-    periods = list(map(attrgetter("period_us"), signals))
-    lengths = list(map(attrgetter("length_bits"), signals))
-    longest = max(lengths)
-    length_bits = longest.bit_length()
-    span_bits = max(spans).bit_length()
-    period_bits = max(periods).bit_length()
-    keys = [
-        (((rank[n] << period_bits | p) << span_bits | w) << length_bits) | (longest - l)
-        for n, p, w, l in zip(nodes, periods, spans, lengths)
-    ]
-    return _in_order(signals, keys)
+    return sorted(
+        signals, key=lambda s: (rank[s.node], s.period_us, span(s), -s.length_bits)
+    )
 
 
 def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:

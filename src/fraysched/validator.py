@@ -30,8 +30,8 @@ that a column flags are formatted, in record order.
 
 Node exclusivity needs per-variant node sets only in slots that carry two
 or more nodes, which one pass over the distinct (slot, node) pairs finds.
-In those slots the records' variant indices are united per node: a
-variant in two nodes' unions sees both nodes.  Frame overlap is pairwise,
+In those slots each variant maps to the set of nodes it sees there, and a
+variant that sees more than one is reported.  Frame overlap is pairwise,
 and a feasible schedule has no pair to report, so it is first screened
 per slot and checked exactly only on the slots the screen flags:
 
@@ -299,34 +299,25 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
 
     # one node per slot, judged per variant: each slot's nodes from one
     # pass over the distinct (slot, node) pairs, slots in record order; in
-    # a slot with two or more nodes, a variant held by two nodes' unions of
-    # variant sets is a variant that sees both, and its carriers are the
-    # nodes whose union holds it
+    # a slot with two or more nodes, each variant maps to the nodes it sees
+    # there, and a variant that sees two or more is reported
     carried = {slot: set() for slot in dict.fromkeys(slots)}
     for slot, node in set(zip(slots, nodes)):
         carried[slot].add(node)
-    slot_unions = {
-        slot: {node: set() for node in held} for slot, held in carried.items()
-        if len(held) > 1
-    }
-    if slot_unions:
+    seen_in = {slot: {} for slot, held in carried.items() if len(held) > 1}
+    if seen_in:
         for slot, node, own in zip(slots, nodes, owns):
-            unions = slot_unions.get(slot)
-            if unions is not None:
-                unions[node].update(own)
-    for slot, unions in slot_unions.items():
-        seen: set[int] = set()
-        shared: set[int] = set()
-        for js in unions.values():
-            shared |= seen & js
-            seen |= js
-        for j in sorted(shared):
-            carriers = [node for node, js in unions.items() if j in js]
+            seen = seen_in.get(slot)
+            if seen is not None:
+                for j in own:
+                    seen.setdefault(j, set()).add(node)
+    for slot, seen in seen_in.items():
+        for j in sorted(j for j, held in seen.items() if len(held) > 1):
             out(
                 Violation(
                     "node-exclusivity",
                     f"slot {slot} carries nodes "
-                    f"{sorted(map(str, carriers))} in variant {j}",
+                    f"{sorted(map(str, seen[j]))} in variant {j}",
                     slot=slot,
                     variant=j,
                 )

@@ -259,7 +259,7 @@ class TestPlaceSignal:
         assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
         mask = 0  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
-            mask |= ms.all_bits ^ ms.slots[0].free[v]
+            mask |= ms.all_bits ^ ms.slots[0][v]
         fits = ms.patterns.pattern(1, 8 - x.length_bits + 1)
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
         assert window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
@@ -312,7 +312,7 @@ class TestPlaceSignal:
                             want[pos.slot][j] = want[pos.slot].get(j, 0) | bit
             all_bits = res.multischedule.all_bits
             got = [
-                {j: occ for j, free in slot.free.items() if (occ := all_bits ^ free)}
+                {j: occ for j, free in enumerate(slot) if (occ := all_bits ^ free)}
                 for slot in res.multischedule.slots
             ]
             assert got == want
@@ -343,7 +343,7 @@ class TestFreeBits:
                         if placed.id in group:
                             for c in range(pos.first_cycle, H, period):
                                 used[pos.slot][j] |= run << (c * W + pos.offset_bits)
-                now = [dict(slot.free) for slot in ms.slots]
+                now = [dict(enumerate(slot)) for slot in ms.slots]
                 for i, free in enumerate(now):
                     old = before[i] if i < len(before) else {}
                     for j in range(count):
@@ -396,7 +396,7 @@ class TestSlotPeriod:
             want = [1] * len(ms.slots)
             for placed, pos in ms.placement_records:
                 want[pos.slot] = max(want[pos.slot], windows[placed.id].period_cycles)
-            assert [slot.period for slot in ms.slots] == want
+            assert ms.periods == want
 
     @pytest.mark.parametrize("profile", ["set1", "set5", "1ecu500"])
     @pytest.mark.parametrize("strategy", [OrderingStrategy.FFC, OrderingStrategy.FFP])
@@ -417,8 +417,8 @@ class TestSlotPeriod:
                 period = windows[sig.id].period_cycles
                 closed = ms.closed.get(sig.node, 0)
                 longer += sum(
-                    slot.period > period
-                    for i, slot in enumerate(ms.slots)
+                    slot_period > period
+                    for i, slot_period in enumerate(ms.periods)
                     if not closed >> i & 1
                 )
                 place_signal_to_schedule(ms, sig, mems)

@@ -33,7 +33,8 @@ def windows_of(instance):
 
 
 # each strategy's sort key as one tuple per signal, from the signal and its
-# window: the reference for the one int per signal that sort_signals sorts
+# window, written independently of sort_signals: the reference order it must
+# give
 TUPLE_KEYS = {
     OrderingStrategy.FF: lambda s, w: 0,
     OrderingStrategy.FFP: lambda s, w: s.period_us,
@@ -128,8 +129,8 @@ class TestSortSignals:
 
     @given(case=signals_and_windows(), strategy=st.sampled_from(list(OrderingStrategy)))
     @settings(max_examples=400, deadline=None)
-    # 5 - 1 = 4 needs the length field's third bit: one bit fewer and s1
-    # ties with s0
+    # lengths 5 and 1 differ by 4, which a key packing -length into a
+    # two-bit field would lose, tying s1 with s0
     @example(
         case=(
             (Signal("s0", 1, 1000, 5, 0, 1000), Signal("s1", 1, 1000, 1, 0, 1000)),
@@ -137,12 +138,12 @@ class TestSortSignals:
         ),
         strategy=OrderingStrategy.FFC,
     )
-    def test_int_keys_order_as_the_tuple_keys(self, case, strategy):
+    def test_sort_orders_as_the_tuple_keys(self, case, strategy):
         signals, windows = case
         got = sort_signals(signals, strategy, windows)
         assert [s.id for s in got] == [s.id for s in tuple_order(signals, strategy, windows)]
 
-    def test_int_keys_order_as_the_tuple_keys_on_instances(self):
+    def test_sort_orders_as_the_tuple_keys_on_instances(self):
         rng = random.Random(13)
         for i in range(40):
             inst = make_random_instance(rng, max_nodes=4)

@@ -304,16 +304,18 @@ def test_edge_cases_match_reference(case):
 # Node exclusivity on a one-cycle, 16-bit bus.  p and q share only variant
 # 1, q and r only variant 2, p and r none; q1 and q2 are q's node in one
 # variant each; i and s sit on nodes 1 and "1", which share variant 0; u
-# and w share only variant 64, past 61 empty ones.
+# and w share only variant 64, past 61 empty ones; x, y and z, on three
+# nodes, share only variant 65.
 NODE_INSTANCE = {
     "config": {"cycle_us": 1000, "hyperperiod_cycles": 1, "payload_bits": 16},
     "signals": [
         {"id": sid, "node": node, "period_us": 1000, "length_bits": 4}
         for sid, node in (("p", "p"), ("q", "q"), ("r", "r"), ("q1", "q"),
-                          ("q2", "q"), ("i", 1), ("s", "1"), ("u", "u"), ("w", "w"))
+                          ("q2", "q"), ("i", 1), ("s", "1"), ("u", "u"), ("w", "w"),
+                          ("x", "x"), ("y", "y"), ("z", "z"))
     ],
     "variants": [["i", "s"], ["p", "q", "q1"], ["q", "r", "q2"]]
-    + [[]] * 61 + [["u", "w"]],
+    + [[]] * 61 + [["u", "w"], ["x", "y", "z"]],
 }
 
 NODE_CASES = {
@@ -326,6 +328,7 @@ NODE_CASES = {
     ),
     "int and str node ids": (["i", "s"], [(0, "['1', '1']")]),
     "two nodes sharing only variant 64": (["u", "w"], [(64, "['u', 'w']")]),
+    "three nodes in one variant": (["x", "y", "z"], [(65, "['x', 'y', 'z']")]),
 }
 
 
