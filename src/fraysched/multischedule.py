@@ -10,7 +10,7 @@ Occupancy is kept per slot and per variant as free bits:
 `Multischedule.slots[s][v]` is one int of H * W bits (H cycles of the
 hyperperiod, W payload bits) where cycle c owns bits [c * W, (c + 1) * W);
 a new slot starts with every bit free in every variant,
-`Multischedule.all_bits`.  Residents conflict with a signal exactly when
+`Multischedule.heads[-1]`.  Residents conflict with a signal exactly when
 they share a variant with it, so the bits a signal may use in a slot are
 the AND of slots[s][v] over its own variants.
 
@@ -40,7 +40,8 @@ free in every one of the signal's variants, and raises the slot's period
 to the signal's when that is longer.
 Every bit pattern comes from one table, `Multischedule.patterns`, with
 one entry per (period, length): a signal's jobs, to be shifted to its
-position, and the in-frame start offsets of its length, so the search and
+position, the in-frame start offsets of its length, and the shifts that
+turn free bits into starts of free runs of that length, so the search and
 the commit of one signal each read it with one subscript.
 The natives are grouped by the conflict model's per-signal variant lists.
 """
@@ -48,7 +49,7 @@ The natives are grouped by the conflict model's per-signal variant lists.
 from __future__ import annotations
 
 import json
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import and_
 from json.encoder import encode_basestring_ascii
@@ -83,10 +84,12 @@ class Placement(NamedTuple):
 
 
 class _Patterns(dict):
-    """(period, length) -> (pattern(period, length), pattern(1, W - length
-    + 1)): a signal's jobs and the offsets at which it fits a frame, each
-    entry made on its first lookup.  It keeps the bus sizes, not its
-    multischedule, so that the two form no reference cycle."""
+    """(period, length) -> (jobs, fits, shifts): a signal's jobs,
+    pattern(period, length); the offsets at which it fits a frame,
+    pattern(1, W - length + 1); and the shifts that turn free bits into
+    starts of `length`-bit free runs.  Each entry is made on its first
+    lookup.  It keeps the bus sizes, not its multischedule, so that the
+    two form no reference cycle."""
 
     __slots__ = ("width", "hyper")
 
@@ -108,8 +111,19 @@ class _Patterns(dict):
 
     def __missing__(self, key):
         period, length = key
+        # run doubling: while bit b stands for a run of `run` free bits,
+        # ANDing with a copy shifted by step <= run makes it stand for
+        # run + step bits, so about log2(length) steps suffice
+        shifts, run = [], 1
+        while run * 2 <= length:
+            shifts.append(run)
+            run *= 2
+        if run < length:
+            shifts.append(length - run)
         entry = self[key] = (
-            self.pattern(period, length), self.pattern(1, self.width - length + 1)
+            self.pattern(period, length),
+            self.pattern(1, self.width - length + 1),
+            tuple(shifts),
         )
         return entry
 
@@ -123,11 +137,11 @@ class Multischedule:
     it has none; the free bits of every variant repeat every periods[s]
     cycles.  `slot_nodes[s]` is the set of nodes with a signal in slot s, and
     `closed[node]` has bit s set when slot s holds a node that shares a
-    variant with `node`.  `all_bits` is every bit of a slot, H * W of them,
-    and `heads[d]` every bit of frames 0..d, where a window ending at
-    cycle d has its first job.  `patterns` is the table of bit patterns
-    that the search and the commit of a signal read, one entry per
-    (period, length).
+    variant with `node`.  `heads[d]` is every bit of frames 0..d, where a
+    window ending at cycle d has its first job; `heads[-1]` is every bit of
+    a slot, H * W of them, and a new slot's free bits in each variant.
+    `patterns` is the table that the search and the commit of a signal
+    read, one (jobs, fits, shifts) entry per (period, length).
     """
 
     def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
@@ -140,36 +154,10 @@ class Multischedule:
         self.placement_records: list[tuple[Signal, Placement]] = []
         self.closed: dict[NodeId, int] = {}
         width = config.payload_bits
-        self.all_bits = (1 << (config.hyperperiod_cycles * width)) - 1
         self.heads = [
             (1 << ((d + 1) * width)) - 1 for d in range(config.hyperperiod_cycles)
         ]
         self.patterns = _Patterns(config)
-
-
-@cache
-def _run_shifts(length: int) -> tuple[int, ...]:
-    """The shifts that turn free bits into `length`-bit run starts.
-
-    Run doubling: while bit b stands for a run of `run` set bits, ANDing
-    with a copy shifted by step <= run makes it stand for run + step bits,
-    so about log2(length) steps suffice.
-    """
-    steps = []
-    run = 1
-    while run * 2 <= length:
-        steps.append(run)
-        run *= 2
-    if run < length:
-        steps.append(length - run)
-    return tuple(steps)
-
-
-def _run_starts(free: int, length: int) -> int:
-    """Bits b of `free` with free[b : b + length] all set."""
-    for step in _run_shifts(length):
-        free &= free >> step
-    return free
 
 
 def find_position_for_signal(
@@ -193,11 +181,10 @@ def find_position_for_signal(
     variants = mems.variants_of[signal.id]
     release = window.release_cycle
     period = window.period_cycles
-    pattern, fits = ms.patterns[period, length]
+    pattern, fits, shifts = ms.patterns[period, length]
     # the offsets at which the signal fits a frame, in the window's frames
     # and above; the AND below drops the frames past the deadline
     fits <<= release * width
-    all_bits = ms.all_bits
     head = ms.heads[window.deadline_cycle]
     slots, periods = ms.slots, ms.periods
     open_slots = ((1 << len(slots)) - 1) & ~ms.closed.get(signal.node, 0)
@@ -206,8 +193,11 @@ def find_position_for_signal(
         si = (open_slots & -open_slots).bit_length() - 1
         open_slots &= open_slots - 1
         free = slots[si].__getitem__
+        hits = reduce(and_, map(free, variants), head)
+        for step in shifts:
+            hits &= hits >> step
         # bit c * W + o is set when the first job fits at (c, o)
-        hits = _run_starts(reduce(and_, map(free, variants), head), length) & fits
+        hits &= fits
         whole = None
         while hits:
             cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
@@ -217,7 +207,7 @@ def find_position_for_signal(
                 return Placement(si, cycle, offset)
             # the first job is free by construction, so this tests the later ones
             if whole is None:
-                whole = reduce(and_, map(free, variants), all_bits)
+                whole = reduce(and_, map(free, variants), ms.heads[-1])
             jobs = pattern << (cycle * width + offset)
             if whole & jobs == jobs:
                 return Placement(si, cycle, offset)
@@ -239,7 +229,7 @@ def place_signal_to_schedule(
     pos = find_position_for_signal(ms, signal, mems)
     if pos is None:
         pos = Placement(len(ms.slots), window.release_cycle, 0)
-        ms.slots.append([ms.all_bits] * mems.variant_count)
+        ms.slots.append([ms.heads[-1]] * mems.variant_count)
         ms.periods.append(1)
         ms.slot_nodes.append(set())
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits

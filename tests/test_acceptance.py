@@ -14,7 +14,6 @@ from fraysched.core import FlexRayConfig, load_instance
 from fraysched.exclusion import compute_mems, dense_matrices
 from fraysched.multischedule import (
     Multischedule,
-    _run_starts,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -200,12 +199,14 @@ def test_criterion_6_property_suite(example1):
         for s in probe.signals:
             if s.id in resident:
                 continue
-            # the engine's candidate mask over a one-cycle window: its
-            # lowest bit is the first-fit offset
-            hits = _run_starts(
-                window_free(frame_mask(frame, mems.variants_of, s.id), width, 0),
-                s.length_bits,
-            ) & one_cycle.patterns.pattern(1, width - s.length_bits + 1)
+            # the engine's candidate mask over a one-cycle window, built
+            # with the fits and shifts of the signal's length: its lowest
+            # bit is the first-fit offset
+            _, fits, shifts = one_cycle.patterns[1, s.length_bits]
+            hits = window_free(frame_mask(frame, mems.variants_of, s.id), width, 0)
+            for step in shifts:
+                hits &= hits >> step
+            hits &= fits
             found = (hits & -hits).bit_length() - 1 if hits else None
             assert found == naive_first_fit_offset(
                 frame, s.id, s.length_bits, width, sig_conflict,

@@ -24,7 +24,6 @@ from fraysched.multischedule import (
     Multischedule,
     Placement,
     ScheduleError,
-    _run_starts,
     extract_native_schedule,
     find_position_for_signal,
     place_signal_to_schedule,
@@ -54,11 +53,17 @@ def build(example1):
     return ms, mems, {s.id: s for s in example1.signals}
 
 
-def window_first_fit(free, length, width, lo, fits):
+def window_first_fit(ms, free, length, lo):
     """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
     set in `free`, or None: the lowest bit of the search's candidate mask
-    over frames lo.. ; `fits` is `pattern(1, width - length + 1)`."""
-    hits = _run_starts(free >> (lo * width), length) & fits
+    over frames lo.. , built with the fits and shifts of the table entry
+    `ms.patterns[1, length]`."""
+    width = ms.config.payload_bits
+    _, fits, shifts = ms.patterns[1, length]
+    hits = free >> (lo * width)
+    for step in shifts:
+        hits &= hits >> step
+    hits &= fits
     if not hits:
         return None
     cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
@@ -70,9 +75,7 @@ def first_fit_offset(entries, signal, mems, width):
     offset, length): `window_first_fit` over a one-cycle window."""
     one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
     mask = frame_mask(entries, mems.variants_of, signal.id)
-    length = signal.length_bits
-    fits = one_cycle.patterns.pattern(1, width - length + 1)
-    found = window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
+    found = window_first_fit(one_cycle, window_free(mask, width, 0), signal.length_bits, 0)
     return None if found is None else found[1]
 
 
@@ -259,10 +262,9 @@ class TestPlaceSignal:
         assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
         mask = 0  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
-            mask |= ms.all_bits ^ ms.slots[0][v]
-        fits = ms.patterns.pattern(1, 8 - x.length_bits + 1)
+            mask |= ms.heads[-1] ^ ms.slots[0][v]
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
-        assert window_first_fit(window_free(mask, 8, 0), x.length_bits, 8, 0, fits) == (0, 0)
+        assert window_first_fit(ms, window_free(mask, 8, 0), x.length_bits, 0) == (0, 0)
         pos = find_position_for_signal(ms, x, mems)
         assert pos == Placement(1, 0, 0)  # the next candidate, over P2
         assert place_signal_to_schedule(ms, x, mems) == pos
@@ -310,7 +312,7 @@ class TestPlaceSignal:
                         for b in range(s.length_bits):
                             bit = 1 << (c * W + pos.offset_bits + b)
                             want[pos.slot][j] = want[pos.slot].get(j, 0) | bit
-            all_bits = res.multischedule.all_bits
+            all_bits = res.multischedule.heads[-1]
             got = [
                 {j: occ for j, free in enumerate(slot) if (occ := all_bits ^ free)}
                 for slot in res.multischedule.slots
@@ -347,9 +349,9 @@ class TestFreeBits:
                 for i, free in enumerate(now):
                     old = before[i] if i < len(before) else {}
                     for j in range(count):
-                        bits = free.get(j, ms.all_bits)
-                        assert bits & old.get(j, ms.all_bits) == bits
-                        assert bits == ms.all_bits & ~used[i][j]
+                        bits = free.get(j, ms.heads[-1])
+                        assert bits & old.get(j, ms.heads[-1]) == bits
+                        assert bits == ms.heads[-1] & ~used[i][j]
                 before = now
 
     @pytest.mark.parametrize(
@@ -528,8 +530,7 @@ class TestBitPrimitives:
             ),
             None,
         )
-        fits = ms.patterns.pattern(1, width - length + 1)
-        got = window_first_fit(window_free(mask, width, hi), length, width, lo, fits)
+        got = window_first_fit(ms, window_free(mask, width, hi), length, lo)
         assert got == expected
 
     @given(data=st.data())
@@ -554,6 +555,22 @@ class TestBitPrimitives:
             assert (fits >> (c * width)) & frame == (1 << (width - length + 1)) - 1
         assert jobs >> (hyper * width) == 0
         assert fits >> (hyper * width) == 0
+        # the table entry the search and the commit read holds both
+        assert ms.patterns[period, length][:2] == (jobs, fits)
+
+    def test_shift_table(self):
+        # run doubling is exact when no step is longer than the run built
+        # so far, and the run reaches `length` bits when the steps add up
+        # to length - 1; every frame length the config admits is checked
+        ms = Multischedule(FlexRayConfig(1000, 1, MAX_PAYLOAD_BITS), {})
+        for length in range(1, MAX_PAYLOAD_BITS + 1):
+            shifts = ms.patterns[1, length][2]
+            run = 1
+            for step in shifts:
+                assert 1 <= step <= run
+                run += step
+            assert run == length
+            assert len(shifts) <= length.bit_length()
 
     @given(mask=st.integers(min_value=0, max_value=(1 << 32) - 1),
            length=st.integers(min_value=1, max_value=32))
@@ -564,8 +581,8 @@ class TestBitPrimitives:
         expected = next(
             (o for o in range(width - length + 1) if not mask & (want << o)), None
         )
-        fits = (1 << (width - length + 1)) - 1
-        found = window_first_fit(window_free(mask, width, 0), length, width, 0, fits)
+        ms = Multischedule(FlexRayConfig(1000, 1, width), {})
+        found = window_first_fit(ms, window_free(mask, width, 0), length, 0)
         assert (None if found is None else found[1]) == expected
 
 
