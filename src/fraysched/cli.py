@@ -72,7 +72,7 @@ def cmd_schedule(args) -> int:
     try:
         # the multischedule text first, then one native text at a time
         documents = multischedule.render_documents(
-            result.multischedule, result.mems if args.native_dir else None
+            result.multischedule, natives=bool(args.native_dir)
         )
         Path(args.out).write_text(next(documents), encoding="utf-8")
         if args.native_dir:
@@ -82,7 +82,7 @@ def cmd_schedule(args) -> int:
                 (out_dir / f"variant{j:02d}.json").write_text(text, encoding="utf-8")
 
         if args.mems_dump:
-            exclusion.dump_mems_csv(result.mems, args.mems_dump)
+            exclusion.dump_mems_csv(result.multischedule.mems, args.mems_dump)
 
         if args.stats:
             Path(args.stats).write_text(

@@ -43,7 +43,9 @@ one entry per (period, length): a signal's jobs, to be shifted to its
 position, the in-frame start offsets of its length, and the shifts that
 turn free bits into starts of free runs of that length, so the search and
 the commit of one signal each read it with one subscript.
-The natives are grouped by the conflict model's per-signal variant lists.
+The multischedule holds the conflict model it was built for, `mems`:
+the search, the commit and the natives all read variant membership from
+it, so placement and the per-variant schedules cannot disagree on it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .core import (
     first_fault,
     is_node_id,
 )
-from .exclusion import ConflictModel, compute_mems
+from .exclusion import ConflictModel
 
 
 class ScheduleError(ValueError):
@@ -131,6 +133,9 @@ class _Patterns(dict):
 class Multischedule:
     """Slots and the placement records of one multischedule.
 
+    `mems` is the conflict model the schedule is built for: it sizes each
+    slot's per-variant free bits, says which variants a signal's jobs
+    occupy and which nodes meet in a variant, and groups the natives.
     `windows` maps each signal id to its admissible cycle window.
     `slots[s]` holds slot s's free bits, one int per variant, and
     `periods[s]` the longest `period_cycles` among its residents, 1 while
@@ -144,9 +149,12 @@ class Multischedule:
     read, one (jobs, fits, shifts) entry per (period, length).
     """
 
-    def __init__(self, config: FlexRayConfig, windows: dict[str, CycleWindow]):
+    def __init__(
+        self, config: FlexRayConfig, windows: dict[str, CycleWindow], mems: ConflictModel
+    ):
         self.config = config
         self.windows = windows
+        self.mems = mems
         self.slots: list[list[int]] = []
         self.periods: list[int] = []
         self.slot_nodes: list[set] = []
@@ -160,9 +168,7 @@ class Multischedule:
         self.patterns = _Patterns(config)
 
 
-def find_position_for_signal(
-    ms: Multischedule, signal: Signal, mems: ConflictModel
-) -> Optional[Placement]:
+def find_position_for_signal(ms: Multischedule, signal: Signal) -> Optional[Placement]:
     """First position at which every periodic job of `signal` fits, or None.
 
     Candidates are enumerated slot-major (allocation order), then by cycle
@@ -178,7 +184,7 @@ def find_position_for_signal(
     window = ms.windows[signal.id]
     width = ms.config.payload_bits
     length = signal.length_bits
-    variants = mems.variants_of[signal.id]
+    variants = ms.mems.variants_of[signal.id]
     release = window.release_cycle
     period = window.period_cycles
     pattern, fits, shifts = ms.patterns[period, length]
@@ -216,17 +222,15 @@ def find_position_for_signal(
     return None
 
 
-def place_signal_to_schedule(
-    ms: Multischedule, signal: Signal, mems: ConflictModel
-) -> Placement:
+def place_signal_to_schedule(ms: Multischedule, signal: Signal) -> Placement:
     """Place one signal and all of its periodic jobs, first fit.
 
     Commits the first position that holds every job; when the allocated
     slots have none a fresh slot is opened, which always admits the signal
     at (release_cycle, offset 0).
     """
-    window = ms.windows[signal.id]
-    pos = find_position_for_signal(ms, signal, mems)
+    window, mems = ms.windows[signal.id], ms.mems
+    pos = find_position_for_signal(ms, signal)
     if pos is None:
         pos = Placement(len(ms.slots), window.release_cycle, 0)
         ms.slots.append([ms.heads[-1]] * mems.variant_count)
@@ -310,9 +314,10 @@ def _document(head: str, opens: list, empties: list, rows: list, nodes: list,
     return "".join(pieces)
 
 
-def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
-    """Text of the multischedule document, then, when the conflict model
-    `mems` is given, of each variant's native schedule in variant order.
+def render_documents(ms: Multischedule, natives: bool = False) -> Iterator[str]:
+    """Text of the multischedule document, then, when `natives` is set,
+    of each variant's native schedule in variant order, grouped by the
+    multischedule's conflict model.
 
     A native is the multischedule with foreign signals dropped; slots
     hosting none of the variant's signals stay in it, empty.  One pass
@@ -320,16 +325,13 @@ def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
     in its slot's row of every document that holds it.  A native's nodes
     in a slot are tracked only where the slot holds two or more nodes: in
     a one-node slot they are that node when the native has rows there.
-    Each node list is rendered once per distinct node set, and each text
-    is built only when it is asked for.
+    Each text is built only when it is asked for.
     """
     count = len(ms.slot_nodes)
-    variants_of, variant_count = ({}, 0) if mems is None else (
-        mems.variants_of, mems.variant_count
-    )
+    variants_of = ms.mems.variants_of if natives else {}
     rows: list[list[str]] = [[] for _ in range(count)]
     # picked[j][s] is the fragments of variant j's native in slot s
-    picked = [[[] for _ in range(count)] for _ in range(variant_count)]
+    picked = [[[] for _ in rows] for _ in range(ms.mems.variant_count)] if natives else []
     # slot -> each variant's nodes there, for the slots shared by nodes
     shared = {
         s: [set() for _ in picked] for s, nodes in enumerate(ms.slot_nodes) if len(nodes) > 1
@@ -337,15 +339,13 @@ def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
     for sig, (s, first, offset) in ms.placement_records:
         fragment = _PLACEMENT % (first, offset, encode_basestring_ascii(sig.id))
         rows[s].append(fragment)
-        sets = shared.get(s)
-        if sets is None:
-            for j in variants_of.get(sig.id, ()):
-                picked[j][s].append(fragment)
-        else:
-            node = sig.node
-            for j in variants_of.get(sig.id, ()):
-                picked[j][s].append(fragment)
-                sets[j].add(node)
+        variants = variants_of.get(sig.id, ())
+        for j in variants:
+            picked[j][s].append(fragment)
+        if s in shared:
+            sets = shared[s]
+            for j in variants:
+                sets[j].add(sig.node)
 
     config = ",\n".join(
         '    "%s": %d' % item for item in sorted(ms.config._asdict().items())
@@ -354,30 +354,23 @@ def render_documents(ms: Multischedule, mems=None) -> Iterator[str]:
     opens = [(",\n" if s else "[\n") + _SLOT_OPEN % s for s in range(count)]
     empties = [text + _SLOT_EMPTY for text in opens]
     close = "\n  ]" if count else "[]"
-    node_lists: dict[frozenset, str] = {}
-
-    def node_list(nodes) -> str:
-        key = frozenset(nodes)
-        text = node_lists.get(key)
-        if text is None:
-            text = node_lists[key] = _node_list(key)
-        return text
-
-    whole = [node_list(nodes) for nodes in ms.slot_nodes]
+    whole = list(map(_node_list, ms.slot_nodes))
     yield _document(head, opens, empties, rows, whole, close + "\n}\n")
     for j, native in enumerate(picked):
         nodes = whole.copy()
         for s, sets in shared.items():
-            nodes[s] = node_list(sets[j])
+            nodes[s] = _node_list(sets[j])
         tail = close + ',\n  "variant": %d\n}\n' % j
         yield _document(head, opens, empties, native, nodes, tail)
 
 
-def extract_native_schedule(ms: Multischedule, variant: int, variants) -> dict:
-    """Single-variant schedule document, parsed from its rendered text."""
-    signals = [sig for sig, _pos in ms.placement_records]
-    documents = render_documents(ms, compute_mems(signals, variants))
-    return json.loads(next(islice(documents, variant + 1, None)))
+def extract_native_schedule(ms: Multischedule, variant: int) -> dict:
+    """Variant `variant`'s schedule document, parsed from its rendered
+    text; IndexError when the multischedule's model has no such variant."""
+    count = ms.mems.variant_count
+    if not 0 <= variant < count:
+        raise IndexError(f"variant {variant} out of range 0..{count - 1}")
+    return json.loads(next(islice(render_documents(ms, natives=True), variant + 1, None)))
 
 
 def schedule_to_dict(ms: Multischedule) -> dict:

@@ -8,7 +8,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .core import CycleWindow, Instance, Signal, round_time_constraints
-from .exclusion import ConflictModel, compute_mems
+from .exclusion import compute_mems
 from .multischedule import Multischedule, place_signal_to_schedule
 
 
@@ -41,10 +41,11 @@ class OrderingStrategy(Enum):
 
 
 class ScheduleResult(NamedTuple):
+    """A schedule and the time it took; the conflict model the placement
+    used, and the natives are grouped by, is `multischedule.mems`."""
+
     multischedule: Multischedule
     wall_time_s: float
-    # the variant membership the placement used; the natives are grouped from it
-    mems: ConflictModel
 
     # the minimization objective: static slots allocated
     slot_count = property(lambda self: len(self.multischedule.slots))
@@ -103,7 +104,7 @@ def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
             rounded[key] = round_time_constraints(sig, config)
     windows = dict(zip(map(attrgetter("id"), signals), map(rounded.__getitem__, keys)))
     ordered = sort_signals(signals, strategy, windows)
-    ms = Multischedule(config, windows)
+    ms = Multischedule(config, windows, mems)
     for sig in ordered:
-        place_signal_to_schedule(ms, sig, mems)
-    return ScheduleResult(ms, time.perf_counter() - t0, mems)
+        place_signal_to_schedule(ms, sig)
+    return ScheduleResult(ms, time.perf_counter() - t0)

@@ -57,6 +57,7 @@ per slot and checked exactly only on the slots the screen flags:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, repeat
 from operator import add, le, lshift, lt, mul
 from typing import NamedTuple, Optional
@@ -155,10 +156,7 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
 
     placed_ids = set(ids)
     if len(placed_ids) < len(ids):
-        counts: dict[str, int] = {}
-        for sid in ids:
-            counts[sid] = counts.get(sid, 0) + 1
-        for sid, n in counts.items():
+        for sid, n in Counter(ids).items():
             if n > 1:
                 out(
                     Violation(

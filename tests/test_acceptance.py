@@ -188,7 +188,7 @@ def test_criterion_6_property_suite(example1):
         mems = compute_mems(probe.signals, probe.variants)
         _, _, sig_conflict, _ = conflict_tables(probe)
         width = probe.config.payload_bits
-        one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
+        one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
         frame = []
         for s in probe.signals:
             if rng.random() < 0.4:

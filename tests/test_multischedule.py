@@ -49,7 +49,7 @@ from oracles import (
 def build(example1):
     mems = compute_mems(example1.signals, example1.variants)
     windows = {s.id: round_time_constraints(s, example1.config) for s in example1.signals}
-    ms = Multischedule(example1.config, windows)
+    ms = Multischedule(example1.config, windows, mems)
     return ms, mems, {s.id: s for s in example1.signals}
 
 
@@ -73,7 +73,7 @@ def window_first_fit(ms, free, length, lo):
 def first_fit_offset(entries, signal, mems, width):
     """Lowest offset for `signal` in one frame holding `entries` (id,
     offset, length): `window_first_fit` over a one-cycle window."""
-    one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {})
+    one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
     mask = frame_mask(entries, mems.variants_of, signal.id)
     found = window_first_fit(one_cycle, window_free(mask, width, 0), signal.length_bits, 0)
     return None if found is None else found[1]
@@ -123,21 +123,21 @@ class TestFindSuitableOffset:
 class TestFindPosition:
     def test_empty_multischedule(self, example1):
         ms, mems, sig = build(example1)
-        assert find_position_for_signal(ms, sig["A"], mems) is None
+        assert find_position_for_signal(ms, sig["A"]) is None
 
     def test_node_conflict_skips_slots(self, example1):
         ms, mems, sig = build(example1)
         for sid in ("A", "B", "C", "F", "D"):
-            place_signal_to_schedule(ms, sig[sid], mems)
+            place_signal_to_schedule(ms, sig[sid])
         # both allocated slots belong to node 1; G transmits from node 2
         assert len(ms.slots) == 2
-        assert find_position_for_signal(ms, sig["G"], mems) is None
+        assert find_position_for_signal(ms, sig["G"]) is None
 
     def test_e_lands_in_second_slot_over_transparent_resident(self, example1):
         ms, mems, sig = build(example1)
         for sid in ("A", "B", "C", "F", "D"):
-            place_signal_to_schedule(ms, sig[sid], mems)
-        pos = find_position_for_signal(ms, sig["E"], mems)
+            place_signal_to_schedule(ms, sig[sid])
+        pos = find_position_for_signal(ms, sig["E"])
         assert pos == Placement(slot=1, first_cycle=2, offset_bits=0)
         resident = {e.signal for e in frame_view(ms)[1][2]}
         assert resident == {"D"}
@@ -174,9 +174,9 @@ class TestOpenSlots:
     def test_closed_slots_match_a_recount_after_every_placement(self, inst, strategy):
         mems = compute_mems(inst.signals, inst.variants)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
-        ms = Multischedule(inst.config, windows)
+        ms = Multischedule(inst.config, windows, mems)
         for sig in sort_signals(inst.signals, strategy, windows):
-            place_signal_to_schedule(ms, sig, mems)
+            place_signal_to_schedule(ms, sig)
             hosted = [set() for _ in ms.slots]
             for placed, pos in ms.placement_records:
                 hosted[pos.slot].add(placed.node)
@@ -205,14 +205,14 @@ class TestOpenSlots:
         }
         inst = load_instance(doc)
         ms, mems, sig = build(inst)
-        assert place_signal_to_schedule(ms, sig["a"], mems) == Placement(0, 0, 0)
-        assert place_signal_to_schedule(ms, sig["b"], mems) == Placement(0, 0, 0)
+        assert place_signal_to_schedule(ms, sig["a"]) == Placement(0, 0, 0)
+        assert place_signal_to_schedule(ms, sig["b"]) == Placement(0, 0, 0)
         assert ms.slot_nodes[0] == {1, 2}
         assert ms.closed == {3: 0b1}
-        assert place_signal_to_schedule(ms, sig["c"], mems) == Placement(1, 0, 0)
+        assert place_signal_to_schedule(ms, sig["c"]) == Placement(1, 0, 0)
         assert ms.closed == {3: 0b1, 2: 0b10}
-        assert find_position_for_signal(ms, sig["e"], mems) == Placement(1, 0, 4)
-        assert place_signal_to_schedule(ms, sig["e"], mems) == Placement(1, 0, 4)
+        assert find_position_for_signal(ms, sig["e"]) == Placement(1, 0, 4)
+        assert place_signal_to_schedule(ms, sig["e"]) == Placement(1, 0, 4)
         assert len(ms.slots) == 2
         # node 1 meets neither of the others, so both slots stay open to it
         assert 1 not in ms.closed
@@ -221,7 +221,7 @@ class TestOpenSlots:
 class TestPlaceSignal:
     def test_first_signal_opens_slot_with_job_every_cycle(self, example1):
         ms, mems, sig = build(example1)
-        pos = place_signal_to_schedule(ms, sig["A"], mems)
+        pos = place_signal_to_schedule(ms, sig["A"])
         assert pos == Placement(0, 0, 0)
         assert len(ms.slots) == 1
         for frame in frame_view(ms)[0]:
@@ -230,9 +230,9 @@ class TestPlaceSignal:
     def test_nodes_may_share_slot_when_never_covariant(self, example1):
         ms, mems, sig = build(example1)
         for sid in ("A", "B", "C", "F", "D", "E", "G"):
-            place_signal_to_schedule(ms, sig[sid], mems)
+            place_signal_to_schedule(ms, sig[sid])
         pos_g = {s.id: p for s, p in ms.placement_records}["G"]
-        pos_h = place_signal_to_schedule(ms, sig["H"], mems)
+        pos_h = place_signal_to_schedule(ms, sig["H"])
         assert pos_h.slot == pos_g.slot
         assert ms.slot_nodes[pos_h.slot] == {2, 3}
 
@@ -253,10 +253,10 @@ class TestPlaceSignal:
         inst = load_instance(doc)
         mems = compute_mems(inst.signals, inst.variants)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
-        ms = Multischedule(inst.config, windows)
+        ms = Multischedule(inst.config, windows, mems)
         by_id = {s.id: s for s in inst.signals}
-        assert place_signal_to_schedule(ms, by_id["P1"], mems) == Placement(0, 1, 0)
-        assert place_signal_to_schedule(ms, by_id["P2"], mems) == Placement(1, 1, 0)
+        assert place_signal_to_schedule(ms, by_id["P1"]) == Placement(0, 1, 0)
+        assert place_signal_to_schedule(ms, by_id["P2"]) == Placement(1, 1, 0)
 
         x = by_id["X"]
         assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
@@ -265,9 +265,9 @@ class TestPlaceSignal:
             mask |= ms.heads[-1] ^ ms.slots[0][v]
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
         assert window_first_fit(ms, window_free(mask, 8, 0), x.length_bits, 0) == (0, 0)
-        pos = find_position_for_signal(ms, x, mems)
+        pos = find_position_for_signal(ms, x)
         assert pos == Placement(1, 0, 0)  # the next candidate, over P2
-        assert place_signal_to_schedule(ms, x, mems) == pos
+        assert place_signal_to_schedule(ms, x) == pos
         assert ms.placement_records[-1] == (x, pos)
         assert len(ms.slots) == 2
 
@@ -333,10 +333,10 @@ class TestFreeBits:
         H, W = inst.config.hyperperiod_cycles, inst.config.payload_bits
         count = len(inst.variants)
         for strategy in OrderingStrategy:
-            ms = Multischedule(inst.config, windows)
+            ms = Multischedule(inst.config, windows, mems)
             before: list[dict] = []
             for sig in sort_signals(inst.signals, strategy, windows):
-                place_signal_to_schedule(ms, sig, mems)
+                place_signal_to_schedule(ms, sig)
                 used = [[0] * count for _ in ms.slots]
                 for placed, pos in ms.placement_records:
                     period = placed.period_us // inst.config.cycle_us
@@ -392,9 +392,9 @@ class TestSlotPeriod:
         inst = with_mixed_nodes(make_random_instance(random.Random(seed), max_nodes=4))
         mems = compute_mems(inst.signals, inst.variants)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
-        ms = Multischedule(inst.config, windows)
+        ms = Multischedule(inst.config, windows, mems)
         for sig in sort_signals(inst.signals, strategy, windows):
-            place_signal_to_schedule(ms, sig, mems)
+            place_signal_to_schedule(ms, sig)
             want = [1] * len(ms.slots)
             for placed, pos in ms.placement_records:
                 want[pos.slot] = max(want[pos.slot], windows[placed.id].period_cycles)
@@ -413,7 +413,7 @@ class TestSlotPeriod:
             inst = load_instance(generate_instance(small, seed))
             mems = compute_mems(inst.signals, inst.variants)
             windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
-            ms = Multischedule(inst.config, windows)
+            ms = Multischedule(inst.config, windows, mems)
             longer = 0
             for sig in sort_signals(inst.signals, strategy, windows):
                 period = windows[sig.id].period_cycles
@@ -423,7 +423,7 @@ class TestSlotPeriod:
                     for i, slot_period in enumerate(ms.periods)
                     if not closed >> i & 1
                 )
-                place_signal_to_schedule(ms, sig, mems)
+                place_signal_to_schedule(ms, sig)
             assert longer == 0
             assert len({s.period_us for s in inst.signals}) > 1
             assert len(ms.slots) > 1
@@ -432,17 +432,17 @@ class TestSlotPeriod:
 class TestExtraction:
     def test_variant_contents(self, example1):
         res = schedule(example1, OrderingStrategy.FFP)
-        native0 = extract_native_schedule(res.multischedule, 0, example1.variants)
+        native0 = extract_native_schedule(res.multischedule, 0)
         placed = {p["signal"] for s in native0["slots"] for p in s["placements"]}
         assert placed == set("ABCDFG")
-        native1 = extract_native_schedule(res.multischedule, 1, example1.variants)
+        native1 = extract_native_schedule(res.multischedule, 1)
         placed = {p["signal"] for s in native1["slots"] for p in s["placements"]}
         assert placed == set("BCEFH")
 
     def test_shared_signals_keep_identical_positions(self, example1):
         res = schedule(example1, OrderingStrategy.FFP)
         natives = [
-            extract_native_schedule(res.multischedule, j, example1.variants)
+            extract_native_schedule(res.multischedule, j)
             for j in range(2)
         ]
         pos = {}
@@ -462,7 +462,7 @@ class TestExtraction:
         # multischedule stores them on top of each other ...
         assert (pos_e.slot, pos_e.first_cycle) == (pos_d.slot, pos_d.first_cycle)
         # ... but variant II does not contain D
-        native1 = extract_native_schedule(ms, 1, example1.variants)
+        native1 = extract_native_schedule(ms, 1)
         slot_e = native1["slots"][pos_e.slot]
         assert {p["signal"] for p in slot_e["placements"]} == {"E", "F"}
 
@@ -492,9 +492,17 @@ class TestExtraction:
         )
         inst = core.load_instance(doc)
         res = schedule(inst, OrderingStrategy.FFP)
-        native = extract_native_schedule(res.multischedule, 2, inst.variants)
+        native = extract_native_schedule(res.multischedule, 2)
         assert len(native["slots"]) == res.slot_count
         assert all(s["placements"] == [] for s in native["slots"])
+
+    @pytest.mark.parametrize("variant", [-1, 2])
+    def test_variant_out_of_range_raises(self, example1, variant):
+        # example1 has variants 0 and 1 only; -1 must not wrap round to
+        # the multischedule document, the first one rendered
+        ms = schedule(example1, OrderingStrategy.FFP).multischedule
+        with pytest.raises(IndexError, match=f"variant {variant} out of range"):
+            extract_native_schedule(ms, variant)
 
 
 class TestBitPrimitives:
@@ -519,7 +527,7 @@ class TestBitPrimitives:
         lo = data.draw(st.integers(0, hyper - 1))
         hi = data.draw(st.integers(lo, hyper - 1))
         mask = sum(f << (c * width) for c, f in enumerate(frames))
-        ms = Multischedule(FlexRayConfig(1000, hyper, width), {})
+        ms = Multischedule(FlexRayConfig(1000, hyper, width), {}, compute_mems((), ()))
         want = (1 << length) - 1
         expected = next(
             (
@@ -544,7 +552,7 @@ class TestBitPrimitives:
             st.sampled_from([p for p in ALLOWED_HYPERPERIODS if p <= hyper])
         )
         length = data.draw(st.integers(1, width))
-        ms = Multischedule(FlexRayConfig(1000, hyper, width), {})
+        ms = Multischedule(FlexRayConfig(1000, hyper, width), {}, compute_mems((), ()))
         jobs = ms.patterns.pattern(period, length)
         fits = ms.patterns.pattern(1, width - length + 1)
         frame = (1 << width) - 1
@@ -562,7 +570,7 @@ class TestBitPrimitives:
         # run doubling is exact when no step is longer than the run built
         # so far, and the run reaches `length` bits when the steps add up
         # to length - 1; every frame length the config admits is checked
-        ms = Multischedule(FlexRayConfig(1000, 1, MAX_PAYLOAD_BITS), {})
+        ms = Multischedule(FlexRayConfig(1000, 1, MAX_PAYLOAD_BITS), {}, compute_mems((), ()))
         for length in range(1, MAX_PAYLOAD_BITS + 1):
             shifts = ms.patterns[1, length][2]
             run = 1
@@ -581,7 +589,7 @@ class TestBitPrimitives:
         expected = next(
             (o for o in range(width - length + 1) if not mask & (want << o)), None
         )
-        ms = Multischedule(FlexRayConfig(1000, 1, width), {})
+        ms = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
         found = window_first_fit(ms, window_free(mask, width, 0), length, 0)
         assert (None if found is None else found[1]) == expected
 
@@ -606,7 +614,7 @@ def test_multischedule_is_freed_without_the_collector(example1):
 def test_slot_count(example1):
     ms, mems, sig = build(example1)
     assert len(ms.slots) == 0
-    place_signal_to_schedule(ms, sig["A"], mems)
+    place_signal_to_schedule(ms, sig["A"])
     assert len(ms.slots) == 1
     res = schedule(example1, OrderingStrategy.FFP)
     assert res.slot_count == len(res.multischedule.slots) == 3

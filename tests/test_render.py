@@ -66,14 +66,14 @@ def instances(draw):
 def test_rendered_documents_equal_json_dumps(inst, strategy):
     res = schedule(inst, strategy)
     ms = res.multischedule
-    texts = list(render_documents(ms, res.mems))
+    texts = list(render_documents(ms, natives=True))
     assert texts == [dumped(schedule_doc(ms))] + [
         dumped(native_doc(ms, j, inst.variants)) for j in range(len(inst.variants))
     ]
     assert list(render_documents(ms)) == texts[:1]
     assert schedule_to_dict(ms) == schedule_doc(ms)
     for j in range(len(inst.variants)):
-        assert extract_native_schedule(ms, j, inst.variants) == native_doc(
+        assert extract_native_schedule(ms, j) == native_doc(
             ms, j, inst.variants
         )
 
@@ -115,7 +115,7 @@ def test_native_node_lists_in_a_shared_slot():
     res = schedule(inst, OrderingStrategy.FF)
     ms = res.multischedule
     assert ms.slot_nodes == [{1, "n2"}, {3}]
-    texts = list(render_documents(ms, res.mems))
+    texts = list(render_documents(ms, natives=True))
     assert texts == [dumped(schedule_doc(ms))] + [
         dumped(native_doc(ms, j, inst.variants)) for j in range(4)
     ]
@@ -137,6 +137,6 @@ def test_empty_schedule_renders_empty_slot_list():
     })
     res = schedule(inst, OrderingStrategy.FF)
     ms = res.multischedule
-    texts = list(render_documents(ms, res.mems))
+    texts = list(render_documents(ms, natives=True))
     assert texts == [dumped(schedule_doc(ms)), dumped(native_doc(ms, 0, inst.variants))]
     assert '"slots": []' in texts[0]
