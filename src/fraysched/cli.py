@@ -17,9 +17,9 @@ from . import core, exclusion, multischedule, validator
 from .scheduler import OrderingStrategy, schedule
 
 
-def _fail(message: str, code: int = 2) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return 2
 
 
 def cmd_generate(args) -> int:
@@ -70,10 +70,9 @@ def cmd_schedule(args) -> int:
         "variant_count": len(instance.variants),
     }
     try:
-        # the multischedule text first, then one native text at a time
-        documents = multischedule.render_documents(
-            result.multischedule, natives=bool(args.native_dir)
-        )
+        # the multischedule text first; the natives are built, one text at
+        # a time, only when they are read
+        documents = multischedule.render_documents(result.multischedule)
         Path(args.out).write_text(next(documents), encoding="utf-8")
         if args.native_dir:
             out_dir = Path(args.native_dir)
@@ -151,45 +150,35 @@ def cmd_bench(args) -> int:
         return _fail(str(exc))
 
     # one instance per (profile, seed), shared by all strategies; a failure
-    # is recorded in the status of each row it affects and the batch goes on
+    # is recorded in the status of each row it affects and the batch goes
+    # on.  Fields a failed row lacks are written empty.
     rows = []
+    # per-profile mean slot counts, profiles in rows and strategies in
+    # columns like the usual results-table layout
+    means: dict[tuple[str, str], list[int]] = {}
     for p in profiles:
         for seed in range(args.seed_base, args.seed_base + args.repeats):
-            cells = [
-                dict(dict.fromkeys(_BENCH_FIELDS, ""), profile=p, seed=seed,
-                     strategy=s, status="ok")
-                for s in strategies
-            ]
-            rows += cells
             try:
                 instance = core.load_instance(
                     benchgen.generate_instance(benchgen.PROFILES[p], seed)
                 )
             except Exception as exc:
-                for row in cells:
-                    row["status"] = f"error: {exc}"
+                rows += [dict(profile=p, seed=seed, strategy=s, status=f"error: {exc}")
+                         for s in strategies]
                 continue
-            for row, ordering in zip(cells, orderings):
+            for s, ordering in zip(strategies, orderings):
                 try:
                     result = schedule(instance, ordering)
                 except Exception as exc:
-                    row["status"] = f"error: {exc}"
+                    rows.append(dict(profile=p, seed=seed, strategy=s, status=f"error: {exc}"))
                     continue
-                row.update(
-                    signal_count=len(instance.signals),
-                    variant_count=len(instance.variants),
-                    slot_count=result.slot_count,
-                    wall_time_s=f"{result.wall_time_s:.6f}",
-                )
+                rows.append(dict(
+                    profile=p, seed=seed, strategy=s, signal_count=len(instance.signals),
+                    variant_count=len(instance.variants), slot_count=result.slot_count,
+                    wall_time_s=f"{result.wall_time_s:.6f}", status="ok",
+                ))
+                means.setdefault((p, s), []).append(result.slot_count)
 
-    # per-profile mean slot counts, profiles in rows and strategies in
-    # columns like the usual results-table layout
-    means: dict[tuple[str, str], list[int]] = {}
-    for row in rows:
-        if row["status"] == "ok":
-            means.setdefault((row["profile"], row["strategy"]), []).append(
-                int(row["slot_count"])
-            )
     path = args.out
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -239,7 +228,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     if only in (None, "schedule"):
         p = sub.add_parser("schedule", help="synthesize a multischedule")
         p.add_argument("instance")
-        p.add_argument("--strategy", default="ffc", help="ff|ffp|ffw|ffl|ffc")
+        p.add_argument("--strategy", default="ffc",
+                       help="|".join(s.value for s in OrderingStrategy))
         p.add_argument("--out", default="schedule.json")
         p.add_argument("--native-dir", help="also write per-variant native schedules")
         p.add_argument("--stats", help="write a JSON stats record")
@@ -255,7 +245,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     if only in (None, "bench"):
         p = sub.add_parser("bench", help="batch-run generated benchmarks")
         p.add_argument("--profiles", help="comma-separated (default: every profile)")
-        p.add_argument("--strategies", default="ff,ffp,ffw,ffl,ffc")
+        p.add_argument("--strategies", default=",".join(s.value for s in OrderingStrategy))
         p.add_argument("--repeats", type=int, default=10)
         p.add_argument("--seed-base", type=int, default=0)
         p.add_argument("--out", default="bench.csv")

@@ -4,7 +4,7 @@ The multischedule stores every signal once.  A signal used by several
 vehicle variants keeps one (slot, cycle, offset) in all of them; two stored
 signals may occupy overlapping bit ranges of the same multiframe when no
 variant uses both of them.  Per-variant (native) schedules fall out by
-dropping foreign signals.
+dropping foreign signals; the renderer builds them only on demand.
 
 Occupancy is kept per slot and per variant as free bits:
 `Multischedule.slots[s][v]` is one int of H * W bits (H cycles of the
@@ -314,39 +314,25 @@ def _document(head: str, opens: list, empties: list, rows: list, nodes: list,
     return "".join(pieces)
 
 
-def render_documents(ms: Multischedule, natives: bool = False) -> Iterator[str]:
-    """Text of the multischedule document, then, when `natives` is set,
-    of each variant's native schedule in variant order, grouped by the
-    multischedule's conflict model.
+def render_documents(ms: Multischedule) -> Iterator[str]:
+    """Text of the multischedule document, then of each variant's native
+    schedule in variant order, grouped by the multischedule's conflict
+    model.
 
     A native is the multischedule with foreign signals dropped; slots
-    hosting none of the variant's signals stay in it, empty.  One pass
-    over the placement records renders each placement once and files it
-    in its slot's row of every document that holds it.  A native's nodes
-    in a slot are tracked only where the slot holds two or more nodes: in
-    a one-node slot they are that node when the native has rows there.
-    Each text is built only when it is asked for.
+    hosting none of the variant's signals stay in it, empty.  Each
+    placement is rendered once; the natives file those fragments in their
+    slots only once the first native is asked for.  A native's nodes in a
+    slot are tracked only where the slot holds two or more nodes: in a
+    one-node slot they are that node when the native has rows there.
     """
     count = len(ms.slot_nodes)
-    variants_of = ms.mems.variants_of if natives else {}
     rows: list[list[str]] = [[] for _ in range(count)]
-    # picked[j][s] is the fragments of variant j's native in slot s
-    picked = [[[] for _ in rows] for _ in range(ms.mems.variant_count)] if natives else []
-    # slot -> each variant's nodes there, for the slots shared by nodes
-    shared = {
-        s: [set() for _ in picked] for s, nodes in enumerate(ms.slot_nodes) if len(nodes) > 1
-    }
+    fragments = []
     for sig, (s, first, offset) in ms.placement_records:
         fragment = _PLACEMENT % (first, offset, encode_basestring_ascii(sig.id))
         rows[s].append(fragment)
-        variants = variants_of.get(sig.id, ())
-        for j in variants:
-            picked[j][s].append(fragment)
-        if s in shared:
-            sets = shared[s]
-            for j in variants:
-                sets[j].add(sig.node)
-
+        fragments.append(fragment)
     config = ",\n".join(
         '    "%s": %d' % item for item in sorted(ms.config._asdict().items())
     )
@@ -356,6 +342,22 @@ def render_documents(ms: Multischedule, natives: bool = False) -> Iterator[str]:
     close = "\n  ]" if count else "[]"
     whole = list(map(_node_list, ms.slot_nodes))
     yield _document(head, opens, empties, rows, whole, close + "\n}\n")
+    # the natives: the generator resumes here only once the first is asked for
+    variants_of = ms.mems.variants_of
+    # picked[j][s] is the fragments of variant j's native in slot s
+    picked = [[[] for _ in rows] for _ in range(ms.mems.variant_count)]
+    # slot -> each variant's nodes there, for the slots shared by nodes
+    shared = {
+        s: [set() for _ in picked] for s, nodes in enumerate(ms.slot_nodes) if len(nodes) > 1
+    }
+    for (sig, (s, _, _)), fragment in zip(ms.placement_records, fragments):
+        variants = variants_of[sig.id]
+        for j in variants:
+            picked[j][s].append(fragment)
+        if s in shared:
+            sets = shared[s]
+            for j in variants:
+                sets[j].add(sig.node)
     for j, native in enumerate(picked):
         nodes = whole.copy()
         for s, sets in shared.items():
@@ -370,7 +372,7 @@ def extract_native_schedule(ms: Multischedule, variant: int) -> dict:
     count = ms.mems.variant_count
     if not 0 <= variant < count:
         raise IndexError(f"variant {variant} out of range 0..{count - 1}")
-    return json.loads(next(islice(render_documents(ms, natives=True), variant + 1, None)))
+    return json.loads(next(islice(render_documents(ms), variant + 1, None)))
 
 
 def schedule_to_dict(ms: Multischedule) -> dict:

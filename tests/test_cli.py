@@ -630,6 +630,15 @@ def test_per_command_parser_builds_one_sub_parser():
     assert list(sub.choices) == ["validate"]
 
 
+def test_strategy_defaults_and_help_come_from_the_enum(capsys):
+    # bench runs every ordering by default, and schedule's help names them all
+    values = [s.value for s in OrderingStrategy]
+    assert cli.build_parser(["bench"]).parse_args(["bench"]).strategies == ",".join(values)
+    _, out, _, code = parse(cli.build_parser(), ["schedule", "--help"], capsys)
+    assert code == 0
+    assert "|".join(values) in out
+
+
 class TestGenerateCommand:
     def test_generate_writes_loadable_instance(self, tmp_path):
         out = tmp_path / "inst.json"

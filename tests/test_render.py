@@ -7,6 +7,7 @@ documents that `oracles.schedule_doc` and `oracles.native_doc` build.
 
 import json
 import random
+from collections.abc import Mapping
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,11 +67,11 @@ def instances(draw):
 def test_rendered_documents_equal_json_dumps(inst, strategy):
     res = schedule(inst, strategy)
     ms = res.multischedule
-    texts = list(render_documents(ms, natives=True))
+    texts = list(render_documents(ms))
     assert texts == [dumped(schedule_doc(ms))] + [
         dumped(native_doc(ms, j, inst.variants)) for j in range(len(inst.variants))
     ]
-    assert list(render_documents(ms)) == texts[:1]
+    assert next(render_documents(ms)) == texts[0]
     assert schedule_to_dict(ms) == schedule_doc(ms)
     for j in range(len(inst.variants)):
         assert extract_native_schedule(ms, j) == native_doc(
@@ -115,7 +116,7 @@ def test_native_node_lists_in_a_shared_slot():
     res = schedule(inst, OrderingStrategy.FF)
     ms = res.multischedule
     assert ms.slot_nodes == [{1, "n2"}, {3}]
-    texts = list(render_documents(ms, natives=True))
+    texts = list(render_documents(ms))
     assert texts == [dumped(schedule_doc(ms))] + [
         dumped(native_doc(ms, j, inst.variants)) for j in range(4)
     ]
@@ -137,6 +138,40 @@ def test_empty_schedule_renders_empty_slot_list():
     })
     res = schedule(inst, OrderingStrategy.FF)
     ms = res.multischedule
-    texts = list(render_documents(ms, natives=True))
+    texts = list(render_documents(ms))
     assert texts == [dumped(schedule_doc(ms)), dumped(native_doc(ms, 0, inst.variants))]
     assert '"slots": []' in texts[0]
+
+
+class CountingMap(Mapping):
+    """A read-only mapping that counts how often it is read."""
+
+    def __init__(self, data):
+        self.data = data
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.data[key]
+
+    def __iter__(self):
+        self.lookups += 1
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def test_natives_are_filed_only_when_asked_for(example1):
+    # the multischedule text reads no variant membership; the natives read
+    # it once the first of them is asked for
+    ms = schedule(example1, OrderingStrategy.FFP).multischedule
+    texts = list(render_documents(ms))
+    ms.mems.variants_of = counting = CountingMap(ms.mems.variants_of)
+    documents = render_documents(ms)
+    assert next(documents) == texts[0] == dumped(schedule_doc(ms))
+    assert counting.lookups == 0
+    natives = list(documents)
+    assert natives == texts[1:]
+    assert len(natives) == ms.mems.variant_count == len(example1.variants)
+    assert counting.lookups > 0
