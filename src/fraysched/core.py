@@ -172,6 +172,12 @@ def columns(rows, keys, defaults) -> list:
         return columns(rows, keys, defaults)
 
 
+def unknown_key(raw: dict, known, where: str) -> str:
+    """The error for the first key of `raw` that is not in `known`, such
+    as a misspelt one that would otherwise read as an absent optional key."""
+    return "%s: unknown key %r" % (where, next(k for k in raw if k not in known))
+
+
 def _record_columns(rows) -> _SignalFields:
     """One column per Signal field, from signal records: a missing required
     key reads as _MISSING, a missing release as 0, and only a missing
@@ -253,8 +259,7 @@ _RECORD_RULES = (
     (lambda c, k: _MISSING not in chain(*(col[:k] for col in c.fields[:4])), _malformed),
     *_FIELD_RULES,
     (lambda c, k: set().union(*c.rows[:k]) <= _SIGNAL_KEYS,
-     lambda c, i: "signal %s: unknown key %r"
-     % (c.fields.id[i], next(k for k in c.rows[i] if k not in _SIGNAL_KEYS))),
+     lambda c, i: unknown_key(c.rows[i], _SIGNAL_KEYS, f"signal {c.fields.id[i]}")),
 )
 
 
@@ -352,12 +357,8 @@ def round_time_constraints(signal: Signal, config: FlexRayConfig) -> CycleWindow
     period_cycles = signal.period_us // cycle
     release_cycle = -(-signal.release_us // cycle)
     raw_deadline = (signal.release_us + signal.deadline_us) // cycle - 1
-    deadline_cycle = min(
-        raw_deadline,
-        release_cycle + period_cycles - 1,
-        period_cycles - 1,
-        hyper - 1,
-    )
+    # no release is negative, so the window also ends within a period of it
+    deadline_cycle = min(raw_deadline, period_cycles - 1, hyper - 1)
     if deadline_cycle < release_cycle:
         raise InfeasibleSignalError(
             f"signal {signal.id}: no complete cycle between release "
@@ -399,9 +400,8 @@ def load_instance(doc: dict) -> Instance:
     if not isinstance(raw_variants, list):
         raise InstanceError("variants must be a list of signal-id lists")
 
-    for key in raw_cfg:
-        if key not in _CONFIG_FIELDS:
-            raise InstanceError(f"config: unknown key {key!r}")
+    if not raw_cfg.keys() <= set(_CONFIG_FIELDS):
+        raise InstanceError(unknown_key(raw_cfg, _CONFIG_FIELDS, "config"))
     for name in _CONFIG_REQUIRED:
         if name not in raw_cfg:
             raise InstanceError(f"malformed config section: {name!r}")

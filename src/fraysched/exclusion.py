@@ -49,13 +49,13 @@ def compute_mems(
     signals: Sequence[Signal], variants: Sequence[frozenset[str]]
 ) -> ConflictModel:
     """Variant sets of every signal and node, from `variants[j]`, the ids
-    of the signals variant j uses; ids not in `signals` are skipped.  The
-    one inversion of membership that scheduling and rendering use."""
+    of the signals variant j uses; every such id must be one of `signals`,
+    as a checked `Instance` guarantees.  The one inversion of membership
+    that scheduling and rendering use."""
     variants_of: dict[str, list[int]] = {s.id: [] for s in signals}
     for j, group in enumerate(variants):
-        for vs in map(variants_of.get, group):
-            if vs is not None:
-                vs.append(j)
+        for vs in map(variants_of.__getitem__, group):
+            vs.append(j)
     bits = [1 << j for j in range(len(variants))]
     node_mask: dict[NodeId, int] = {}
     for s in signals:

@@ -67,6 +67,7 @@ from .core import (
     columns,
     first_fault,
     is_node_id,
+    unknown_key,
 )
 from .exclusion import ConflictModel
 
@@ -77,8 +78,8 @@ class ScheduleError(ValueError):
 
 class Placement(NamedTuple):
     """Position of a signal's first job; the remaining jobs repeat it every
-    period_cycles at the same slot and offset.  A tuple, because the engine
-    makes one per probe and the document reader one per placement."""
+    period_cycles at the same slot and offset.  The search builds one only
+    for the position it returns, the document reader one per placement."""
 
     slot: int
     first_cycle: int
@@ -239,10 +240,14 @@ def place_signal_to_schedule(ms: Multischedule, signal: Signal) -> Placement:
     shift = pos.first_cycle * ms.config.payload_bits + pos.offset_bits
     bits = ms.patterns[window.period_cycles, signal.length_bits][0] << shift
     # the search found `bits` free in every one of the signal's variants,
-    # so XOR clears exactly them
-    free = ms.slots[pos.slot]
+    # so XOR clears exactly them; variants that held one int share one
+    # result, so a fresh slot's free bits are not copied per variant
+    free, shared = ms.slots[pos.slot], None
     for v in mems.variants_of[signal.id]:
-        free[v] ^= bits
+        old = free[v]
+        if old is not shared:
+            shared, new = old, old ^ bits
+        free[v] = new
     ms.periods[pos.slot] = max(ms.periods[pos.slot], window.period_cycles)
     node, nodes = signal.node, ms.slot_nodes[pos.slot]
     if node not in nodes:
@@ -388,12 +393,6 @@ _PLACEMENT_ORDER = ("signal", "first_cycle", "offset_bits")
 _PLACEMENT_KEYS = frozenset(_PLACEMENT_ORDER)
 
 
-def _unknown_key(raw: dict, known: frozenset, where: str) -> str:
-    """The error for a key the document format does not have, such as a
-    misspelt one that would otherwise read as an absent optional key."""
-    return "%s: unknown key %r" % (where, next(k for k in raw if k not in known))
-
-
 # The slot table and the placement table, each in the order a reader of
 # one slot and then its placements checks them.  The columns of a slot
 # are its index, nodes and placements, those of a placement its signal,
@@ -403,7 +402,7 @@ _SLOT_RULES = (
      and all(map(isinstance, c.fields[2][:k], repeat(list))),
      lambda c, i: f"slot {i}: a slot must be an object with a 'placements' list"),
     (lambda c, k: set().union(*c.rows[:k]) <= _SLOT_KEYS,
-     lambda c, i: _unknown_key(c.rows[i], _SLOT_KEYS, f"slot {i}")),
+     lambda c, i: unknown_key(c.rows[i], _SLOT_KEYS, f"slot {i}")),
     # bool is an int subclass and 1.0 == 1: neither is an index
     (lambda c, k: set(map(type, c.fields[0][:k])) <= {int}
      and c.fields[0][:k] == tuple(range(k)),
@@ -416,7 +415,7 @@ _PLACEMENT_RULES = (
     (lambda c, k: all(map(isinstance, c.rows[:k], repeat(dict))),
      lambda c, i: f"slot {c.slot[i]}: a placement must be an object"),
     (lambda c, k: set().union(*c.rows[:k]) <= _PLACEMENT_KEYS,
-     lambda c, i: _unknown_key(c.rows[i], _PLACEMENT_KEYS, f"slot {c.slot[i]}: placement")),
+     lambda c, i: unknown_key(c.rows[i], _PLACEMENT_KEYS, f"slot {c.slot[i]}: placement")),
     (lambda c, k: all(map(isinstance, c.fields[0][:k], repeat(str)))
      and c.by_id.keys() >= set(c.fields[0][:k]),
      lambda c, i: f"schedule references unknown signal {c.fields[0][i]!r}"),
@@ -449,7 +448,7 @@ def schedule_from_dict(doc: dict, instance: Instance) -> tuple[list, list[set]]:
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ScheduleError("schedule document must be an object with a 'slots' list")
     if not doc.keys() <= _DOCUMENT_KEYS:
-        raise ScheduleError(_unknown_key(doc, _DOCUMENT_KEYS, "schedule document"))
+        raise ScheduleError(unknown_key(doc, _DOCUMENT_KEYS, "schedule document"))
     config = instance.config._asdict()
     stated = doc.get("config", config)
     # bool is an int subclass and 16.0 == 16: neither is the instance's value

@@ -115,12 +115,9 @@ def _record_rules(records, flags, cfg, out) -> None:
         sid = sig.id
         period = sig.period_us // cycle_us
         release_cycle = -(-sig.release_us // cycle_us)
-        deadline_cycle = min(
-            (sig.release_us + sig.deadline_us) // cycle_us - 1,
-            release_cycle + period - 1,
-            period - 1,
-            cfg.hyperperiod_cycles - 1,
-        )
+        # no release is negative, so the window also ends within a period of it
+        deadline_cycle = min((sig.release_us + sig.deadline_us) // cycle_us - 1,
+                             period - 1, cfg.hyperperiod_cycles - 1)
         faults = (
             ("time-window", f"signal {sid} first job at cycle {first} outside "
              f"[{release_cycle}, {deadline_cycle}]", first),
@@ -248,9 +245,13 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
     occ = {slot: no_bits.copy() for slot in set(p_slots)}
     placed = dict.fromkeys(occ, 0)
     for slot, bits, own, count in zip(p_slots, bit_col, p_owns, placed_col):
-        held = occ[slot]
+        held, shared = occ[slot], None
         for j in own:
-            held[j] |= bits
+            # variants that held one int share one result, not a copy each
+            old = held[j]
+            if old is not shared:
+                shared, new = old, old | bits
+            held[j] = new
         placed[slot] += count
 
     # a record's bits are disjoint (one range per job, each inside its own

@@ -148,13 +148,6 @@ def frame_mask(entries, variants_of, sig_id) -> int:
     return mask
 
 
-def window_free(mask, width, last_cycle) -> int:
-    """The bits of frames 0 .. last_cycle that the occupied `mask` leaves
-    free: the form from which the placement search builds its candidate
-    mask."""
-    return ((1 << ((last_cycle + 1) * width)) - 1) & ~mask
-
-
 def reference_schedule(instance: Instance, order):
     """First-fit placement with naive data structures.
 

@@ -13,7 +13,7 @@ from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.core import FlexRayConfig, load_instance
 from fraysched.exclusion import compute_mems, dense_matrices
 from fraysched.multischedule import (
-    Multischedule,
+    Placement,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -29,8 +29,8 @@ from oracles import (
     naive_first_fit_offset,
     nodes_conflict,
     signals_conflict,
-    window_free,
 )
+from conftest import first_fit
 
 STRATEGIES = list(OrderingStrategy)
 
@@ -188,7 +188,7 @@ def test_criterion_6_property_suite(example1):
         mems = compute_mems(probe.signals, probe.variants)
         _, _, sig_conflict, _ = conflict_tables(probe)
         width = probe.config.payload_bits
-        one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
+        one_cycle = FlexRayConfig(1000, 1, width)
         frame = []
         for s in probe.signals:
             if rng.random() < 0.4:
@@ -199,18 +199,11 @@ def test_criterion_6_property_suite(example1):
         for s in probe.signals:
             if s.id in resident:
                 continue
-            # the engine's candidate mask over a one-cycle window, built
-            # with the fits and shifts of the signal's length: its lowest
-            # bit is the first-fit offset
-            _, fits, shifts = one_cycle.patterns[1, s.length_bits]
-            hits = window_free(frame_mask(frame, mems.variants_of, s.id), width, 0)
-            for step in shifts:
-                hits &= hits >> step
-            hits &= fits
-            found = (hits & -hits).bit_length() - 1 if hits else None
-            assert found == naive_first_fit_offset(
-                frame, s.id, s.length_bits, width, sig_conflict,
-            )
+            # the engine's search in a one-cycle slot holding the frame
+            free = ((1 << width) - 1) & ~frame_mask(frame, mems.variants_of, s.id)
+            found = first_fit(one_cycle, free, s.length_bits)
+            want = naive_first_fit_offset(frame, s.id, s.length_bits, width, sig_conflict)
+            assert found == (None if want is None else Placement(0, 0, want))
 
     # periodic jobs are exactly {first_cycle + k * period}
     res = schedule(example1, OrderingStrategy.FFP)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -31,6 +32,7 @@ from fraysched.multischedule import (
     schedule_to_dict,
 )
 from fraysched.scheduler import OrderingStrategy, schedule, sort_signals
+from fraysched.validator import validate_multischedule
 
 from oracles import (
     conflict_tables,
@@ -41,9 +43,9 @@ from oracles import (
     reference_schedule,
     reference_schedule_from_dict,
     signals_conflict,
-    window_free,
     with_mixed_nodes,
 )
+from conftest import first_fit
 
 
 def build(example1):
@@ -53,50 +55,31 @@ def build(example1):
     return ms, mems, {s.id: s for s in example1.signals}
 
 
-def window_first_fit(ms, free, length, lo):
-    """Lowest (cycle, offset) with cycle >= lo whose `length` bits are all
-    set in `free`, or None: the lowest bit of the search's candidate mask
-    over frames lo.. , built with the fits and shifts of the table entry
-    `ms.patterns[1, length]`."""
-    width = ms.config.payload_bits
-    _, fits, shifts = ms.patterns[1, length]
-    hits = free >> (lo * width)
-    for step in shifts:
-        hits &= hits >> step
-    hits &= fits
-    if not hits:
-        return None
-    cycle, offset = divmod((hits & -hits).bit_length() - 1, width)
-    return lo + cycle, offset
-
-
-def first_fit_offset(entries, signal, mems, width):
-    """Lowest offset for `signal` in one frame holding `entries` (id,
-    offset, length): `window_first_fit` over a one-cycle window."""
-    one_cycle = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
-    mask = frame_mask(entries, mems.variants_of, signal.id)
-    found = window_first_fit(one_cycle, window_free(mask, width, 0), signal.length_bits, 0)
-    return None if found is None else found[1]
+def search_frame(entries, signal, mems, width):
+    """The search for `signal` in a one-cycle slot whose one frame holds
+    `entries` (id, offset, length), as the signal's variants see them."""
+    free = ((1 << width) - 1) & ~frame_mask(entries, mems.variants_of, signal.id)
+    return first_fit(FlexRayConfig(1000, 1, width), free, signal.length_bits)
 
 
 class TestFindSuitableOffset:
     def test_empty_frame(self, example1):
         ms, mems, sig = build(example1)
-        assert first_fit_offset([], sig["A"], mems, 16) == 0
+        assert search_frame([], sig["A"], mems, 16) == Placement(0, 0, 0)
 
     def test_conflicting_resident_blocks(self, example1):
         ms, mems, sig = build(example1)
-        assert first_fit_offset([("B", 0, 8)], sig["C"], mems, 16) == 8
+        assert search_frame([("B", 0, 8)], sig["C"], mems, 16) == Placement(0, 0, 8)
 
     def test_overlap_allowed_when_never_covariant(self, example1):
         ms, mems, sig = build(example1)
         # E never shares a variant with A, so the frame looks empty to it
-        assert first_fit_offset([("A", 0, 8)], sig["E"], mems, 16) == 0
+        assert search_frame([("A", 0, 8)], sig["E"], mems, 16) == Placement(0, 0, 0)
 
     def test_full_frame_gives_not_found(self, example1):
         ms, mems, sig = build(example1)
         frame = [("B", 0, 8), ("C", 8, 8)]
-        assert first_fit_offset(frame, sig["F"], mems, 16) is None
+        assert search_frame(frame, sig["F"], mems, 16) is None
 
     def test_minimality_against_brute_scan(self):
         rng = random.Random(31337)
@@ -113,11 +96,11 @@ class TestFindSuitableOffset:
             for s in inst.signals:
                 if s.id in {r.id for r in residents}:
                     continue
-                got = first_fit_offset(frame, s, mems, width)
+                got = search_frame(frame, s, mems, width)
                 want = naive_first_fit_offset(
                     frame, s.id, s.length_bits, width, sig_conflict
                 )
-                assert got == want
+                assert got == (None if want is None else Placement(0, 0, want))
 
 
 class TestFindPosition:
@@ -260,11 +243,11 @@ class TestPlaceSignal:
 
         x = by_id["X"]
         assert windows["X"] == CycleWindow(0, 0, 1)  # jobs in cycles 0 and 1
-        mask = 0  # slot 0 as X's variants see it
+        free = ms.heads[-1]  # slot 0 as X's variants see it
         for v in mems.variants_of["X"]:
-            mask |= ms.heads[-1] ^ ms.slots[0][v]
+            free &= ms.slots[0][v]
         # slot 0, cycle 0, offset 0 looks fine for job 0 only
-        assert window_first_fit(ms, window_free(mask, 8, 0), x.length_bits, 0) == (0, 0)
+        assert first_fit(inst.config, free, x.length_bits) == Placement(0, 0, 0)
         pos = find_position_for_signal(ms, x)
         assert pos == Placement(1, 0, 0)  # the next candidate, over P2
         assert place_signal_to_schedule(ms, x) == pos
@@ -508,9 +491,10 @@ class TestExtraction:
 class TestBitPrimitives:
     @given(data=st.data())
     @settings(max_examples=400)
-    def test_window_first_fit_matches_frame_scan(self, data):
-        # the packed whole-window search against a per-frame, per-offset
-        # scan: random occupancy, lengths 1..W and random windows
+    def test_search_matches_frame_scan(self, data):
+        # the search's packed whole-window candidate mask against a
+        # per-frame, per-offset scan: random occupancy, lengths 1..W and
+        # random windows
         width = data.draw(st.sampled_from([1, 3, 8, 16, 32, 64, 128]))
         hyper = data.draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
         full = (1 << width) - 1
@@ -526,20 +510,19 @@ class TestBitPrimitives:
         length = data.draw(st.integers(1, width))
         lo = data.draw(st.integers(0, hyper - 1))
         hi = data.draw(st.integers(lo, hyper - 1))
-        mask = sum(f << (c * width) for c, f in enumerate(frames))
-        ms = Multischedule(FlexRayConfig(1000, hyper, width), {}, compute_mems((), ()))
+        config = FlexRayConfig(1000, hyper, width)
+        free = ((1 << (hyper * width)) - 1) & ~sum(f << (c * width) for c, f in enumerate(frames))
         want = (1 << length) - 1
         expected = next(
             (
-                (c, o)
+                Placement(0, c, o)
                 for c in range(lo, hi + 1)
                 for o in range(width - length + 1)
                 if not frames[c] & (want << o)
             ),
             None,
         )
-        got = window_first_fit(ms, window_free(mask, width, hi), length, lo)
-        assert got == expected
+        assert first_fit(config, free, length, lo, hi) == expected
 
     @given(data=st.data())
     @settings(max_examples=200)
@@ -587,11 +570,11 @@ class TestBitPrimitives:
         width = 32
         want = (1 << length) - 1
         expected = next(
-            (o for o in range(width - length + 1) if not mask & (want << o)), None
+            (Placement(0, 0, o) for o in range(width - length + 1) if not mask & (want << o)),
+            None,
         )
-        ms = Multischedule(FlexRayConfig(1000, 1, width), {}, compute_mems((), ()))
-        found = window_first_fit(ms, window_free(mask, width, 0), length, 0)
-        assert (None if found is None else found[1]) == expected
+        free = ((1 << width) - 1) & ~mask
+        assert first_fit(FlexRayConfig(1000, 1, width), free, length) == expected
 
 
 def test_multischedule_is_freed_without_the_collector(example1):
@@ -609,6 +592,36 @@ def test_multischedule_is_freed_without_the_collector(example1):
     finally:
         if was:
             gc.enable()
+
+
+def test_commit_memory_follows_the_placements():
+    # 100 one-bit signals on 100 nodes, 200 variants that each use all of
+    # them: every node needs a slot of its own, and each slot's 200
+    # variants start as one int of H * W bits.  The commit, and the
+    # validator's occupancy pass, give variants that held one int one
+    # result, so a slot holds two ints, not 200 copies (about 330 MB)
+    ids = ["s%d" % i for i in range(100)]
+    inst = load_instance({
+        "config": {"cycle_us": 1000, "hyperperiod_cycles": 64, "payload_bits": 2032},
+        "signals": [
+            {"id": sid, "node": i, "period_us": 1000, "length_bits": 1}
+            for i, sid in enumerate(ids)
+        ],
+        "variants": [ids] * 200,
+    })
+    tracemalloc.start()
+    try:
+        ms = schedule(inst, OrderingStrategy.FFC).multischedule
+        schedule_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        violations = validate_multischedule(ms.placement_records, ms.slot_nodes, inst)
+        validate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert schedule_peak < 40e6
+    assert validate_peak < 40e6
+    assert len(ms.slots) == 100
+    assert violations == []
 
 
 def test_slot_count(example1):
