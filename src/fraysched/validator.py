@@ -257,9 +257,16 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
     # a record's bits are disjoint (one range per job, each inside its own
     # cycle), so each (slot, variant) popcount is at most the bits placed
     # there, and equals it only when no two of its records share a bit:
-    # the slot's popcounts sum to its placed total exactly when none do
+    # the slot's popcounts sum to its placed total exactly when none do.
+    # The pass above gives a run of variants that held one int one result,
+    # so an int is counted once per run, not once per variant
     for slot, held in occ.items():
-        if sum(map(int.bit_count, held)) != placed[slot]:
+        total, last, count = 0, None, 0
+        for bits in held:
+            if bits is not last:
+                last, count = bits, bits.bit_count()
+            total += count
+        if total != placed[slot]:
             overlap_slots.add(slot)
 
     # exact overlap checks on the flagged slots only, over their records in

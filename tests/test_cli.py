@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,6 +14,8 @@ from fraysched.benchgen import PROFILES, generate_instance
 from fraysched.cli import main
 from fraysched.core import load_instance
 from fraysched.scheduler import OrderingStrategy, schedule
+
+from conftest import run_cli, run_python, shared_int_doc
 
 
 def run(argv):
@@ -59,6 +60,11 @@ class TestScheduleCommand:
         )
         assert (tmp_path / "mems" / "smem.csv").exists()
         assert (tmp_path / "mems" / "nmem.csv").exists()
+        # the natives are optional output: without them the multischedule
+        # bytes are the same
+        alone = tmp_path / "alone.json"
+        assert run(["schedule", ex1, "--strategy", "ffc", "--out", alone]) == 0
+        assert alone.read_bytes() == out.read_bytes()
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert run(["schedule", tmp_path / "nope.json", "--out", tmp_path / "s.json"]) == 2
@@ -113,13 +119,24 @@ class TestScheduleCommand:
         assert [s["nodes"] for s in slots] == [[1], ["gw"]]
 
 
-    @pytest.mark.parametrize("node", [[1], True], ids=["list", "bool"])
-    def test_non_int_str_node_exits_2_with_one_line(self, tmp_path, capsys, node):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"node": [1]}, "signal b: node must be an integer or a non-empty string, not [1]"),
+            ({"node": True}, "signal b: node must be an integer or a non-empty string, not True"),
+            ({"node": ""}, "signal b: node must be an integer or a non-empty string, not ''"),
+            ({"id": "a"}, "duplicate signal id 'a'"),
+        ],
+        ids=["list", "bool", "empty-str", "duplicate-id"],
+    )
+    def test_non_int_str_node_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
+        # the second record fails a column check of the loader's signal
+        # table, and the bisection of that check names it
         doc = {
             "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
             "signals": [
                 {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
-                {"id": "b", "node": node, "period_us": 1000, "length_bits": 4},
+                {"id": "b", "node": 2, "period_us": 1000, "length_bits": 4, **edit},
             ],
             "variants": [["a", "b"]],
         }
@@ -127,8 +144,7 @@ class TestScheduleCommand:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "node must be an integer or a non-empty string" in err[0]
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not (tmp_path / "s.json").exists()
 
 
@@ -161,16 +177,20 @@ class TestScheduleCommand:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("signal", "period_us", 5000.9, "period_us must be an integer"),
-            ("signal", "length_bits", True, "length_bits must be an integer"),
-            ("signal", "release_us", False, "release_us must be an integer"),
-            ("signal", "deadline_us", "5000", "deadline_us must be an integer"),
-            ("config", "cycle_us", 5000.0, "cycle_us must be an integer"),
-            ("config", "hyperperiod_cycles", True, "hyperperiod_cycles must be an integer"),
-            ("config", "payload_bits", 2040, "payload_bits must be between 1 and 2032"),
-            ("config", "static_slots", -1, "static_slots must be >= 0"),
-            ("config", "slot_us", -40, "slot_us must be >= 0"),
-            ("config", "static_slots", False, "static_slots must be an integer"),
+            ("signal", "period_us", 5000.9, "signal A: period_us must be an integer, not 5000.9"),
+            ("signal", "length_bits", True, "signal A: length_bits must be an integer, not True"),
+            ("signal", "release_us", False, "signal A: release_us must be an integer, not False"),
+            ("signal", "deadline_us", "5000",
+             "signal A: deadline_us must be an integer, not '5000'"),
+            ("config", "cycle_us", 5000.0, "config: cycle_us must be an integer, not 5000.0"),
+            ("config", "hyperperiod_cycles", True,
+             "config: hyperperiod_cycles must be an integer, not True"),
+            ("config", "payload_bits", 2040,
+             "config: payload_bits must be between 1 and 2032 (254 bytes), not 2040"),
+            ("config", "static_slots", -1, "config: static_slots must be >= 0"),
+            ("config", "slot_us", -40, "config: slot_us must be >= 0"),
+            ("config", "static_slots", False,
+             "config: static_slots must be an integer, not False"),
         ],
         ids=["float-period", "bool-length", "bool-release", "str-deadline",
              "float-cycle", "bool-hyperperiod", "payload-over-254-bytes",
@@ -185,8 +205,7 @@ class TestScheduleCommand:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not (tmp_path / "s.json").exists()
 
 
@@ -235,7 +254,12 @@ class TestValidateCommand:
             json.loads(line)
             for line in capsys.readouterr().out.strip().splitlines()
         ]
-        assert any(v["rule"] == "frame-overlap" for v in lines)
+        assert lines == [
+            {"cycle": c, "message": f"signals A and B overlap in slot 0 cycle {c} but "
+             "share variant 0", "rule": "frame-overlap", "signal": "A", "slot": 0,
+             "variant": 0}
+            for c in (1, 3)
+        ]
 
     def test_unknown_signal_exits_2(self, tmp_path, ex1, example1_schedule_doc):
         doc = json.loads(json.dumps(example1_schedule_doc))
@@ -301,10 +325,13 @@ class TestValidateCommand:
             (lambda d: d["slots"][0]["placements"][0].update(
                 signal="QQ", offset=d["slots"][0]["placements"][0].pop("offset_bits")),
              "slot 0: placement: unknown key 'offset'"),
+            (lambda d: d["slots"][0]["placements"][0].update(
+                offset_bit=d["slots"][0]["placements"][0].pop("offset_bits")),
+             "slot 0: placement: unknown key 'offset_bit'"),
         ],
         ids=["placement-typo", "document-key", "slot-key", "placement-key",
              "placement-key-for-missing", "signal-key-for-missing",
-             "placement-key-before-unknown-signal"],
+             "placement-key-before-unknown-signal", "offset-key-typo"],
     )
     def test_unknown_key_exits_2_with_one_line(
         self, tmp_path, ex1, example1_schedule_doc, capsys, edit, message
@@ -327,16 +354,12 @@ class TestValidateCommand:
         doc["slots"][0]["placements"][1]["offset_bits"] = 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        src = str(Path(cli.__file__).resolve().parents[1])
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, "-c",
-                 f"import sys; sys.path.insert(0, {src!r}); "
-                 "from fraysched.cli import main; sys.exit(main())",
-                 "validate", str(ex1), str(bad)],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            done = run_python(
+                ["-m", "fraysched.cli", "validate", str(ex1), str(bad)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
             )
         finally:
             os.close(write_end)
@@ -562,19 +585,85 @@ def test_cli_import_loads_no_numpy_csv_or_process_pool():
     # the bench command, the generator (and its random) only by generate
     # and bench, and nothing starts a process pool; the instance records are
     # named tuples, so dataclasses (and its inspect) stays unloaded too
-    src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import fraysched.cli\n"
         "heavy = ('numpy', 'csv', 'concurrent.futures', 'fraysched.benchgen', 'dataclasses')\n"
         "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
+    done = run_python(["-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def _rename_offset(doc):
+    placement = doc["slots"][0]["placements"][0]
+    placement["offset_bit"] = placement.pop("offset_bits")
+
+
+def _rename_release(doc):
+    signal = doc["signals"][0]
+    signal["release_uss"] = signal.pop("release_us")
+
+
+# documents that the real-process cases read: edited copies of example 1's
+# instance or reference schedule, and the shared-int instance
+REAL_PROCESS_INPUTS = {
+    "example1.json": ("instance", None),
+    # B moved onto A's offset in slot 0; both ride in variant 0
+    "overlap.json": ("schedule", lambda d: d["slots"][0]["placements"][1].update(offset_bits=0)),
+    "offset-typo.json": ("schedule", _rename_offset),
+    "release-typo.json": ("instance", _rename_release),
+}
+
+
+@pytest.mark.parametrize(
+    "steps, preexec_fn",
+    [
+        ([(["schedule", "example1.json", "--out", "s.json", "--native-dir", "natives",
+            "--mems-dump", "mems", "--stats", "stats.json"], 0),
+          (["validate", "example1.json", "s.json"], 0)], None),
+        ([(["validate", "example1.json", "overlap.json"], 1)], None),
+        ([(["validate", "example1.json", "offset-typo.json"], 2)], None),
+        ([(["schedule", "release-typo.json", "--out", "s.json"], 2)], None),
+        ([(["generate", "--profile", "set5", "--seed", "0", "--out", "set5.json"], 0)], None),
+        ([(["bench", "--profiles", "set1", "--repeats", "1", "--aggregate-out", "means.csv"],
+           0)], None),
+        # a copy of each slot's free bits per variant would need about 330
+        # MB of address space
+        pytest.param(
+            [(["schedule", "shared.json", "--out", "s.json", "--native-dir", "natives"], 0),
+             (["validate", "shared.json", "s.json"], 0)],
+            _limit_address_space,
+            marks=pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS on Linux"),
+        ),
+    ],
+    ids=["schedule-validate", "overlap", "placement-key-typo", "signal-key-typo",
+         "generate", "bench", "shared-int-in-256-mib"],
+)
+def test_real_process_exit_codes(
+    tmp_path, example1_instance_path, example1_schedule_path, steps, preexec_fn
+):
+    # each command in its own interpreter, run from tmp_path: the exit code,
+    # one error line on exit 2, and no leak or traceback on stderr
+    sources = {"instance": example1_instance_path, "schedule": example1_schedule_path}
+    for name, (source, edit) in REAL_PROCESS_INPUTS.items():
+        doc = json.loads(sources[source].read_text())
+        if edit:
+            edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "shared.json").write_text(json.dumps(shared_int_doc()))
+    for argv, want in steps:
+        code, _, err = run_cli(argv, cwd=tmp_path, preexec_fn=preexec_fn)
+        assert code == want, err
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def parse(parser, argv, capsys):
@@ -652,11 +741,21 @@ class TestGenerateCommand:
         assert run(["generate", "--profile", "set99", "--out", tmp_path / "x.json"]) == 2
 
     def test_generated_set5_schedules_and_validates(self, tmp_path):
+        # 6 nodes, so slots close to nodes under both orderings; FFL runs
+        # the later-job check, while FFC places each node's signals by
+        # period and never needs it.  The native dir holds one file per
+        # variant
         inst = tmp_path / "set5.json"
         sched = tmp_path / "sched.json"
         assert run(["generate", "--profile", "set5", "--seed", 1, "--out", inst]) == 0
-        assert run(["schedule", inst, "--strategy", "ffc", "--out", sched]) == 0
-        assert run(["validate", inst, sched]) == 0
+        for strategy in ("ffc", "ffl"):
+            natives = tmp_path / strategy
+            assert run(["schedule", inst, "--strategy", strategy, "--out", sched,
+                        "--native-dir", natives]) == 0
+            assert run(["validate", inst, sched]) == 0
+            assert sorted(p.name for p in natives.iterdir()) == [
+                f"variant{j:02d}.json" for j in range(20)
+            ]
 
 
 class TestBenchCommand:

@@ -45,7 +45,7 @@ from oracles import (
     signals_conflict,
     with_mixed_nodes,
 )
-from conftest import first_fit
+from conftest import first_fit, shared_int_doc
 
 
 def build(example1):
@@ -595,20 +595,9 @@ def test_multischedule_is_freed_without_the_collector(example1):
 
 
 def test_commit_memory_follows_the_placements():
-    # 100 one-bit signals on 100 nodes, 200 variants that each use all of
-    # them: every node needs a slot of its own, and each slot's 200
-    # variants start as one int of H * W bits.  The commit, and the
-    # validator's occupancy pass, give variants that held one int one
-    # result, so a slot holds two ints, not 200 copies (about 330 MB)
-    ids = ["s%d" % i for i in range(100)]
-    inst = load_instance({
-        "config": {"cycle_us": 1000, "hyperperiod_cycles": 64, "payload_bits": 2032},
-        "signals": [
-            {"id": sid, "node": i, "period_us": 1000, "length_bits": 1}
-            for i, sid in enumerate(ids)
-        ],
-        "variants": [ids] * 200,
-    })
+    # the commit, and the validator's occupancy pass, give variants that
+    # held one int one result, so a slot holds two ints, not 200 copies
+    inst = load_instance(shared_int_doc())
     tracemalloc.start()
     try:
         ms = schedule(inst, OrderingStrategy.FFC).multischedule

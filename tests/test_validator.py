@@ -1,9 +1,6 @@
 import copy
 import json
 import random
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +17,7 @@ from fraysched.multischedule import (
 from fraysched.scheduler import OrderingStrategy, schedule
 from fraysched.validator import validate_multischedule
 
+from conftest import run_python
 from oracles import frame_overlaps, make_random_instance, reference_violations
 
 
@@ -62,17 +60,13 @@ def test_scheduler_output_is_feasible(example1):
 
 def test_validator_import_loads_no_engine_module():
     # the checker stands apart from the engine whose output it re-reads
-    src = str(Path(validator.__file__).resolve().parents[1])
     code = (
         "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
         "import fraysched.validator\n"
         "engine = ('multischedule', 'scheduler', 'exclusion')\n"
         "print(sorted(m for m in engine if 'fraysched.' + m in sys.modules))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
+    done = run_python(["-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
