@@ -6,8 +6,9 @@ plain per-frame entry lists, and offsets are found by scanning every
 position.  The document readers read one record at a time and state
 every input rule themselves.  The document and frame-overlap references and the per-frame
 entry view (`frame_view`) read only a schedule's placement records.  Slow
-on purpose.  The instance serializer and the pairwise queries over a
-conflict model live here too, because only the tests use them.
+on purpose.  The instance serializer, the random instance generators and
+the pairwise queries over a conflict model live here too, because only
+the tests use them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from typing import NamedTuple
+
+from hypothesis import strategies as st
 
 from fraysched.core import FlexRayConfig, Instance, InstanceError, Signal, load_instance
 from fraysched.multischedule import Placement, ScheduleError
@@ -343,6 +346,30 @@ def with_mixed_nodes(instance):
     rename = lambda n: f"n{n}" if n % 2 == 0 else n
     signals = tuple(s._replace(node=rename(s.node)) for s in instance.signals)
     return instance._replace(signals=signals)
+
+
+@st.composite
+def node_split_instances(draw):
+    """A random instance of up to 6 nodes, int and str ids mixed, where each
+    node is confined to the lower variants, the upper ones or neither, so
+    that some node pairs share no variant and may share a slot."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    inst = make_random_instance(rng, max_signals=16, max_nodes=6, max_variants=5)
+    if draw(st.booleans()):
+        inst = with_mixed_nodes(inst)
+    count = len(inst.variants)
+    cut = draw(st.integers(0, count))
+    sides = {"low": range(cut), "high": range(cut, count), "all": range(count)}
+    allowed = {}
+    for node in sorted({s.node for s in inst.signals}, key=str):
+        allowed[node] = sides[draw(st.sampled_from(sorted(sides)))] or range(count)
+    members = [set() for _ in range(count)]
+    for sig in inst.signals:
+        mine = [j for j in allowed[sig.node] if sig.id in inst.variants[j]]
+        for j in mine or [rng.choice(allowed[sig.node])]:
+            members[j].add(sig.id)
+    variants = tuple(frozenset(g) for g in members)
+    return inst._replace(variants=variants)
 
 
 def _node_order(node):

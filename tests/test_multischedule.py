@@ -40,7 +40,8 @@ from oracles import (
     frame_view,
     make_random_instance,
     naive_first_fit_offset,
-    reference_schedule,
+    native_doc,
+    node_split_instances,
     reference_schedule_from_dict,
     signals_conflict,
     with_mixed_nodes,
@@ -62,7 +63,7 @@ def search_frame(entries, signal, mems, width):
     return first_fit(FlexRayConfig(1000, 1, width), free, signal.length_bits)
 
 
-class TestFindSuitableOffset:
+class TestFirstFitSearch:
     def test_empty_frame(self, example1):
         ms, mems, sig = build(example1)
         assert search_frame([], sig["A"], mems, 16) == Placement(0, 0, 0)
@@ -102,6 +103,41 @@ class TestFindSuitableOffset:
                 )
                 assert got == (None if want is None else Placement(0, 0, want))
 
+    @given(data=st.data())
+    @settings(max_examples=400)
+    def test_search_matches_frame_scan(self, data):
+        # the search's packed whole-window candidate mask against a
+        # per-frame, per-offset scan: random occupancy, lengths 1..W and
+        # random windows
+        width = data.draw(st.sampled_from([1, 3, 8, 16, 32, 64, 128]))
+        hyper = data.draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
+        full = (1 << width) - 1
+        frame = st.one_of(
+            st.just(0),
+            st.just(full),
+            st.integers(0, full),
+            st.tuples(st.integers(0, full), st.integers(0, full)).map(
+                lambda ab: ab[0] & ab[1]
+            ),
+        )
+        frames = data.draw(st.lists(frame, min_size=hyper, max_size=hyper))
+        length = data.draw(st.integers(1, width))
+        lo = data.draw(st.integers(0, hyper - 1))
+        hi = data.draw(st.integers(lo, hyper - 1))
+        config = FlexRayConfig(1000, hyper, width)
+        free = ((1 << (hyper * width)) - 1) & ~sum(f << (c * width) for c, f in enumerate(frames))
+        want = (1 << length) - 1
+        expected = next(
+            (
+                Placement(0, c, o)
+                for c in range(lo, hi + 1)
+                for o in range(width - length + 1)
+                if not frames[c] & (want << o)
+            ),
+            None,
+        )
+        assert first_fit(config, free, length, lo, hi) == expected
+
 
 class TestFindPosition:
     def test_empty_multischedule(self, example1):
@@ -125,30 +161,6 @@ class TestFindPosition:
         resident = {e.signal for e in frame_view(ms)[1][2]}
         assert resident == {"D"}
         assert not signals_conflict(mems, "D", "E")
-
-
-@st.composite
-def node_split_instances(draw):
-    """A random instance of up to 6 nodes, int and str ids mixed, where each
-    node is confined to the lower variants, the upper ones or neither, so
-    that some node pairs share no variant and may share a slot."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    inst = make_random_instance(rng, max_signals=16, max_nodes=6, max_variants=5)
-    if draw(st.booleans()):
-        inst = with_mixed_nodes(inst)
-    count = len(inst.variants)
-    cut = draw(st.integers(0, count))
-    sides = {"low": range(cut), "high": range(cut, count), "all": range(count)}
-    allowed = {}
-    for node in sorted({s.node for s in inst.signals}, key=str):
-        allowed[node] = sides[draw(st.sampled_from(sorted(sides)))] or range(count)
-    members = [set() for _ in range(count)]
-    for sig in inst.signals:
-        mine = [j for j in allowed[sig.node] if sig.id in inst.variants[j]]
-        for j in mine or [rng.choice(allowed[sig.node])]:
-            members[j].add(sig.id)
-    variants = tuple(frozenset(g) for g in members)
-    return inst._replace(variants=variants)
 
 
 class TestOpenSlots:
@@ -254,55 +266,6 @@ class TestPlaceSignal:
         assert ms.placement_records[-1] == (x, pos)
         assert len(ms.slots) == 2
 
-    def test_committed_jobs_are_exact_period_multiples(self):
-        rng = random.Random(404)
-        for _ in range(30):
-            inst = make_random_instance(rng)
-            res = schedule(inst, OrderingStrategy.FFP)
-            ms = res.multischedule
-            placements = {s.id: p for s, p in ms.placement_records}
-            H = inst.config.hyperperiod_cycles
-            for s in inst.signals:
-                pos = placements[s.id]
-                period = s.period_us // inst.config.cycle_us
-                expected = set(range(pos.first_cycle, H, period))
-                actual = {
-                    c
-                    for c, frame in enumerate(frame_view(ms)[pos.slot])
-                    if any(e.signal == s.id for e in frame)
-                }
-                assert actual == expected
-                assert len(actual) == H // period
-
-    def test_occupancy_is_the_union_of_job_ranges_per_variant(self):
-        # the packed per-variant occupancy against a rebuild from the
-        # placements: every job's bit range, in each of its signal's variants
-        rng = random.Random(4242)
-        for _ in range(40):
-            inst = make_random_instance(rng)
-            res = schedule(inst, OrderingStrategy.FFC)
-            H = inst.config.hyperperiod_cycles
-            W = inst.config.payload_bits
-            want = [{} for _ in res.multischedule.slots]
-            placements = {s.id: p for s, p in res.multischedule.placement_records}
-            for s in inst.signals:
-                pos = placements[s.id]
-                period = s.period_us // inst.config.cycle_us
-                for j, group in enumerate(inst.variants):
-                    if s.id not in group:
-                        continue
-                    for c in range(pos.first_cycle, H, period):
-                        for b in range(s.length_bits):
-                            bit = 1 << (c * W + pos.offset_bits + b)
-                            want[pos.slot][j] = want[pos.slot].get(j, 0) | bit
-            all_bits = res.multischedule.heads[-1]
-            got = [
-                {j: occ for j, free in enumerate(slot) if (occ := all_bits ^ free)}
-                for slot in res.multischedule.slots
-            ]
-            assert got == want
-
-
 class TestFreeBits:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
@@ -336,35 +299,6 @@ class TestFreeBits:
                         assert bits & old.get(j, ms.heads[-1]) == bits
                         assert bits == ms.heads[-1] & ~used[i][j]
                 before = now
-
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            dict(payload_bits=1, lengths=(1,)),
-            dict(payload_bits=MAX_PAYLOAD_BITS, lengths=(1, 16, 1000, MAX_PAYLOAD_BITS)),
-            dict(hyperperiod=1),
-            dict(hyperperiod=64, periods=(1, 2, 8, 64)),
-        ],
-        ids=["W=1", "W=max", "H=1", "H=64"],
-    )
-    def test_edge_configs_match_reference(self, shape):
-        # a one-bit frame, the widest frame, and hyperperiods where a
-        # window's frames reach the last cycle, so that the window mask is
-        # the whole slot
-        rng = random.Random(2032)
-        for _ in range(15):
-            inst = with_mixed_nodes(make_random_instance(rng, max_nodes=4, **shape))
-            windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
-            for strategy in OrderingStrategy:
-                res = schedule(inst, strategy)
-                order = sort_signals(inst.signals, strategy, windows)
-                placements, slot_count = reference_schedule(inst, order)
-                got = {
-                    sig.id: tuple(pos) for sig, pos in res.multischedule.placement_records
-                }
-                assert got == placements
-                assert res.slot_count == slot_count
-
 
 class TestSlotPeriod:
     @given(seed=st.integers(0, 10**6), strategy=st.sampled_from(list(OrderingStrategy)))
@@ -413,71 +347,24 @@ class TestSlotPeriod:
 
 
 class TestExtraction:
-    def test_variant_contents(self, example1):
-        res = schedule(example1, OrderingStrategy.FFP)
-        native0 = extract_native_schedule(res.multischedule, 0)
-        placed = {p["signal"] for s in native0["slots"] for p in s["placements"]}
-        assert placed == set("ABCDFG")
-        native1 = extract_native_schedule(res.multischedule, 1)
-        placed = {p["signal"] for s in native1["slots"] for p in s["placements"]}
-        assert placed == set("BCEFH")
-
-    def test_shared_signals_keep_identical_positions(self, example1):
-        res = schedule(example1, OrderingStrategy.FFP)
-        natives = [
-            extract_native_schedule(res.multischedule, j)
-            for j in range(2)
-        ]
-        pos = {}
-        for j, native in enumerate(natives):
-            for slot in native["slots"]:
-                for p in slot["placements"]:
-                    key = p["signal"]
-                    entry = (slot["index"], p["first_cycle"], p["offset_bits"])
-                    assert pos.setdefault(key, entry) == entry
-
     def test_overlap_disappears_inside_variant(self, example1):
-        res = schedule(example1, OrderingStrategy.FFP)
-        ms = res.multischedule
-        placements = {s.id: p for s, p in ms.placement_records}
-        pos_e = placements["E"]
-        pos_d = placements["D"]
-        # multischedule stores them on top of each other ...
-        assert (pos_e.slot, pos_e.first_cycle) == (pos_d.slot, pos_d.first_cycle)
-        # ... but variant II does not contain D
-        native1 = extract_native_schedule(ms, 1)
-        slot_e = native1["slots"][pos_e.slot]
-        assert {p["signal"] for p in slot_e["placements"]} == {"E", "F"}
-
-    def test_empty_variant_keeps_slot_grid(self, example1):
-        import fraysched.core as core
-
-        doc = json.loads(
-            json.dumps(
-                {
-                    "config": {
-                        "cycle_us": 5000, "hyperperiod_cycles": 4,
-                        "payload_bits": 16,
-                    },
-                    "signals": [
-                        {"id": s.id, "node": s.node, "period_us": s.period_us,
-                         "length_bits": s.length_bits, "release_us": s.release_us,
-                         "deadline_us": s.deadline_us}
-                        for s in example1.signals
-                    ],
-                    "variants": [
-                        ["A", "B", "C", "D", "F", "G"],
-                        ["B", "C", "E", "F", "H"],
-                        [],
-                    ],
-                }
-            )
-        )
-        inst = core.load_instance(doc)
-        res = schedule(inst, OrderingStrategy.FFP)
-        native = extract_native_schedule(res.multischedule, 2)
-        assert len(native["slots"]) == res.slot_count
-        assert all(s["placements"] == [] for s in native["slots"])
+        # a third, empty variant changes no placement and keeps the slot grid
+        with_empty = example1._replace(variants=example1.variants + (frozenset(),))
+        for inst in (example1, with_empty):
+            ms = schedule(inst, OrderingStrategy.FFP).multischedule
+            placements = {s.id: p for s, p in ms.placement_records}
+            pos_e = placements["E"]
+            pos_d = placements["D"]
+            # multischedule stores them on top of each other ...
+            assert (pos_e.slot, pos_e.first_cycle) == (pos_d.slot, pos_d.first_cycle)
+            # ... but variant II does not contain D
+            native1 = extract_native_schedule(ms, 1)
+            slot_e = native1["slots"][pos_e.slot]
+            assert {p["signal"] for p in slot_e["placements"]} == {"E", "F"}
+            # each native holds its variant's signals at their multischedule
+            # positions, in every slot
+            for j in range(len(inst.variants)):
+                assert extract_native_schedule(ms, j) == native_doc(ms, j, inst.variants)
 
     @pytest.mark.parametrize("variant", [-1, 2])
     def test_variant_out_of_range_raises(self, example1, variant):
@@ -488,42 +375,7 @@ class TestExtraction:
             extract_native_schedule(ms, variant)
 
 
-class TestBitPrimitives:
-    @given(data=st.data())
-    @settings(max_examples=400)
-    def test_search_matches_frame_scan(self, data):
-        # the search's packed whole-window candidate mask against a
-        # per-frame, per-offset scan: random occupancy, lengths 1..W and
-        # random windows
-        width = data.draw(st.sampled_from([1, 3, 8, 16, 32, 64, 128]))
-        hyper = data.draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
-        full = (1 << width) - 1
-        frame = st.one_of(
-            st.just(0),
-            st.just(full),
-            st.integers(0, full),
-            st.tuples(st.integers(0, full), st.integers(0, full)).map(
-                lambda ab: ab[0] & ab[1]
-            ),
-        )
-        frames = data.draw(st.lists(frame, min_size=hyper, max_size=hyper))
-        length = data.draw(st.integers(1, width))
-        lo = data.draw(st.integers(0, hyper - 1))
-        hi = data.draw(st.integers(lo, hyper - 1))
-        config = FlexRayConfig(1000, hyper, width)
-        free = ((1 << (hyper * width)) - 1) & ~sum(f << (c * width) for c, f in enumerate(frames))
-        want = (1 << length) - 1
-        expected = next(
-            (
-                Placement(0, c, o)
-                for c in range(lo, hi + 1)
-                for o in range(width - length + 1)
-                if not frames[c] & (want << o)
-            ),
-            None,
-        )
-        assert first_fit(config, free, length, lo, hi) == expected
-
+class TestPatternTable:
     @given(data=st.data())
     @settings(max_examples=200)
     def test_pattern_bits(self, data):
@@ -562,20 +414,6 @@ class TestBitPrimitives:
                 run += step
             assert run == length
             assert len(shifts) <= length.bit_length()
-
-    @given(mask=st.integers(min_value=0, max_value=(1 << 32) - 1),
-           length=st.integers(min_value=1, max_value=32))
-    @settings(max_examples=400)
-    def test_first_fit_offset_matches_naive(self, mask, length):
-        width = 32
-        want = (1 << length) - 1
-        expected = next(
-            (Placement(0, 0, o) for o in range(width - length + 1) if not mask & (want << o)),
-            None,
-        )
-        free = ((1 << width) - 1) & ~mask
-        assert first_fit(FlexRayConfig(1000, 1, width), free, length) == expected
-
 
 def test_multischedule_is_freed_without_the_collector(example1):
     # the CLI schedules with the cyclic collector paused, so a reference

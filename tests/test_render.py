@@ -25,6 +25,7 @@ from oracles import (
     instance_to_dict,
     make_random_instance,
     native_doc,
+    node_split_instances,
     schedule_doc,
     with_mixed_nodes,
 )
@@ -43,16 +44,19 @@ NODE = st.one_of(st.integers(-3, 3), st.sampled_from(["0", "1", "2", "gw"]), TEX
 @st.composite
 def instances(draw):
     """A small random instance with escape-heavy ids, int/str nodes and
-    sometimes an empty variant."""
-    base = instance_to_dict(
-        make_random_instance(random.Random(draw(st.integers(0, 10**6))))
-    )
+    sometimes an empty variant.  Half of them are node-split, so that
+    slots shared by two or more nodes are common."""
+    if draw(st.booleans()):
+        inst = draw(node_split_instances())
+    else:
+        inst = make_random_instance(random.Random(draw(st.integers(0, 10**6))))
+    base = instance_to_dict(inst)
     old_ids = [s["id"] for s in base["signals"]]
     new_ids = draw(st.lists(TEXT, min_size=len(old_ids), max_size=len(old_ids),
                             unique=True))
     rename = dict(zip(old_ids, new_ids))
     nodes = {s["node"] for s in base["signals"]}
-    node_map = {n: draw(NODE) for n in sorted(nodes)}
+    node_map = {n: draw(NODE) for n in sorted(nodes, key=str)}
     for sig in base["signals"]:
         sig["id"] = rename[sig["id"]]
         sig["node"] = node_map[sig["node"]]
