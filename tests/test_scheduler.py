@@ -263,24 +263,23 @@ class TestSchedule:
             with pytest.raises(InfeasibleSignalError, match=f"^signal {first}: "):
                 schedule(inst, OrderingStrategy.FFC)
 
+    @pytest.mark.parametrize("strat", list(OrderingStrategy))
     @pytest.mark.parametrize("source", REFERENCE_SOURCES)
-    def test_matches_reference(self, source):
-        # every strategy's schedule is feasible and equals the naive first
+    def test_matches_reference(self, source, strat):
+        # each strategy's schedule is feasible and equals the naive first
         # fit of the same signal order, placement for placement
         for inst in REFERENCE_SOURCES[source]():
-            wins = windows_of(inst)
-            for strat in OrderingStrategy:
-                res = schedule(inst, strat)
-                assert validate_multischedule(
-                    res.multischedule.placement_records, res.multischedule.slot_nodes, inst
-                ) == []
-                order = sort_signals(inst.signals, strat, wins)
-                ref_placements, ref_slots = reference_schedule(inst, order)
-                got = {
-                    sig.id: tuple(pos) for sig, pos in res.multischedule.placement_records
-                }
-                assert got == ref_placements, strat
-                assert res.slot_count == ref_slots
+            res = schedule(inst, strat)
+            assert validate_multischedule(
+                res.multischedule.placement_records, res.multischedule.slot_nodes, inst
+            ) == []
+            order = sort_signals(inst.signals, strat, windows_of(inst))
+            ref_placements, ref_slots = reference_schedule(inst, order)
+            got = {
+                sig.id: tuple(pos) for sig, pos in res.multischedule.placement_records
+            }
+            assert got == ref_placements
+            assert res.slot_count == ref_slots
 
     def test_slot_count_lower_bounds(self):
         rng = random.Random(77)
