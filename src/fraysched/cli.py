@@ -1,12 +1,14 @@
 """Command-line front end: generate, schedule, validate, bench.
 
 Exit codes: 0 success (validate: schedule feasible), 1 validation found
-violations, 2 unreadable/malformed input or infeasible instance.
+violations, 2 unreadable/malformed input or infeasible instance.  The
+argument parser is built once per process and reused by every `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -202,62 +204,51 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = ("generate", "schedule", "validate", "bench")
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The command-line parser.  When argv[0] names a command, only that
-    command's sub-parser is built, since a parse of argv needs no other;
-    otherwise (help, no arguments, an unknown command) all of them are."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with all four commands."""
     parser = argparse.ArgumentParser(
         prog="fraysched",
         description="Multi-variant FlexRay static-segment schedule synthesis",
     )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    # the usage line lists every command, however many are built
-    metavar = "{%s}" % ",".join(_COMMANDS) if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if only in (None, "generate"):
-        p = sub.add_parser("generate", help="generate a benchmark instance")
-        p.add_argument("--profile", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.set_defaults(func=cmd_generate)
+    p = sub.add_parser("generate", help="generate a benchmark instance")
+    p.add_argument("--profile", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output file (default: stdout)")
+    p.set_defaults(func=cmd_generate)
 
-    if only in (None, "schedule"):
-        p = sub.add_parser("schedule", help="synthesize a multischedule")
-        p.add_argument("instance")
-        p.add_argument("--strategy", default="ffc",
-                       help="|".join(s.value for s in OrderingStrategy))
-        p.add_argument("--out", default="schedule.json")
-        p.add_argument("--native-dir", help="also write per-variant native schedules")
-        p.add_argument("--stats", help="write a JSON stats record")
-        p.add_argument("--mems-dump", help="dump exclusion matrices as CSV into DIR")
-        p.set_defaults(func=cmd_schedule)
+    p = sub.add_parser("schedule", help="synthesize a multischedule")
+    p.add_argument("instance")
+    p.add_argument("--strategy", default="ffc",
+                   help="|".join(s.value for s in OrderingStrategy))
+    p.add_argument("--out", default="schedule.json")
+    p.add_argument("--native-dir", help="also write per-variant native schedules")
+    p.add_argument("--stats", help="write a JSON stats record")
+    p.add_argument("--mems-dump", help="dump exclusion matrices as CSV into DIR")
+    p.set_defaults(func=cmd_schedule)
 
-    if only in (None, "validate"):
-        p = sub.add_parser("validate", help="check a schedule against its instance")
-        p.add_argument("instance")
-        p.add_argument("schedule")
-        p.set_defaults(func=cmd_validate)
+    p = sub.add_parser("validate", help="check a schedule against its instance")
+    p.add_argument("instance")
+    p.add_argument("schedule")
+    p.set_defaults(func=cmd_validate)
 
-    if only in (None, "bench"):
-        p = sub.add_parser("bench", help="batch-run generated benchmarks")
-        p.add_argument("--profiles", help="comma-separated (default: every profile)")
-        p.add_argument("--strategies", default=",".join(s.value for s in OrderingStrategy))
-        p.add_argument("--repeats", type=int, default=10)
-        p.add_argument("--seed-base", type=int, default=0)
-        p.add_argument("--out", default="bench.csv")
-        p.add_argument("--aggregate-out", help="write per-profile mean slot counts")
-        p.set_defaults(func=cmd_bench)
+    p = sub.add_parser("bench", help="batch-run generated benchmarks")
+    p.add_argument("--profiles", help="comma-separated (default: every profile)")
+    p.add_argument("--strategies", default=",".join(s.value for s in OrderingStrategy))
+    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--seed-base", type=int, default=0)
+    p.add_argument("--out", default="bench.csv")
+    p.add_argument("--aggregate-out", help="write per-profile mean slot counts")
+    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     # schedule and validate build only acyclic records, which refcounting
     # frees, so they run with the cyclic collector paused
     enabled = gc.isenabled()

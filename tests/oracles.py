@@ -445,42 +445,17 @@ def _violation(rule: str, message: str, **coords) -> dict:
     return out
 
 
-def _overlapping_pairs(entries: list[tuple]) -> list[tuple[int, int]]:
-    """Index pairs (i, k), i < k, of entries (id, offset, length, ...)
-    whose bit ranges intersect, in no particular order.
-
-    Sweep in offset order: an entry overlaps exactly the entries that
-    start at or after its own start and before its end, so the work is a
-    sort plus the number of overlapping pairs, not every pair of the frame.
-    """
-    ranked = sorted((e[1], i, e[1] + e[2]) for i, e in enumerate(entries))
-    pairs = []
-    n = len(ranked)
-    for p in range(n - 1):
-        _, i, end = ranked[p]
-        q = p + 1
-        while q < n and ranked[q][0] < end:
-            k = ranked[q][1]
-            pairs.append((i, k) if i < k else (k, i))
-            q += 1
-    return pairs
-
-
 def reference_violations(placement_records, slot_nodes, instance: Instance) -> list[dict]:
     """Every rule violation of the schedule, as `Violation.to_dict()` gives
-    them, in the validator's order.  Builds the per-(slot, cycle) entry
-    list of every job and sweeps every frame and every slot, with no
-    screen: the validator's output must equal this on any schedule."""
-    cfg = instance.config
-    cycle_us = cfg.cycle_us
-    hyper = cfg.hyperperiod_cycles
-    width = cfg.payload_bits
-
+    them, in the validator's order.  Reads the windows, the variant sets
+    and the overlaps of every frame from the helpers above, which compare
+    all pairs, with no screen: the validator's output must equal this on
+    any schedule."""
+    hyper = instance.config.hyperperiod_cycles
+    width = instance.config.payload_bits
     by_id = {s.id: s for s in instance.signals}
-    var_sets: dict[str, set[int]] = {s.id: set() for s in instance.signals}
-    for j, group in enumerate(instance.variants):
-        for sid in group:
-            var_sets.setdefault(sid, set()).add(j)
+    windows = recompute_windows(instance)
+    var_sets, _, _, _ = conflict_tables(instance)
 
     violations: list[dict] = []
     out = violations.append
@@ -511,20 +486,11 @@ def reference_violations(placement_records, slot_nodes, instance: Instance) -> l
                 )
             )
 
-    # per-placement checks and frame grid reconstruction
-    grid: dict[tuple[int, int], list[tuple]] = {}
+    # per-placement checks
     slot_members: dict[int, list[str]] = {}
     for sig, pos in placement_records:
         sid = sig.id
-        period = sig.period_us // cycle_us
-
-        release_cycle = -(-sig.release_us // cycle_us)
-        deadline_cycle = min(
-            (sig.release_us + sig.deadline_us) // cycle_us - 1,
-            release_cycle + period - 1,
-            period - 1,
-            hyper - 1,
-        )
+        release_cycle, deadline_cycle, period = windows[sid]
         if not (release_cycle <= pos.first_cycle <= deadline_cycle):
             out(
                 _violation(
@@ -558,33 +524,21 @@ def reference_violations(placement_records, slot_nodes, instance: Instance) -> l
                 )
             )
         slot_members.setdefault(pos.slot, []).append(sid)
-        for c in range(max(pos.first_cycle, 0), hyper, period):
-            grid.setdefault((pos.slot, c), []).append(
-                (sid, pos.offset_bits, sig.length_bits, sig.node)
-            )
 
     # overlapping bit ranges are only allowed between signals that never
     # ride in the same variant; reported in entry order per frame
-    for (slot, c), entries in grid.items():
-        clashes = sorted(
-            (i, k)
-            for i, k in _overlapping_pairs(entries)
-            if not var_sets[entries[i][0]].isdisjoint(var_sets[entries[k][0]])
-        )
-        for i, k in clashes:
-            sid_a, sid_b = entries[i][0], entries[k][0]
-            shared = min(var_sets[sid_a] & var_sets[sid_b])
-            out(
-                _violation(
-                    "frame-overlap",
-                    f"signals {sid_a} and {sid_b} overlap in slot "
-                    f"{slot} cycle {c} but share variant {shared}",
-                    signal=sid_a,
-                    slot=slot,
-                    variant=shared,
-                    cycle=c,
-                )
+    for sid_a, sid_b, slot, c, shared in frame_overlaps(placement_records, instance):
+        out(
+            _violation(
+                "frame-overlap",
+                f"signals {sid_a} and {sid_b} overlap in slot "
+                f"{slot} cycle {c} but share variant {shared}",
+                signal=sid_a,
+                slot=slot,
+                variant=shared,
+                cycle=c,
             )
+        )
 
     # one node per slot, judged per variant
     for slot, members in slot_members.items():

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import gc
 import json
@@ -69,36 +68,6 @@ class TestScheduleCommand:
     def test_missing_instance_exits_2(self, tmp_path):
         assert run(["schedule", tmp_path / "nope.json", "--out", tmp_path / "s.json"]) == 2
 
-    def test_unknown_strategy_exits_2(self, tmp_path, ex1):
-        assert run(["schedule", ex1, "--strategy", "magic", "--out", tmp_path / "s.json"]) == 2
-
-    def test_infeasible_instance_exits_2(self, tmp_path):
-        doc = {
-            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
-            "signals": [{"id": "x", "node": 1, "period_us": 1000, "length_bits": 2,
-                         "deadline_us": 500}],
-            "variants": [["x"]],
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-
-
-    def test_zero_deadline_exits_2_with_one_line(self, tmp_path, capsys):
-        doc = {
-            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
-            "signals": [{"id": "x", "node": 1, "period_us": 1000, "length_bits": 2,
-                         "deadline_us": 0}],
-            "variants": [["x"]],
-        }
-        path = tmp_path / "zero.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "deadline must be positive" in err[0]
-        assert not (tmp_path / "s.json").exists()
-
     def test_mixed_int_and_str_nodes_schedule_and_validate(self, tmp_path):
         doc = {
             "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
@@ -117,127 +86,6 @@ class TestScheduleCommand:
             assert run(["validate", path, out]) == 0
         slots = json.loads(out.read_text())["slots"]
         assert [s["nodes"] for s in slots] == [[1], ["gw"]]
-
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            ({"node": [1]}, "signal b: node must be an integer or a non-empty string, not [1]"),
-            ({"node": True}, "signal b: node must be an integer or a non-empty string, not True"),
-            ({"node": ""}, "signal b: node must be an integer or a non-empty string, not ''"),
-            ({"id": "a"}, "duplicate signal id 'a'"),
-        ],
-        ids=["list", "bool", "empty-str", "duplicate-id"],
-    )
-    def test_non_int_str_node_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
-        # the second record fails a column check of the loader's signal
-        # table, and the bisection of that check names it
-        doc = {
-            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
-            "signals": [
-                {"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
-                {"id": "b", "node": 2, "period_us": 1000, "length_bits": 4, **edit},
-            ],
-            "variants": [["a", "b"]],
-        }
-        path = tmp_path / "node.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
-        assert not (tmp_path / "s.json").exists()
-
-
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda d: d.update(signals=5), "signals must be a list"),
-            (lambda d: d.update(variants=5), "variants must be a list"),
-            (lambda d: d["variants"].append("ABCDFG"), "variant 2 must be a list"),
-            (lambda d: d["variants"][0].append(["A"]), "signal ids must be strings"),
-            (lambda d: d["variants"][1].insert(0, 7), "signal ids must be strings"),
-            (lambda d: d.update(config=[5000]), "config must be a JSON object"),
-        ],
-        ids=["signals-int", "variants-int", "variant-str", "variant-holds-list",
-             "variant-holds-int", "config-list"],
-    )
-    def test_malformed_instance_shape_exits_2_with_one_line(
-        self, tmp_path, example1_instance_path, capsys, mutate, message
-    ):
-        doc = json.loads(example1_instance_path.read_text())
-        mutate(doc)
-        path = tmp_path / "shape.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
-        assert not (tmp_path / "s.json").exists()
-
-    @pytest.mark.parametrize(
-        "section, key, value, message",
-        [
-            ("signal", "period_us", 5000.9, "signal A: period_us must be an integer, not 5000.9"),
-            ("signal", "length_bits", True, "signal A: length_bits must be an integer, not True"),
-            ("signal", "release_us", False, "signal A: release_us must be an integer, not False"),
-            ("signal", "deadline_us", "5000",
-             "signal A: deadline_us must be an integer, not '5000'"),
-            ("config", "cycle_us", 5000.0, "config: cycle_us must be an integer, not 5000.0"),
-            ("config", "hyperperiod_cycles", True,
-             "config: hyperperiod_cycles must be an integer, not True"),
-            ("config", "payload_bits", 2040,
-             "config: payload_bits must be between 1 and 2032 (254 bytes), not 2040"),
-            ("config", "static_slots", -1, "config: static_slots must be >= 0"),
-            ("config", "slot_us", -40, "config: slot_us must be >= 0"),
-            ("config", "static_slots", False,
-             "config: static_slots must be an integer, not False"),
-        ],
-        ids=["float-period", "bool-length", "bool-release", "str-deadline",
-             "float-cycle", "bool-hyperperiod", "payload-over-254-bytes",
-             "negative-static-slots", "negative-slot-time", "bool-static-slots"],
-    )
-    def test_non_integer_or_out_of_range_number_exits_2_with_one_line(
-        self, tmp_path, example1_instance_path, capsys, section, key, value, message
-    ):
-        doc = json.loads(example1_instance_path.read_text())
-        (doc["signals"][0] if section == "signal" else doc["config"])[key] = value
-        path = tmp_path / "number.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["schedule", path, "--out", tmp_path / "s.json"]) == 2
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
-        assert not (tmp_path / "s.json").exists()
-
-
-    @pytest.mark.parametrize("command", ["schedule", "validate"])
-    @pytest.mark.parametrize(
-        "section, old, new, message",
-        [
-            ("config", "static_slots", "static_slot", "config: unknown key 'static_slot'"),
-            ("signal", "release_us", "release_uss", "signal A: unknown key 'release_uss'"),
-            ("signal", "deadline_us", "deadline_uss", "signal A: unknown key 'deadline_uss'"),
-            ("signal", None, "priority", "signal A: unknown key 'priority'"),
-        ],
-        ids=["config-typo", "release-typo", "deadline-typo", "extra-key"],
-    )
-    def test_unknown_instance_key_exits_2_with_one_line(
-        self, tmp_path, example1_instance_path, example1_schedule_path, capsys,
-        command, section, old, new, message,
-    ):
-        doc = json.loads(example1_instance_path.read_text())
-        raw = doc["config"] if section == "config" else doc["signals"][0]
-        raw[new] = raw.pop(old) if old else 1
-        path = tmp_path / "typo.json"
-        path.write_text(json.dumps(doc))
-        argv = {
-            "schedule": ["schedule", path, "--out", tmp_path / "s.json"],
-            "validate": ["validate", path, example1_schedule_path],
-        }[command]
-        capsys.readouterr()
-        assert run(argv) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {message}"]
-        assert not (tmp_path / "s.json").exists()
 
 
 class TestValidateCommand:
@@ -261,90 +109,8 @@ class TestValidateCommand:
             for c in (1, 3)
         ]
 
-    def test_unknown_signal_exits_2(self, tmp_path, ex1, example1_schedule_doc):
-        doc = json.loads(json.dumps(example1_schedule_doc))
-        doc["slots"][0]["placements"].append(
-            {"signal": "QQ", "first_cycle": 0, "offset_bits": 0}
-        )
-        bad = tmp_path / "unknown.json"
-        bad.write_text(json.dumps(doc))
-        assert run(["validate", ex1, bad]) == 2
-
     def test_missing_files_exit_2(self, tmp_path, ex1):
         assert run(["validate", tmp_path / "no.json", tmp_path / "rly.json"]) == 2
-
-    @pytest.mark.parametrize(
-        "doc",
-        [{"slots": [[1, 2]]}, {"slots": [{"placements": [5]}]}, {"slots": 5}],
-        ids=["slot-not-object", "placement-not-object", "slots-not-list"],
-    )
-    def test_malformed_schedule_shape_exits_2_with_one_line(
-        self, tmp_path, ex1, capsys, doc
-    ):
-        bad = tmp_path / "shape.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["validate", ex1, bad]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("first_cycle", True), ("offset_bits", False), ("offset_bits", 0.0),
-         ("first_cycle", "0")],
-        ids=["bool-cycle", "bool-offset", "float-offset", "str-cycle"],
-    )
-    def test_non_integer_placement_exits_2_with_one_line(
-        self, tmp_path, ex1, example1_schedule_doc, capsys, key, value
-    ):
-        doc = json.loads(json.dumps(example1_schedule_doc))
-        doc["slots"][0]["placements"][0][key] = value
-        bad = tmp_path / "number.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["validate", ex1, bad]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "must be integers" in err[0]
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda d: [s.update(placement=s.pop("placements")) for s in d["slots"]],
-             "slot 0: unknown key 'placement'"),
-            (lambda d: d.update(variant=5), "schedule document: unknown key 'variant'"),
-            (lambda d: d["slots"][1].update(bogus=1), "slot 1: unknown key 'bogus'"),
-            (lambda d: d["slots"][0]["placements"][0].update(note="x"),
-             "slot 0: placement: unknown key 'note'"),
-            (lambda d: d["slots"][0]["placements"][0].update(
-                first=d["slots"][0]["placements"][0].pop("first_cycle")),
-             "slot 0: placement: unknown key 'first'"),
-            (lambda d: d["slots"][0]["placements"][0].update(
-                sig=d["slots"][0]["placements"][0].pop("signal")),
-             "slot 0: placement: unknown key 'sig'"),
-            (lambda d: d["slots"][0]["placements"][0].update(
-                signal="QQ", offset=d["slots"][0]["placements"][0].pop("offset_bits")),
-             "slot 0: placement: unknown key 'offset'"),
-            (lambda d: d["slots"][0]["placements"][0].update(
-                offset_bit=d["slots"][0]["placements"][0].pop("offset_bits")),
-             "slot 0: placement: unknown key 'offset_bit'"),
-        ],
-        ids=["placement-typo", "document-key", "slot-key", "placement-key",
-             "placement-key-for-missing", "signal-key-for-missing",
-             "placement-key-before-unknown-signal", "offset-key-typo"],
-    )
-    def test_unknown_key_exits_2_with_one_line(
-        self, tmp_path, ex1, example1_schedule_doc, capsys, edit, message
-    ):
-        doc = json.loads(json.dumps(example1_schedule_doc))
-        edit(doc)
-        bad = tmp_path / "keys.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["validate", ex1, bad]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip().splitlines() == [f"error: {message}"]
 
     def test_closed_stdout_exits_2_without_traceback(
         self, tmp_path, ex1, example1_schedule_doc
@@ -370,79 +136,26 @@ class TestValidateCommand:
     def test_broken_pipe_with_in_memory_stdout_exits_2(
         self, ex1, example1_schedule_path, monkeypatch, capsys
     ):
-        def closed(args):
+        # raised below the command function, which the cached parser holds
+        def closed(*args):
             raise BrokenPipeError
 
-        monkeypatch.setattr(cli, "cmd_validate", closed)
+        monkeypatch.setattr(cli.validator, "validate_multischedule", closed)
         assert run(["validate", ex1, example1_schedule_path]) == 2
         print("stdout still usable")
         assert capsys.readouterr().out == "stdout still usable\n"
 
-    @pytest.fixture()
-    def ffp_doc(self, tmp_path, ex1):
-        out = tmp_path / "ffp.json"
-        assert run(["schedule", ex1, "--strategy", "ffp", "--out", out]) == 0
-        return json.loads(out.read_text())
-
-    def validate_doc(self, tmp_path, ex1, capsys, doc):
-        bad = tmp_path / "stated.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        code = run(["validate", ex1, bad])
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err.strip().splitlines()
-
-    @pytest.mark.parametrize("index", [7, 0, "1", 1.0, True])
-    def test_slot_index_must_match_position_exits_2_with_one_line(
-        self, tmp_path, ex1, capsys, ffp_doc, index
-    ):
-        ffp_doc["slots"][1]["index"] = index
-        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: slot 1: index is")
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d["config"].update(payload_bits=64),
-            lambda d: d["config"].update(payload_bits=16.0),
-            lambda d: d["config"].update(static_slots=True),
-            lambda d: d["config"].pop("slot_us"),
-            lambda d: d["config"].update(extra=1),
-            lambda d: d.update(config=[16]),
-        ],
-        ids=["payload-64", "payload-float", "bool-slots", "missing-key", "extra-key",
-             "not-an-object"],
-    )
-    def test_config_must_match_instance_exits_2_with_one_line(
-        self, tmp_path, ex1, capsys, ffp_doc, edit
-    ):
-        edit(ffp_doc)
-        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: schedule config")
-
-    @pytest.mark.parametrize(
-        "nodes", [[[1]], [{"n": 1}], 1, None, [True], [""], [1.5]],
-        ids=["list-entry", "object-entry", "int", "null", "bool", "empty-str", "float"],
-    )
-    def test_slot_nodes_must_be_node_ids_exits_2_with_one_line(
-        self, tmp_path, ex1, capsys, ffp_doc, nodes
-    ):
-        ffp_doc["slots"][0]["nodes"] = nodes
-        code, _, err = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: slot 0: nodes must be")
-
     @pytest.mark.parametrize("nodes", [[99], [], [1, 2], ["1"]])
-    def test_stated_nodes_must_be_the_slots_nodes_exits_1(
-        self, tmp_path, ex1, capsys, ffp_doc, nodes
-    ):
-        assert ffp_doc["slots"][0]["nodes"] == [1]
-        ffp_doc["slots"][0]["nodes"] = nodes
-        code, out, _ = self.validate_doc(tmp_path, ex1, capsys, ffp_doc)
-        assert code == 1
-        assert [json.loads(line) for line in out.splitlines()] == [
+    def test_stated_nodes_must_be_the_slots_nodes_exits_1(self, tmp_path, ex1, capsys, nodes):
+        stated = tmp_path / "stated.json"
+        assert run(["schedule", ex1, "--strategy", "ffp", "--out", stated]) == 0
+        doc = json.loads(stated.read_text())
+        assert doc["slots"][0]["nodes"] == [1]
+        doc["slots"][0]["nodes"] = nodes
+        stated.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["validate", ex1, stated]) == 1
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
             {
                 "rule": "slot-nodes",
                 "slot": 0,
@@ -612,15 +325,64 @@ def _rename_release(doc):
     signal["release_uss"] = signal.pop("release_us")
 
 
-# documents that the real-process cases read: edited copies of example 1's
-# instance or reference schedule, and the shared-int instance
-REAL_PROCESS_INPUTS = {
+# documents that the cases below read from their directory: edited copies
+# of example 1's instance or reference schedule, and the shared-int instance
+INPUTS = {
     "example1.json": ("instance", None),
+    "schedule.json": ("schedule", None),
     # B moved onto A's offset in slot 0; both ride in variant 0
     "overlap.json": ("schedule", lambda d: d["slots"][0]["placements"][1].update(offset_bits=0)),
     "offset-typo.json": ("schedule", _rename_offset),
     "release-typo.json": ("instance", _rename_release),
+    "bad-node.json": ("instance", lambda d: d["signals"][1].update(node=[1])),
+    # A's deadline ends inside its release cycle
+    "infeasible.json": ("instance", lambda d: d["signals"][0].update(deadline_us=4000)),
 }
+
+
+@pytest.fixture()
+def inputs(tmp_path, example1_instance_path, example1_schedule_path):
+    sources = {"instance": example1_instance_path, "schedule": example1_schedule_path}
+    for name, (source, edit) in INPUTS.items():
+        doc = json.loads(sources[source].read_text())
+        if edit:
+            edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "shared.json").write_text(json.dumps(shared_int_doc()))
+    return tmp_path
+
+
+BAD_NODE = "signal B: node must be an integer or a non-empty string, not [1]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["schedule", "bad-node.json", "--out", "s.json"], BAD_NODE),
+        (["schedule", "infeasible.json", "--out", "s.json"],
+         "infeasible instance: signal A: no complete cycle between release 0 us "
+         "and deadline 4000 us"),
+        (["schedule", "example1.json", "--strategy", "magic", "--out", "s.json"],
+         "unknown strategy 'magic'; expected one of ff|ffp|ffw|ffl|ffc"),
+        (["validate", "bad-node.json", "schedule.json"], BAD_NODE),
+        (["validate", "example1.json", "offset-typo.json"],
+         "slot 0: placement: unknown key 'offset_bit'"),
+        (["validate", "bad-node.json", "offset-typo.json"], BAD_NODE),
+    ],
+    ids=["schedule-instance", "schedule-infeasible", "schedule-strategy",
+         "validate-instance", "validate-schedule", "validate-instance-first"],
+)
+def test_input_error_exits_2_with_one_line(inputs, monkeypatch, capsys, argv, message):
+    # what the CLI decides about a bad input, per command and error source:
+    # exit 2, the error's own text on one stderr line (the loader's and the
+    # reader's rule tables pin each text), nothing on stdout and no file
+    # written.  validate reads the instance before the schedule
+    monkeypatch.chdir(inputs)
+    files = sorted(inputs.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(inputs.iterdir()) == files
 
 
 @pytest.mark.parametrize(
@@ -647,20 +409,12 @@ REAL_PROCESS_INPUTS = {
     ids=["schedule-validate", "overlap", "placement-key-typo", "signal-key-typo",
          "generate", "bench", "shared-int-in-256-mib"],
 )
-def test_real_process_exit_codes(
-    tmp_path, example1_instance_path, example1_schedule_path, steps, preexec_fn
-):
-    # each command in its own interpreter, run from tmp_path: the exit code,
-    # one error line on exit 2, and no leak or traceback on stderr
-    sources = {"instance": example1_instance_path, "schedule": example1_schedule_path}
-    for name, (source, edit) in REAL_PROCESS_INPUTS.items():
-        doc = json.loads(sources[source].read_text())
-        if edit:
-            edit(doc)
-        (tmp_path / name).write_text(json.dumps(doc))
-    (tmp_path / "shared.json").write_text(json.dumps(shared_int_doc()))
+def test_real_process_exit_codes(inputs, steps, preexec_fn):
+    # each command in its own interpreter, run from the inputs' directory:
+    # the exit code, one error line on exit 2, and no leak or traceback on
+    # stderr
     for argv, want in steps:
-        code, _, err = run_cli(argv, cwd=tmp_path, preexec_fn=preexec_fn)
+        code, _, err = run_cli(argv, cwd=inputs, preexec_fn=preexec_fn)
         assert code == want, err
         if code == 2:
             assert err.count("\n") == 1 and err.startswith("error: ")
@@ -679,7 +433,7 @@ def parse(parser, argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [[command, "--help"] for command in cli._COMMANDS]
+    [[command, "--help"] for command in ("generate", "schedule", "validate", "bench")]
     + [
         ["--help"],
         ["validate"],
@@ -699,30 +453,37 @@ def parse(parser, argv, capsys):
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_per_command_parser_matches_the_full_parser(argv, capsys):
-    # main builds only the named command's sub-parser; help, usage lines,
-    # errors, exit codes and parsed arguments must be those of all four
-    full = parse(cli.build_parser(), argv, capsys)
-    assert parse(cli.build_parser(argv), argv, capsys) == full
-    if full[0] is None:
-        # and main, which parses with it, exits as the full parser does
+def test_reused_parser_matches_a_fresh_one(argv, capsys):
+    # main's one parser, reused after an error and after a parse of the
+    # same argv, gives the help, usage lines, errors, exit codes and parsed
+    # arguments of a freshly built parser
+    fresh = parse(cli.build_parser.__wrapped__(), argv, capsys)
+    shared = cli.build_parser()
+    for before in (["bogus"], argv):
+        parse(shared, before, capsys)
+        assert parse(shared, argv, capsys) == fresh
+    if fresh[0] is None:
+        # and main, which parses with it, exits as the fresh parser does
         with pytest.raises(SystemExit) as exited:
             main(argv)
-        assert (exited.value.code, *capsys.readouterr()) == (full[3], full[1], full[2])
+        assert (exited.value.code, *capsys.readouterr()) == (fresh[3], fresh[1], fresh[2])
 
 
-def test_per_command_parser_builds_one_sub_parser():
-    sub = next(
-        a for a in cli.build_parser(["validate", "a", "b"])._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-    assert list(sub.choices) == ["validate"]
+def test_one_parser_per_process(monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    # and main parses with it, building none of its own
+    seen = []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or sys.exit(3))
+    with pytest.raises(SystemExit):
+        main(["validate", "a", "b"])
+    assert seen == [["validate", "a", "b"]]
 
 
 def test_strategy_defaults_and_help_come_from_the_enum(capsys):
     # bench runs every ordering by default, and schedule's help names them all
     values = [s.value for s in OrderingStrategy]
-    assert cli.build_parser(["bench"]).parse_args(["bench"]).strategies == ",".join(values)
+    assert cli.build_parser().parse_args(["bench"]).strategies == ",".join(values)
     _, out, _, code = parse(cli.build_parser(), ["schedule", "--help"], capsys)
     assert code == 0
     assert "|".join(values) in out

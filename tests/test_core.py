@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 from types import MappingProxyType
@@ -92,36 +93,6 @@ class TestLoadInstance:
         assert inst.signals[0].deadline_us == inst.signals[0].period_us
         assert inst.signals[0].release_us == 0
 
-    @pytest.mark.parametrize(
-        "section, old, new",
-        [
-            ("config", "static_slots", "static_slot"),
-            ("config", "cycle_us", "cycle_uss"),
-            ("signal", "release_us", "release_uss"),
-            ("signal", "deadline_us", "deadline_uss"),
-            ("signal", None, "note"),
-        ],
-        ids=["config-optional", "config-required", "signal-release",
-             "signal-deadline", "signal-extra"],
-    )
-    def test_unknown_config_or_signal_key_rejected(self, section, old, new):
-        # a misspelt optional key would otherwise read as an absent one
-        doc = make_doc()
-        raw = doc["config"] if section == "config" else doc["signals"][0]
-        raw[new] = raw.pop(old) if old else "x"
-        where = "config" if section == "config" else "signal X"
-        with pytest.raises(InstanceError) as info:
-            load_instance(doc)
-        assert str(info.value) == f"{where}: unknown key {new!r}"
-
-    @pytest.mark.parametrize("key", ["cycle_us", "hyperperiod_cycles", "payload_bits"])
-    def test_missing_config_key_named(self, key):
-        doc = make_doc()
-        del doc["config"][key]
-        with pytest.raises(InstanceError) as info:
-            load_instance(doc)
-        assert str(info.value) == f"malformed config section: {key!r}"
-
     def test_config_asdict_is_a_copy_in_field_order(self):
         config = FlexRayConfig(5000, 4, 16, 75, 40)
         doc = config._asdict()
@@ -145,6 +116,102 @@ class TestLoadInstance:
 
 X_RECORD = {"id": "X", "node": 1, "period_us": 10000, "length_bits": 8,
             "release_us": 0, "deadline_us": 10000}
+
+
+SMALL_CONFIG = {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8}
+
+# whole documents besides example 1's instance: make_doc's one signal X,
+# and one and two signals on a small bus
+DOCUMENTS = {
+    "make_doc": make_doc(),
+    "x": {"config": SMALL_CONFIG, "variants": [["x"]],
+          "signals": [{"id": "x", "node": 1, "period_us": 1000, "length_bits": 2}]},
+    "ab": {"config": SMALL_CONFIG, "variants": [["a", "b"]],
+           "signals": [{"id": "a", "node": 1, "period_us": 1000, "length_bits": 4},
+                       {"id": "b", "node": 2, "period_us": 1000, "length_bits": 4}]},
+}
+
+
+def _set(where, **values):
+    """The edit that sets `values` in the config, or in signal record `where`."""
+    return lambda d: (d["config"] if where == "config" else d["signals"][where]).update(values)
+
+
+def _rename(where, old, new):
+    """The edit that renames key `old` of the config or of signal record `where`."""
+    def edit(d):
+        raw = d["config"] if where == "config" else d["signals"][where]
+        raw[new] = raw.pop(old)
+    return edit
+
+
+NODE_TEXT = "signal b: node must be an integer or a non-empty string, not "
+
+# id -> (document, edit, the loader's text)
+DOCUMENT_EDITS = {
+    "zero-deadline": ("x", _set(0, deadline_us=0), "signal x: deadline must be positive"),
+    # the second record fails a column check, and the bisection names it
+    "node-list": ("ab", _set(1, node=[1]), NODE_TEXT + "[1]"),
+    "node-bool": ("ab", _set(1, node=True), NODE_TEXT + "True"),
+    "node-empty-str": ("ab", _set(1, node=""), NODE_TEXT + "''"),
+    "duplicate-id": ("ab", _set(1, id="a"), "duplicate signal id 'a'"),
+    "signals-int": ("example1", lambda d: d.update(signals=5),
+                    "signals must be a list of signal records"),
+    "variants-int": ("example1", lambda d: d.update(variants=5),
+                     "variants must be a list of signal-id lists"),
+    "variant-str": ("example1", lambda d: d["variants"].append("ABCDFG"),
+                    "variant 2 must be a list of signal ids, not 'ABCDFG'"),
+    "variant-holds-list": ("example1", lambda d: d["variants"][0].append(["A"]),
+                           "variant 0: signal ids must be strings, not ['A']"),
+    "variant-holds-int": ("example1", lambda d: d["variants"][1].insert(0, 7),
+                          "variant 1: signal ids must be strings, not 7"),
+    "config-list": ("example1", lambda d: d.update(config=[5000]),
+                    "config must be a JSON object"),
+    "float-period": ("example1", _set(0, period_us=5000.9),
+                     "signal A: period_us must be an integer, not 5000.9"),
+    "bool-length": ("example1", _set(0, length_bits=True),
+                    "signal A: length_bits must be an integer, not True"),
+    "bool-release": ("example1", _set(0, release_us=False),
+                     "signal A: release_us must be an integer, not False"),
+    "str-deadline": ("example1", _set(0, deadline_us="5000"),
+                     "signal A: deadline_us must be an integer, not '5000'"),
+    "float-cycle": ("example1", _set("config", cycle_us=5000.0),
+                    "config: cycle_us must be an integer, not 5000.0"),
+    "bool-hyperperiod": ("example1", _set("config", hyperperiod_cycles=True),
+                         "config: hyperperiod_cycles must be an integer, not True"),
+    "payload-over-254-bytes": (
+        "example1", _set("config", payload_bits=2040),
+        "config: payload_bits must be between 1 and 2032 (254 bytes), not 2040",
+    ),
+    "negative-static-slots": ("example1", _set("config", static_slots=-1),
+                              "config: static_slots must be >= 0"),
+    "negative-slot-time": ("example1", _set("config", slot_us=-40),
+                           "config: slot_us must be >= 0"),
+    "bool-static-slots": ("example1", _set("config", static_slots=False),
+                          "config: static_slots must be an integer, not False"),
+    # a misspelt optional key would otherwise read as an absent one
+    "config-typo": ("example1", _rename("config", "static_slots", "static_slot"),
+                    "config: unknown key 'static_slot'"),
+    "release-typo": ("example1", _rename(0, "release_us", "release_uss"),
+                     "signal A: unknown key 'release_uss'"),
+    "deadline-typo": ("example1", _rename(0, "deadline_us", "deadline_uss"),
+                      "signal A: unknown key 'deadline_uss'"),
+    "extra-key": ("example1", _set(0, priority=1), "signal A: unknown key 'priority'"),
+    "config-optional": ("make_doc", _rename("config", "static_slots", "static_slot"),
+                        "config: unknown key 'static_slot'"),
+    "config-required": ("make_doc", _rename("config", "cycle_us", "cycle_uss"),
+                        "config: unknown key 'cycle_uss'"),
+    "signal-release": ("make_doc", _rename(0, "release_us", "release_uss"),
+                       "signal X: unknown key 'release_uss'"),
+    "signal-deadline": ("make_doc", _rename(0, "deadline_us", "deadline_uss"),
+                        "signal X: unknown key 'deadline_uss'"),
+    "signal-extra": ("make_doc", _set(0, note="x"), "signal X: unknown key 'note'"),
+    **{
+        f"missing-{key}": ("make_doc", lambda d, key=key: d["config"].pop(key),
+                           f"malformed config section: {key!r}")
+        for key in ("cycle_us", "hyperperiod_cycles", "payload_bits")
+    },
+}
 
 
 class TestLoaderAndConstructorAgree:
@@ -211,6 +278,19 @@ class TestLoaderAndConstructorAgree:
         edit(record)
         with pytest.raises(InstanceError) as loaded:
             load_instance(make_doc(signals=[record]))
+        assert str(loaded.value) == message
+
+    @pytest.mark.parametrize(
+        "base, edit, message", list(DOCUMENT_EDITS.values()), ids=list(DOCUMENT_EDITS)
+    )
+    def test_whole_document_rules(self, example1_instance_path, base, edit, message):
+        # the loader's exact text for a fault anywhere in a document: the
+        # config, a signal record after the first, or the variants
+        docs = dict(DOCUMENTS, example1=json.loads(example1_instance_path.read_text()))
+        doc = copy.deepcopy(docs[base])
+        edit(doc)
+        with pytest.raises(InstanceError) as loaded:
+            load_instance(doc)
         assert str(loaded.value) == message
 
     def test_bad_field_named_before_unknown_key(self):
@@ -336,7 +416,7 @@ class TestCheckedInstance:
         assert inst == (self.CONFIG, (sig,), (frozenset("x"), frozenset("x")))
 
 
-SCREEN_CONFIG = {"cycle_us": 5000, "hyperperiod_cycles": 4, "payload_bits": 16}
+RECORDS_CONFIG = {"cycle_us": 5000, "hyperperiod_cycles": 4, "payload_bits": 16}
 
 # per field, values that break a field rule or a config rule (a bool, a
 # float or a string for a number; off the period grid; past the payload),
@@ -403,14 +483,14 @@ def load_outcome(doc, load=load_instance):
     return instance, [type(s) for s in instance.signals]
 
 
-def assert_screen_agrees(records, variants):
+def assert_loaders_agree(records, variants):
     """The loader and the record-by-record reference give equal instances
     of Signal values, or the same first error."""
-    doc = {"config": SCREEN_CONFIG, "signals": records, "variants": variants}
+    doc = {"config": RECORDS_CONFIG, "signals": records, "variants": variants}
     assert load_outcome(doc) == load_outcome(doc, reference_load_instance)
 
 
-class TestScreenedLoader:
+class TestLoaderMatchesReference:
     """`load_instance` runs the signal table column by column and builds
     the records in one pass; `oracles.reference_load_instance`, which reads
     one record at a time, is the reference."""
@@ -429,7 +509,7 @@ class TestScreenedLoader:
     def test_one_edit_agrees_with_the_per_record_loop(self, op, at):
         records = list(self.RECORDS)
         records[at] = edited(records[at], op)
-        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+        assert_loaders_agree(records, [["S0", "S1", "S2"]])
 
     @pytest.mark.parametrize(
         "before, after",
@@ -449,7 +529,7 @@ class TestScreenedLoader:
         records = list(self.RECORDS)
         records[1] = edited(records[1], before)
         records[2] = edited(records[2], after)
-        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+        assert_loaders_agree(records, [["S0", "S1", "S2"]])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -461,7 +541,7 @@ class TestScreenedLoader:
         for i, op in edits:
             i %= len(records)
             records[i] = edited(records[i], op)
-        assert_screen_agrees(records, variants)
+        assert_loaders_agree(records, variants)
 
     def test_valid_documents_skip_the_loop(self, example1_instance_path):
         from fraysched import benchgen
@@ -475,10 +555,10 @@ class TestScreenedLoader:
         # never enters the bisection that finds a first fault
         for doc in docs:
             with mock.patch.object(core, "_first_failing") as bisect:
-                screened = load_instance(doc)
+                loaded = load_instance(doc)
             assert not bisect.called
-            assert screened == reference_load_instance(doc)
-            assert all(type(s) is Signal for s in screened.signals)
+            assert loaded == reference_load_instance(doc)
+            assert all(type(s) is Signal for s in loaded.signals)
 
     @pytest.mark.parametrize(
         "edit",
@@ -500,7 +580,7 @@ class TestScreenedLoader:
         # the record-by-record read took any mapping as a record
         records = [dict(r) for r in self.RECORDS]
         records[1] = MappingProxyType(records[1])
-        assert_screen_agrees(records, [["S0", "S1", "S2"]])
+        assert_loaders_agree(records, [["S0", "S1", "S2"]])
         loaded = load_instance(make_doc(signals=records, variants=[["S0", "S1", "S2"]]))
         assert loaded.signals[1] == Signal("S1", "ecu", 10000, 1, 0, 10000)
 

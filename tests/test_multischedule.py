@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import json
@@ -475,6 +476,120 @@ def test_document_roundtrip(example1, strategy):
         assert slot_nodes == ms.slot_nodes
 
 
+def _slot(i, **values):
+    return lambda d: d["slots"][i].update(values)
+
+
+def _placement(**values):
+    """The edit that sets `values` in slot 0's first placement."""
+    return lambda d: d["slots"][0]["placements"][0].update(values)
+
+
+def _rename_placement_key(old, new, **values):
+    def edit(d):
+        placement = d["slots"][0]["placements"][0]
+        placement[new] = placement.pop(old)
+        placement.update(values)
+    return edit
+
+
+INSTANCE_CONFIG = ("{'cycle_us': 5000, 'hyperperiod_cycles': 4, 'payload_bits': 16, "
+                   "'static_slots': 75, 'slot_us': 40}")
+# the FFP document's config, keys sorted, with its payload_bits and static_slots
+RENDERED_CONFIG = ("{'cycle_us': 5000, 'hyperperiod_cycles': 4, 'payload_bits': %r, "
+                   "'slot_us': 40, 'static_slots': %r}")
+
+
+def _differs(stated):
+    return f"schedule config {stated} differs from the instance config {INSTANCE_CONFIG}"
+
+
+# id -> (document, edit, the reader's text), each read against example 1's
+# instance.  The documents are example 1's reference schedule, its FFP
+# schedule as rendered, and an empty object.
+READER_RULES = {
+    "unknown-signal": ("reference", lambda d: d["slots"][0]["placements"].append(
+        {"signal": "QQ", "first_cycle": 0, "offset_bits": 0}
+    ), "schedule references unknown signal 'QQ'"),
+    "slot-not-object": ("bare", lambda d: d.update(slots=[[1, 2]]),
+                        "slot 0: a slot must be an object with a 'placements' list"),
+    "placement-not-object": ("bare", lambda d: d.update(slots=[{"placements": [5]}]),
+                             "slot 0: a placement must be an object"),
+    "slots-not-list": ("bare", lambda d: d.update(slots=5),
+                       "schedule document must be an object with a 'slots' list"),
+    **{
+        name: ("reference", _placement(**{key: value}),
+               "malformed placement for A: first_cycle and offset_bits must be integers, "
+               f"not {text}")
+        for name, key, value, text in [
+            ("bool-cycle", "first_cycle", True, "True and 0"),
+            ("bool-offset", "offset_bits", False, "0 and False"),
+            ("float-offset", "offset_bits", 0.0, "0 and 0.0"),
+            ("str-cycle", "first_cycle", "0", "'0' and 0"),
+        ]
+    },
+    "placement-typo": ("reference",
+                       lambda d: [s.update(placement=s.pop("placements")) for s in d["slots"]],
+                       "slot 0: unknown key 'placement'"),
+    "document-key": ("reference", lambda d: d.update(variant=5),
+                     "schedule document: unknown key 'variant'"),
+    "slot-key": ("reference", _slot(1, bogus=1), "slot 1: unknown key 'bogus'"),
+    "placement-key": ("reference", _placement(note="x"), "slot 0: placement: unknown key 'note'"),
+    "placement-key-for-missing": ("reference", _rename_placement_key("first_cycle", "first"),
+                                  "slot 0: placement: unknown key 'first'"),
+    "signal-key-for-missing": ("reference", _rename_placement_key("signal", "sig"),
+                               "slot 0: placement: unknown key 'sig'"),
+    "placement-key-before-unknown-signal": (
+        "reference", _rename_placement_key("offset_bits", "offset", signal="QQ"),
+        "slot 0: placement: unknown key 'offset'",
+    ),
+    "offset-key-typo": ("reference", _rename_placement_key("offset_bits", "offset_bit"),
+                        "slot 0: placement: unknown key 'offset_bit'"),
+    **{
+        f"index-{name}": ("ffp", _slot(1, index=index), f"slot 1: index is {text}, expected 1")
+        for name, index, text in [("7", 7, "7"), ("0", 0, "0"), ("str", "1", "'1'"),
+                                  ("float", 1.0, "1.0"), ("bool", True, "True")]
+    },
+    "config-payload-64": ("ffp", lambda d: d["config"].update(payload_bits=64),
+                          _differs(RENDERED_CONFIG % (64, 75))),
+    "config-payload-float": ("ffp", lambda d: d["config"].update(payload_bits=16.0),
+                             _differs(RENDERED_CONFIG % (16.0, 75))),
+    "config-bool-slots": ("ffp", lambda d: d["config"].update(static_slots=True),
+                          _differs(RENDERED_CONFIG % (16, True))),
+    "config-missing-key": ("ffp", lambda d: d["config"].pop("slot_us"), _differs(
+        "{'cycle_us': 5000, 'hyperperiod_cycles': 4, 'payload_bits': 16, 'static_slots': 75}"
+    )),
+    "config-extra-key": ("ffp", lambda d: d["config"].update(extra=1), _differs(
+        "{'cycle_us': 5000, 'hyperperiod_cycles': 4, 'payload_bits': 16, 'slot_us': 40, "
+        "'static_slots': 75, 'extra': 1}"
+    )),
+    "config-not-an-object": ("ffp", lambda d: d.update(config=[16]), _differs("[16]")),
+    **{
+        f"nodes-{name}": ("ffp", _slot(0, nodes=nodes),
+                          f"slot 0: nodes must be a list of node ids, not {nodes!r}")
+        for name, nodes in [("list-entry", [[1]]), ("object-entry", [{"n": 1}]), ("int", 1),
+                            ("null", None), ("bool", [True]), ("empty-str", [""]),
+                            ("float", [1.5])]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "base, edit, message", list(READER_RULES.values()), ids=list(READER_RULES)
+)
+def test_reader_rules(example1, example1_schedule_doc, base, edit, message):
+    docs = {
+        "reference": example1_schedule_doc,
+        "ffp": schedule_to_dict(schedule(example1, OrderingStrategy.FFP).multischedule),
+        "bare": {},
+    }
+    doc = copy.deepcopy(docs[base])
+    edit(doc)
+    with pytest.raises(ScheduleError) as read:
+        schedule_from_dict(doc, example1)
+    assert str(read.value) == message
+
+
 # One fault at a time for the schedule reader: each edit takes a seeded rng
 # and a rendered document and changes one thing in place (a few edits,
 # such as a dropped slot key or a duplicate placement, leave it readable).
@@ -570,14 +685,14 @@ def _read(doc, inst, read=schedule_from_dict):
         return str(exc)
 
 
-class TestScreenedReader:
+class TestReaderMatchesReference:
     @given(
         seed=st.integers(0, 10**6),
         edits=st.lists(st.sampled_from(sorted(READER_EDITS)), min_size=1, max_size=2),
         strategy=st.sampled_from(list(OrderingStrategy)),
     )
     @settings(max_examples=400, deadline=None)
-    def test_screen_agrees_with_the_per_placement_loop(self, seed, edits, strategy):
+    def test_reader_agrees_with_the_per_placement_loop(self, seed, edits, strategy):
         # two edits put a slot fault behind a placement fault of an earlier
         # slot, or the other way round
         rng = random.Random(seed)
@@ -593,7 +708,7 @@ class TestScreenedReader:
         if not isinstance(got, str):
             assert all(type(pos) is Placement for _sig, pos in got[0])
 
-    def test_rendered_documents_pass_the_screen(self):
+    def test_rendered_documents_skip_the_bisection(self):
         # a valid document keeps every rule on its first check, and never
         # enters the bisection that finds a first fault
         rng = random.Random(2025)

@@ -165,15 +165,19 @@ def test_frame_overlaps_match_pairwise_oracle_on_mutated_schedules():
 def test_overlap_sweep_on_a_large_sparse_frame():
     # 2000 one-bit signals of one variant tile slot 0 of the widest frame,
     # and one more sits on the first of them: H overlaps, one per frame,
-    # among ~2000^2 / 2 pairs that an all-pairs loop would test
+    # among ~2000^2 / 2 pairs that an all-pairs loop, such as the
+    # reference's, would test
     H, W, n = 64, 2032, 2000
     signals = [Signal(f"s{i}", 1, 1000, 1, 0, 1000) for i in range(n + 1)]
     inst = Instance(FlexRayConfig(1000, H, W), tuple(signals),
                     (frozenset(s.id for s in signals),))
     records = [(s, Placement(0, 0, i)) for i, s in enumerate(signals[:n])]
     records.append((signals[n], Placement(0, 0, 0)))
-    got = matches_reference((records, [{1}]), inst)
-    assert [v["rule"] for v in got] == ["frame-overlap"] * H
+    assert [v.to_dict() for v in validate_multischedule(records, [{1}], inst)] == [
+        {"rule": "frame-overlap", "signal": "s0", "slot": 0, "variant": 0, "cycle": c,
+         "message": f"signals s0 and s2000 overlap in slot 0 cycle {c} but share variant 0"}
+        for c in range(H)
+    ]
 
 
 # Hand-made frame edge cases on a 4-cycle, 8-bit bus.  a, b and d share
