@@ -1,8 +1,9 @@
 """Instance data model: network configuration, signals, variants.
 
-All values are immutable after construction and can be shared freely
-between concurrent scheduler runs.  Times are integer microseconds; cycle
-indices are 0-based.
+All values, and the membership map an `Instance` derives, which nothing
+writes, are immutable after construction and can be shared freely between
+concurrent scheduler runs.  Times are integer microseconds; cycle indices
+are 0-based.
 
 The rules of a signal record are one ordered table, and `first_fault`
 runs such a table over records column by column (see there).
@@ -306,15 +307,17 @@ class Instance(_InstanceFields):
     a period off the cycle grid or past the hyperperiod), then for the
     first variant that is not a collection of known signal ids, then for
     the first signal in no variant.  Each variant is kept as a frozenset.
+    `variants_of[sid]`, the one inversion of membership, lists the variants
+    using a signal in ascending order, signals in input order; it is not a
+    field, so `==` ignores it, and `_make`, `_replace` and unpickling go
+    through `__new__`, which rebuilds it.
     """
-
-    __slots__ = ()
 
     def __new__(cls, config, signals, variants):
         signals = tuple(signals)
         fields = _SignalFields(*(tuple(zip(*signals)) or ((),) * 6))
         _check(_INSTANCE_RULES, fields, config)
-        ids = set(fields.id)
+        variants_of: dict[str, list[int]] = {sid: [] for sid in fields.id}
         members = []
         for j, group in enumerate(variants):
             if not isinstance(group, (list, tuple, set, frozenset)):
@@ -322,21 +325,23 @@ class Instance(_InstanceFields):
                     f"variant {j} must be a list of signal ids, not {group!r}"
                 )
             try:
+                # a signal listed twice is one member
                 member_set = frozenset(group)
-                known = member_set <= ids
-            except TypeError:  # an unhashable entry
-                known = False
-            if not known:
-                sid = next(s for s in group if not isinstance(s, str) or s not in ids)
-                if isinstance(sid, str):
-                    raise InstanceError(f"variant {j} references unknown signal {sid!r}")
-                raise InstanceError(f"variant {j}: signal ids must be strings, not {sid!r}")
+                for vs in map(variants_of.__getitem__, member_set):
+                    vs.append(j)
+            except (TypeError, KeyError):  # an unhashable entry or an unknown id
+                sid = next(s for s in group if not isinstance(s, str) or s not in variants_of)
+                raise InstanceError(
+                    f"variant {j} references unknown signal {sid!r}" if isinstance(sid, str)
+                    else f"variant {j}: signal ids must be strings, not {sid!r}"
+                ) from None
             members.append(member_set)
-        uncovered = ids.difference(*members)
-        if uncovered:
-            sid = next(s for s in fields.id if s in uncovered)
+        if not all(variants_of.values()):
+            sid = next(sid for sid, vs in variants_of.items() if not vs)
             raise InstanceError(f"signal {sid} not assigned to any variant")
-        return tuple.__new__(cls, (config, signals, tuple(members)))
+        self = tuple.__new__(cls, (config, signals, tuple(members)))
+        self.variants_of = variants_of
+        return self
 
     @classmethod
     def _make(cls, iterable):

@@ -24,9 +24,9 @@ from collections import defaultdict
 from functools import reduce
 from operator import or_
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
-from .core import NodeId, Signal
+from .core import Instance, NodeId
 
 
 class ConflictModel:
@@ -45,23 +45,18 @@ class ConflictModel:
         self.variant_count = variant_count
 
 
-def compute_mems(
-    signals: Sequence[Signal], variants: Sequence[frozenset[str]]
-) -> ConflictModel:
-    """Variant sets of every signal and node, from `variants[j]`, the ids
-    of the signals variant j uses; every such id must be one of `signals`,
-    as a checked `Instance` guarantees.  The one inversion of membership
-    that scheduling and rendering use."""
-    variants_of: dict[str, list[int]] = {s.id: [] for s in signals}
-    for j, group in enumerate(variants):
-        for vs in map(variants_of.__getitem__, group):
-            vs.append(j)
-    bits = [1 << j for j in range(len(variants))]
-    node_mask: dict[NodeId, int] = {}
-    for s in signals:
-        mask = sum(map(bits.__getitem__, variants_of[s.id]))
-        node_mask[s.node] = node_mask.get(s.node, 0) | mask
-    return ConflictModel(variants_of, node_mask, len(variants))
+def compute_mems(instance: Instance) -> ConflictModel:
+    """Variant sets of every signal and node of `instance`: the signals'
+    are its `variants_of` map, and a node's the union of its signals'."""
+    variants_of = instance.variants_of
+    lists_of: dict[NodeId, list[list[int]]] = {}
+    for s in instance.signals:
+        lists_of.setdefault(s.node, []).append(variants_of[s.id])
+    bits = [1 << j for j in range(len(instance.variants))]
+    node_mask = {
+        node: sum(map(bits.__getitem__, set().union(*lists))) for node, lists in lists_of.items()
+    }
+    return ConflictModel(variants_of, node_mask, len(instance.variants))
 
 
 Matrix = list[list[bool]]

@@ -94,7 +94,7 @@ def schedule(instance: Instance, strategy: OrderingStrategy) -> ScheduleResult:
     """
     t0 = time.perf_counter()
     signals, config = instance.signals, instance.config
-    mems = compute_mems(signals, instance.variants)
+    mems = compute_mems(instance)
     # a window depends on the signal's period, release and deadline only,
     # so it is rounded once per distinct triple, in input order
     keys = list(map(attrgetter("period_us", "release_us", "deadline_us"), signals))

@@ -3,10 +3,11 @@
 Deliberately shares no code with the placement engine and imports only
 `core`.  It reads (signal, placement) records and each slot's stated
 nodes, from a parsed document or an engine result.  Variant co-occurrence
-and node conflicts are recomputed from the raw variant matrix, occupancy
-from the records with this module's own bit packing, and the admissible
-cycle windows with plain arithmetic.  Violations carry machine-readable
-coordinates so tests can assert on rule identity.
+and node conflicts are read from the checked input model's membership map
+(`Instance.variants_of`), occupancy is recomputed from the records with
+this module's own bit packing, and the admissible cycle windows with
+plain arithmetic.  Violations carry machine-readable coordinates so tests
+can assert on rule identity.
 
 Rule ids:
 
@@ -138,11 +139,7 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
     hyper = cfg.hyperperiod_cycles
     width = cfg.payload_bits
 
-    # variants of each signal, ascending
-    var_lists: dict[str, list[int]] = {s.id: [] for s in instance.signals}
-    for j, group in enumerate(instance.variants):
-        for sid in group:
-            var_lists[sid].append(j)
+    var_lists = instance.variants_of  # each signal's variants, ascending
 
     violations: list[Violation] = []
     out = violations.append
@@ -166,7 +163,7 @@ def validate_multischedule(records, slot_nodes, instance: Instance) -> list[Viol
     # signals required by some variant but absent from the schedule
     if len(placed_ids) < len(var_lists):
         for s in instance.signals:
-            if s.id not in placed_ids and var_lists[s.id]:
+            if s.id not in placed_ids:
                 out(
                     Violation(
                         "coverage",

@@ -8,7 +8,7 @@ import pytest
 
 from fraysched import cli
 from fraysched.core import CycleWindow, Signal, load_instance
-from fraysched.exclusion import compute_mems
+from fraysched.exclusion import ConflictModel
 from fraysched.multischedule import Multischedule, find_position_for_signal
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -43,7 +43,7 @@ def first_fit(config, free, length, lo=0, hi=0):
     offset) or None."""
     sig = Signal("x", 0, 1, length, 0, 1)
     window = CycleWindow(lo, hi, config.hyperperiod_cycles)
-    ms = Multischedule(config, {"x": window}, compute_mems((sig,), (("x",),)))
+    ms = Multischedule(config, {"x": window}, ConflictModel({"x": [0]}, {0: 1}, 1))
     ms.slots, ms.periods = [[free]], [1]
     return find_position_for_signal(ms, sig)
 

@@ -29,7 +29,7 @@ STRATEGIES = list(OrderingStrategy)
 
 def test_criterion_1_example1_exclusion_matrices(example1):
     t0 = time.perf_counter()
-    mems = compute_mems(example1.signals, example1.variants)
+    mems = compute_mems(example1)
     smem, _ = dense_matrices(mems)
     ids = list(mems.variants_of)
     zero_pairs = {
@@ -69,7 +69,7 @@ def test_criterion_2_example1_ffp_schedule(example1):
     pos_e = placements["E"]
     assert pos_e.first_cycle >= 2
     frame = frame_view(res.multischedule)[pos_e.slot][pos_e.first_cycle]
-    mems = compute_mems(example1.signals, example1.variants)
+    mems = compute_mems(example1)
     overlapped = [
         e.signal
         for e in frame

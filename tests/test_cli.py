@@ -65,8 +65,25 @@ class TestScheduleCommand:
         assert run(["schedule", ex1, "--strategy", "ffc", "--out", alone]) == 0
         assert alone.read_bytes() == out.read_bytes()
 
-    def test_missing_instance_exits_2(self, tmp_path):
-        assert run(["schedule", tmp_path / "nope.json", "--out", tmp_path / "s.json"]) == 2
+    def test_a_variant_listing_a_signal_twice_uses_it_once(self, tmp_path):
+        # two 4-bit signals fill the 8-bit frame only if each is committed
+        # once to variant 0: a second commit of a would free its bits again
+        doc = {
+            "config": {"cycle_us": 1000, "hyperperiod_cycles": 2, "payload_bits": 8},
+            "signals": [
+                {"id": sid, "node": 1, "period_us": 1000, "length_bits": 4} for sid in "ab"
+            ],
+            "variants": [["a", "a", "b"]],
+        }
+        assert load_instance(doc).variants_of == {"a": [0], "b": [0]}
+        schedules = []
+        for variants in ([["a", "a", "b"]], [["a", "b"]]):
+            path, out = tmp_path / "inst.json", tmp_path / "s.json"
+            path.write_text(json.dumps(dict(doc, variants=variants)))
+            assert run(["schedule", path, "--out", out]) == 0
+            assert run(["validate", path, out]) == 0
+            schedules.append(out.read_bytes())
+        assert schedules[0] == schedules[1]
 
     def test_mixed_int_and_str_nodes_schedule_and_validate(self, tmp_path):
         doc = {
@@ -108,9 +125,6 @@ class TestValidateCommand:
              "variant": 0}
             for c in (1, 3)
         ]
-
-    def test_missing_files_exit_2(self, tmp_path, ex1):
-        assert run(["validate", tmp_path / "no.json", tmp_path / "rly.json"]) == 2
 
     def test_closed_stdout_exits_2_without_traceback(
         self, tmp_path, ex1, example1_schedule_doc
@@ -244,16 +258,19 @@ def test_io_errors_exit_2_with_one_line(tmp_path, ex1, example1_schedule_path, c
 
 @pytest.mark.parametrize(
     "command, document",
-    [("schedule", "instance"), ("validate", "instance"), ("validate", "schedule")],
+    [("schedule", "instance"), ("validate", "instance"), ("validate", "schedule"),
+     ("validate", "both")],
 )
 def test_missing_file_exits_2_with_the_same_line(
     tmp_path, ex1, example1_schedule_path, capsys, command, document
 ):
+    # with both files missing, the instance is read first and named
     missing = tmp_path / "missing.json"
     argv = {
         ("schedule", "instance"): ["schedule", missing, "--out", tmp_path / "s.json"],
         ("validate", "instance"): ["validate", missing, example1_schedule_path],
         ("validate", "schedule"): ["validate", ex1, missing],
+        ("validate", "both"): ["validate", missing, tmp_path / "missing-schedule.json"],
     }[command, document]
     capsys.readouterr()
     assert run(argv) == 2
@@ -498,8 +515,11 @@ class TestGenerateCommand:
         inst = read_instance(out)
         assert len(inst.signals) >= 500
 
-    def test_unknown_profile_exits_2(self, tmp_path):
+    def test_unknown_profile_exits_2(self, tmp_path, capsys):
         assert run(["generate", "--profile", "set99", "--out", tmp_path / "x.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown profile 'set99'; available: " + ", ".join(sorted(PROFILES)) + "\n"
+        )
 
     def test_generated_set5_schedules_and_validates(self, tmp_path):
         # 6 nodes, so slots close to nodes under both orderings; FFL runs
@@ -620,8 +640,9 @@ class TestBenchCommand:
             ("1", "ffc", "error: no instance", False),
         ]
 
-    def test_unknown_profile_exits_2(self, tmp_path):
+    def test_unknown_profile_exits_2(self, tmp_path, capsys):
         assert run(["bench", "--profiles", "setx", "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == "error: unknown profile 'setx'\n"
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     @pytest.mark.parametrize("option", ["--out", "--aggregate-out"])

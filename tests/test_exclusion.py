@@ -11,14 +11,14 @@ from oracles import make_random_instance, nodes_conflict, signals_conflict
 
 class TestExample1:
     def test_conflict_queries(self, example1):
-        mems = compute_mems(example1.signals, example1.variants)
+        mems = compute_mems(example1)
         assert not signals_conflict(mems, "A", "E")
         assert signals_conflict(mems, "B", "C")
         for sid in ("A", "E", "H"):
             assert signals_conflict(mems, sid, sid)
 
     def test_unknown_id_raises(self, example1):
-        mems = compute_mems(example1.signals, example1.variants)
+        mems = compute_mems(example1)
         with pytest.raises(KeyError):
             signals_conflict(mems, "A", "missing")
         with pytest.raises(KeyError):
@@ -35,7 +35,7 @@ def test_single_variant_all_conflict():
         "variants": [["s0", "s1", "s2"]],
     }
     inst = load_instance(doc)
-    mems = compute_mems(inst.signals, inst.variants)
+    mems = compute_mems(inst)
     smem, nmem = dense_matrices(mems)
     assert all(all(row) for row in smem)
     expected_nmem = [[i != k for k in range(3)] for i in range(3)]
@@ -67,26 +67,39 @@ def test_matches_brute_force_on_random_instances():
     rng = random.Random(2024)
     for _ in range(80):
         inst = make_random_instance(rng, max_signals=30, max_nodes=3, max_variants=8)
-        mems = compute_mems(inst.signals, inst.variants)
+        mems = compute_mems(inst)
         smem, nmem, nodes = brute_force_mems(inst)
         got_smem, got_nmem = dense_matrices(mems)
         assert got_smem == smem
         assert got_nmem == nmem
-        assert tuple(mems.node_mask) == nodes
+        # the membership map, which the validator reads too, against a
+        # recount from the variant sets, key order included
+        assert list(inst.variants_of.items()) == [
+            (s.id, [j for j, group in enumerate(inst.variants) if s.id in group])
+            for s in inst.signals
+        ]
+        assert mems.variants_of is inst.variants_of
+        assert list(mems.node_mask.items()) == [
+            (node, sum(
+                1 << j for j, group in enumerate(inst.variants)
+                if any(s.node == node and s.id in group for s in inst.signals)
+            ))
+            for node in nodes
+        ]
 
 
 def test_adding_a_variant_is_monotone():
     rng = random.Random(5)
     for _ in range(30):
         inst = make_random_instance(rng, max_signals=10, max_variants=3)
-        mems_before = compute_mems(inst.signals, inst.variants)
+        mems_before = compute_mems(inst)
         extra = frozenset(
             s.id for s in inst.signals if rng.random() < 0.5
         )
         from fraysched.core import Instance
 
         grown = Instance(inst.config, inst.signals, inst.variants + (extra,))
-        mems_after = compute_mems(grown.signals, grown.variants)
+        mems_after = compute_mems(grown)
         smem_before, nmem_before = dense_matrices(mems_before)
         smem_after, nmem_after = dense_matrices(mems_after)
         # entries may flip 0 -> 1, never 1 -> 0
@@ -107,7 +120,7 @@ def test_mixed_node_ids():
         "variants": [["a", "b"], ["c"]],
     }
     inst = load_instance(doc)
-    mems = compute_mems(inst.signals, inst.variants)
+    mems = compute_mems(inst)
     assert tuple(mems.node_mask) == (1, "gw", "1")
     assert nodes_conflict(mems, 1, "gw")
     assert not nodes_conflict(mems, 1, "1")
@@ -122,7 +135,7 @@ def test_model_holds_no_dense_matrix():
     # only by an explicit dense_matrices call
     rng = random.Random(3)
     inst = make_random_instance(rng, max_signals=30)
-    mems = compute_mems(inst.signals, inst.variants)
+    mems = compute_mems(inst)
     assert not hasattr(mems, "smem") and not hasattr(mems, "nmem")
     n = len(inst.signals)
 
@@ -138,7 +151,7 @@ def test_model_holds_no_dense_matrix():
 
 
 def test_csv_dump(tmp_path, example1):
-    mems = compute_mems(example1.signals, example1.variants)
+    mems = compute_mems(example1)
     dump_mems_csv(mems, tmp_path)
     smem_lines = (tmp_path / "smem.csv").read_text().strip().splitlines()
     assert smem_lines[0] == ",A,B,C,D,E,F,G,H"

@@ -21,7 +21,7 @@ from fraysched.core import (
 )
 from fraysched.benchgen import PROFILES, generate_instance
 from fraysched import core, multischedule
-from fraysched.exclusion import compute_mems
+from fraysched.exclusion import ConflictModel, compute_mems
 from fraysched.multischedule import (
     Multischedule,
     Placement,
@@ -51,7 +51,7 @@ from conftest import first_fit, shared_int_doc
 
 
 def build(example1):
-    mems = compute_mems(example1.signals, example1.variants)
+    mems = compute_mems(example1)
     windows = {s.id: round_time_constraints(s, example1.config) for s in example1.signals}
     ms = Multischedule(example1.config, windows, mems)
     return ms, mems, {s.id: s for s in example1.signals}
@@ -87,7 +87,7 @@ class TestFirstFitSearch:
         rng = random.Random(31337)
         for _ in range(150):
             inst = make_random_instance(rng, max_signals=8)
-            mems = compute_mems(inst.signals, inst.variants)
+            mems = compute_mems(inst)
             _, _, sig_conflict, _ = conflict_tables(inst)
             width = inst.config.payload_bits
             frame = []
@@ -168,7 +168,7 @@ class TestOpenSlots:
     @given(inst=node_split_instances(), strategy=st.sampled_from(list(OrderingStrategy)))
     @settings(max_examples=200, deadline=None)
     def test_closed_slots_match_a_recount_after_every_placement(self, inst, strategy):
-        mems = compute_mems(inst.signals, inst.variants)
+        mems = compute_mems(inst)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
         ms = Multischedule(inst.config, windows, mems)
         for sig in sort_signals(inst.signals, strategy, windows):
@@ -247,7 +247,7 @@ class TestPlaceSignal:
             "variants": [["X", "P1"], ["P1", "P2"]],
         }
         inst = load_instance(doc)
-        mems = compute_mems(inst.signals, inst.variants)
+        mems = compute_mems(inst)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
         ms = Multischedule(inst.config, windows, mems)
         by_id = {s.id: s for s in inst.signals}
@@ -275,7 +275,7 @@ class TestFreeBits:
         # shrink, and they are all bits but the union of that variant's
         # job ranges, rebuilt from the records and the raw variant lists
         inst = with_mixed_nodes(make_random_instance(random.Random(seed), max_nodes=4))
-        mems = compute_mems(inst.signals, inst.variants)
+        mems = compute_mems(inst)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
         H, W = inst.config.hyperperiod_cycles, inst.config.payload_bits
         count = len(inst.variants)
@@ -308,7 +308,7 @@ class TestSlotPeriod:
         # the search skips the later-job check on this figure, so it must
         # follow every commit, in every order
         inst = with_mixed_nodes(make_random_instance(random.Random(seed), max_nodes=4))
-        mems = compute_mems(inst.signals, inst.variants)
+        mems = compute_mems(inst)
         windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
         ms = Multischedule(inst.config, windows, mems)
         for sig in sort_signals(inst.signals, strategy, windows):
@@ -329,7 +329,7 @@ class TestSlotPeriod:
         small = dataclasses.replace(PROFILES[profile], signal_count_range=(150, 150))
         for seed in range(2):
             inst = load_instance(generate_instance(small, seed))
-            mems = compute_mems(inst.signals, inst.variants)
+            mems = compute_mems(inst)
             windows = {s.id: round_time_constraints(s, inst.config) for s in inst.signals}
             ms = Multischedule(inst.config, windows, mems)
             longer = 0
@@ -388,7 +388,7 @@ class TestPatternTable:
             st.sampled_from([p for p in ALLOWED_HYPERPERIODS if p <= hyper])
         )
         length = data.draw(st.integers(1, width))
-        ms = Multischedule(FlexRayConfig(1000, hyper, width), {}, compute_mems((), ()))
+        ms = Multischedule(FlexRayConfig(1000, hyper, width), {}, ConflictModel({}, {}, 0))
         jobs = ms.patterns.pattern(period, length)
         fits = ms.patterns.pattern(1, width - length + 1)
         frame = (1 << width) - 1
@@ -406,7 +406,7 @@ class TestPatternTable:
         # run doubling is exact when no step is longer than the run built
         # so far, and the run reaches `length` bits when the steps add up
         # to length - 1; every frame length the config admits is checked
-        ms = Multischedule(FlexRayConfig(1000, 1, MAX_PAYLOAD_BITS), {}, compute_mems((), ()))
+        ms = Multischedule(FlexRayConfig(1000, 1, MAX_PAYLOAD_BITS), {}, ConflictModel({}, {}, 0))
         for length in range(1, MAX_PAYLOAD_BITS + 1):
             shifts = ms.patterns[1, length][2]
             run = 1

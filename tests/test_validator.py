@@ -446,6 +446,7 @@ def test_period_longer_than_the_hyperperiod_matches_reference():
     cfg = FlexRayConfig(1000, 4, 8)
     sig = Signal("x", 1, 8000, 4, 0, 8000)
     inst = tuple.__new__(Instance, (cfg, (sig,), (frozenset({"x"}),)))
+    inst.variants_of = {"x": [0]}
     for first in (0, 3, 5):
         got, looped = _rule_loop_runs([(sig, Placement(0, first, 0))], [{1}], inst)
         # the rule columns are exact, so only a flagged record is formatted
